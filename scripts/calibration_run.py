@@ -12,14 +12,18 @@ Reproduces, from scratch and with fixed seeds:
      the trend-extrapolated cover values at the finest depth;
   4. projection areas at the frozen estimator parameters.
 
+Needs the test extras (pytest, hypothesis): the length oracle is imported
+from tests/conftest.py.
+
 Usage:
     python scripts/calibration_run.py            # full run (~2 min)
     python scripts/calibration_run.py --quick    # reduced depths (~15 s)
 """
 
 import argparse
-import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -35,13 +39,9 @@ from antichain import (
 )
 from antichain.singular import dyadic_slopes_many
 
-
-def length_binomial(k: int, lam: float) -> float:
-    dx2 = (2.0**-k) ** 2
-    return math.fsum(
-        math.comb(k, o) * math.sqrt(dx2 + (lam ** (k - o) * (1.0 - lam) ** o) ** 2)
-        for o in range(k + 1)
-    )
+# the closed-form length oracle lives with the tests that freeze its numbers
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import length_binomial  # noqa: E402
 
 
 def banner(title: str) -> None:

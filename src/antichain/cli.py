@@ -16,8 +16,10 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import measure, surface
-from .errors import AntichainError
+from .errors import AntichainError, BudgetError, ConfigurationError
 from .measure import DEFAULT_EVAL_BUDGET
 from .singular import SALEM, KINDS, SingularFunctionSpec, SingularSetProbe
 from .surface import Point, SurfaceSpec
@@ -176,26 +178,20 @@ def _cmd_projections(cfg: RunConfig) -> dict:
     }
 
 
-def _mesh_grid(resolution: int) -> list[float]:
-    return [(i + 1) / (resolution + 1) for i in range(resolution)]
-
-
 def _cmd_export_mesh(cfg: RunConfig) -> tuple[dict, list[list[float]]]:
     if cfg.n not in (2, 3):
         raise AntichainError(f"mesh export supports n in {{2, 3}}, got n = {cfg.n}")
-    spec = cfg.surface_spec()
-    grid = _mesh_grid(cfg.resolution)
-    rows: list[list[float]] = []
-    if cfg.n == 2:
-        for x in grid:
-            value, _ = surface.F_eval(spec, Point((x,)))
-            rows.append([x, value])
-    else:
-        for x1 in grid:
-            for x2 in grid:
-                value, _ = surface.F_eval(spec, Point((x1, x2)))
-                rows.append([x1, x2, value])
-    payload = {"n": cfg.n, "grid": grid, "values": [r[-1] for r in rows]}
+    if cfg.resolution < 1:
+        raise ConfigurationError(f"--resolution must be >= 1, got {cfg.resolution}")
+    count = cfg.resolution ** (cfg.n - 1)
+    if count > cfg.budget:
+        raise BudgetError(f"{count} evaluations exceed budget {cfg.budget}")
+    grid = [(i + 1) / (cfg.resolution + 1) for i in range(cfg.resolution)]
+    axes = np.meshgrid(*[np.array(grid)] * (cfg.n - 1), indexing="ij")  # row-major order
+    points = np.stack([a.ravel() for a in axes], axis=1)
+    values, _ = surface.surface_values(cfg.surface_spec(), points)
+    rows = np.column_stack([points, values]).tolist()
+    payload = {"n": cfg.n, "grid": grid, "values": values.tolist()}
     return payload, rows
 
 

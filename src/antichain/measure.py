@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DomainError, InsufficientDataError, PrecisionError
-from .singular import SingularSetProbe, evaluate_many, in_singular_set_many
+from .singular import SingularSetProbe, digit_words, evaluate_many, in_singular_set_many
 from .surface import SurfaceSpec, surface_values
 
 #: default cap on the number of surface evaluations in one estimator call
@@ -144,13 +144,6 @@ def alpha(s: float) -> float:
     return math.pi ** (s / 2.0) / (2.0**s * math.gamma(s / 2.0 + 1.0))
 
 
-def _fsum_array(values: np.ndarray) -> float:
-    """Sum with error far below 1e-12: exact fsum over pairwise chunk sums."""
-    chunks = [float(np.sum(values[i : i + _CHUNK_ROWS]))
-              for i in range(0, len(values), _CHUNK_ROWS)]
-    return math.fsum(chunks)
-
-
 def _offset_grid(samples_per_cell: int, dim: int) -> np.ndarray:
     """Per-cell sample offsets: the (m+1)^dim lattice j/m including all corners.
 
@@ -170,14 +163,11 @@ def _cell_axis_indices(cell_ids: np.ndarray, depth: int, dim: int) -> np.ndarray
 
 
 def _mark_codes(points: np.ndarray, depth: int) -> np.ndarray:
-    """Linear half-open cell codes of ambient points in [0,1]^dim."""
-    dim = points.shape[1]
-    scale = 1 << depth
-    idx = np.minimum((points * scale).astype(np.int64), scale - 1)
-    np.maximum(idx, 0, out=idx)
-    lin = idx[:, 0]
-    for j in range(1, dim):
-        lin = (lin << depth) | idx[:, j]
+    """Linear half-open cell codes of ambient points in [0,1]^dim, one axis at a time."""
+    lin = np.zeros(len(points), dtype=np.int64)
+    for j in range(points.shape[1]):
+        lin <<= depth
+        lin |= np.minimum(digit_words(points[:, j], depth), (1 << depth) - 1)  # 1 -> last cell
     return lin
 
 
@@ -326,10 +316,6 @@ def _block_jitter(seed: int, block_index: int, n_cells: int, per_cell: int, dim:
     return gen.random((n_cells, per_cell, dim))
 
 
-def _image_dim(n: int) -> int:
-    return n - 1
-
-
 def _projection_sweep(
     spec: SurfaceSpec,
     probe: SingularSetProbe,
@@ -353,7 +339,7 @@ def _projection_sweep(
         raise DomainError("depths and samples_per_cell must be >= 1")
     if domain_depth * d > 62:
         raise BudgetError("domain grid overflows 64-bit cell ids")
-    img_dim = _image_dim(n)
+    img_dim = n - 1
     if image_depth * img_dim > 28:
         raise BudgetError("image occupancy array would exceed the memory guard")
     per_cell = samples_per_cell**d

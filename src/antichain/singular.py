@@ -12,12 +12,20 @@ Three families are supported:
                    strictly increasing; kept as a negative control.
 
 All evaluations truncate at a finite ``depth`` and return a rigorous
-truncation bound alongside the value.  Inputs are binary64 floats; digit
-extraction uses the float's exact dyadic expansion, so it is exact.
+truncation bound alongside the value.  Digits come from one primitive,
+``digit_words``: for x in [0,1) and k <= 63 the int64 floor(x * 2**k) is
+exactly the first k binary digits of x.  The salem function is affine on
+every dyadic cell (Salem 1943): on the cell of a k-digit word c with o ones,
+f = f(c 2**-k) + lam**(k-o) (1-lam)**o f(T^k x), T the binary shift.  The
+kernel composes these maps over 8-bit digit chunks with tables built once
+per (lam, width) in exact integer arithmetic, to within 2 ulp of the exact
+truncated sum; the bound is the rise over the depth-cell of x, or exactly 0
+when x has no digit past the depth.  The slope probe is one popcount.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +41,12 @@ KINDS = (SALEM, MINKOWSKI, CANTOR)
 #: continued-fraction partial quotients are clamped here so every
 #: 2**(-sum a_i) term stays representable
 _MAX_CF_QUOTIENT = 62
+
+#: digits per salem table chunk (2**8-entry tables stay in L1)
+_CHUNK_BITS = 8
+
+#: elements per salem kernel pass: words and gathers stay in cache, scratch bounded
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -96,40 +110,6 @@ class SingularSetProbe:
             raise ConfigurationError(f"probe eps must be positive, got {self.eps}")
 
 
-def _check_unit_interval(x: float) -> None:
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0,1], got {x}")
-
-
-def _binary_digits(x: float, depth: int) -> list[int]:
-    """First ``depth`` binary digits of x in [0,1).  Exact for binary64."""
-    digits = []
-    t = x
-    for _ in range(depth):
-        t *= 2.0  # exact: power-of-two scaling
-        if t >= 1.0:
-            digits.append(1)
-            t -= 1.0  # exact by Sterbenz for t in [1,2)
-        else:
-            digits.append(0)
-    return digits
-
-
-def _eval_salem(x: float, lam: float, depth: int) -> tuple[float, float]:
-    v = 0.0
-    s = 1.0
-    t = x
-    for _ in range(depth):
-        t *= 2.0
-        if t >= 1.0:
-            t -= 1.0
-            v += s * lam
-            s *= 1.0 - lam
-        else:
-            s *= lam
-    return v, s
-
-
 def _continued_fraction(x: float, max_terms: int) -> tuple[list[int], bool, bool]:
     """Partial quotients of x in (0,1), from its exact rational value.
 
@@ -183,19 +163,76 @@ def _eval_cantor(x: float, depth: int) -> tuple[float, float]:
     return v, place
 
 
+def digit_words(xs: np.ndarray, k: int) -> np.ndarray:
+    """First ``k`` binary digits of each x in [0,1), as the int64 floor(x * 2**k).
+
+    Exact for binary64 and k <= 63; signed, so gathers index with it as is.
+    """
+    return (np.asarray(xs, dtype=np.float64) * float(1 << k)).astype(np.int64)
+
+
+@functools.lru_cache(maxsize=256)
+def _cylinder_lengths(lam: float, k: int) -> np.ndarray:
+    """Entry o: lam**(k-o) * (1-lam)**o, correctly rounded -- the rise of the
+    salem function over any depth-k dyadic cell whose digits hold o ones."""
+    p, q = lam.as_integer_ratio()  # int / int division rounds correctly
+    table = np.array([p ** (k - o) * (q - p) ** o / q**k for o in range(k + 1)])
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=256)
+def _chunk_offsets(lam: float, bits: int) -> np.ndarray:
+    """Entry c: f(c * 2**-bits) for the ``bits``-digit word c, correctly rounded."""
+    p, q = lam.as_integer_ratio()
+    nums = [0]  # numerators over q**j of f on the j-digit words
+    for j in range(bits):  # leading digit 0: f = lam*f(T x); 1: f = lam + (1-lam)*f(T x)
+        nums = [p * n for n in nums] + [p * q**j + (q - p) * n for n in nums]
+    table = np.array([n / q**bits for n in nums])
+    table.setflags(write=False)
+    return table
+
+
+def _salem_many(lam: float, depth: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Salem values and truncation bounds over a flat array of x in [0,1).
+
+    Sums chunk offset times the rise over the cell of the digits before the
+    chunk, from the last chunk (short, with its own table) to the first."""
+    rises = _cylinder_lengths(lam, depth)
+    scale = float(1 << depth)
+    values, bounds = np.empty_like(xs), np.empty_like(xs)
+    for lo in range(0, xs.size, _BLOCK):
+        x = xs[lo : lo + _BLOCK]
+        w = digit_words(x, depth)
+        # no digit past depth (x * 2**depth equals its word): f(T^depth x) = 0
+        bounds[lo : lo + x.size] = rises[np.bitwise_count(w)] * (x * scale != w)
+        v = values[lo : lo + x.size]
+        v.fill(0.0)
+        left = depth
+        while left:
+            width = left % _CHUNK_BITS or _CHUNK_BITS
+            left -= width
+            term = _chunk_offsets(lam, width)[w & ((1 << width) - 1)]
+            w >>= width
+            if left:
+                term *= _cylinder_lengths(lam, left)[np.bitwise_count(w)]
+            v += term
+    return values, bounds
+
+
 def evaluate(spec: SingularFunctionSpec, x: float) -> tuple[float, float]:
     """Evaluate f(x), returning (value, truncation bound).
 
     The exact function value lies within the bound of the returned value.
     The endpoints are exact: evaluate(0) = 0 and evaluate(1) = 1.
     """
-    _check_unit_interval(x)
-    if x == 0.0:
-        return 0.0, 0.0
-    if x == 1.0:
-        return 1.0, 0.0
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"x must lie in [0,1], got {x}")
     if spec.kind == SALEM:
-        return _eval_salem(x, spec.lam, spec.depth)
+        values, bounds = evaluate_many(spec, np.array([x]))
+        return float(values[0]), float(bounds[0])
+    if x in (0.0, 1.0):
+        return float(x), 0.0
     if spec.kind == MINKOWSKI:
         return _eval_minkowski(x, spec.depth)
     return _eval_cantor(x, spec.depth)
@@ -204,40 +241,23 @@ def evaluate(spec: SingularFunctionSpec, x: float) -> tuple[float, float]:
 def evaluate_many(spec: SingularFunctionSpec, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised ``evaluate`` over an array of coordinates."""
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+    top = xs.max() if xs.size else 0.0
+    if xs.size and not (xs.min() >= 0.0 and top <= 1.0):
         raise DomainError("coordinates must lie in [0,1]")
     if spec.kind != SALEM:
         pairs = [evaluate(spec, float(x)) for x in xs.ravel()]
         v = np.array([p[0] for p in pairs]).reshape(xs.shape)
         e = np.array([p[1] for p in pairs]).reshape(xs.shape)
         return v, e
-    lam = spec.lam
-    ones = xs == 1.0
-    t = np.where(ones, 0.0, xs)
-    v = np.zeros_like(t)
-    s = np.ones_like(t)
-    for _ in range(spec.depth):
-        t = t * 2.0
-        b = t >= 1.0
-        t = t - b
-        v = v + s * (lam * b)
-        s = s * np.where(b, 1.0 - lam, lam)
-    v[ones] = 1.0
-    s[ones] = 0.0
-    s[xs == 0.0] = 0.0  # endpoints are exact, matching the scalar path
-    return v, s
-
-
-def _ones_counts(xs: np.ndarray, k: int) -> np.ndarray:
-    """Number of 1-digits among the first k binary digits, per element."""
-    t = np.array(xs, dtype=np.float64, copy=True)
-    o = np.zeros(t.shape, dtype=np.int64)
-    for _ in range(k):
-        t = t * 2.0
-        b = t >= 1.0
-        t = t - b
-        o += b
-    return o
+    flat = xs.ravel()
+    if top < 1.0:
+        v, s = _salem_many(spec.lam, spec.depth, flat)
+    else:  # 1 has no digit word below 2**depth; f(1) = 1 exactly
+        ones = flat == 1.0
+        v, s = _salem_many(spec.lam, spec.depth, np.where(ones, 0.0, flat))
+        v[ones] = 1.0
+        s[ones] = 0.0
+    return v.reshape(xs.shape), s.reshape(xs.shape)
 
 
 def dyadic_slope(spec: SingularFunctionSpec, x: float, k: int) -> float:
@@ -254,9 +274,7 @@ def dyadic_slope(spec: SingularFunctionSpec, x: float, k: int) -> float:
     if k > spec.depth:
         raise PrecisionError(f"slope depth {k} exceeds spec depth {spec.depth}")
     if spec.kind == SALEM:
-        o = sum(_binary_digits(x, k))
-        log2_slope = k + (k - o) * math.log2(spec.lam) + o * math.log2(1.0 - spec.lam)
-        return 2.0**log2_slope
+        return float(dyadic_slopes_many(spec, np.array([x]), k)[0])
     scale = float(1 << k)
     a = math.floor(x * scale) / scale
     b = a + 1.0 / scale
@@ -270,13 +288,13 @@ def dyadic_slopes_many(spec: SingularFunctionSpec, xs: np.ndarray, k: int) -> np
     if k > spec.depth:
         raise PrecisionError(f"slope depth {k} exceeds spec depth {spec.depth}")
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.size and (xs.min() <= 0.0 or xs.max() >= 1.0):
+    if xs.size and not (xs.min() > 0.0 and xs.max() < 1.0):
         raise DomainError("coordinates must lie in (0,1)")
     if spec.kind != SALEM:
         return np.array([dyadic_slope(spec, float(x), k) for x in xs.ravel()]).reshape(xs.shape)
-    o = _ones_counts(xs, k)
-    log2_slope = k + (k - o) * math.log2(spec.lam) + o * math.log2(1.0 - spec.lam)
-    return 2.0**log2_slope
+    o = np.arange(k + 1)  # the slope of a cell depends only on its count of ones
+    slopes = 2.0 ** (k + (k - o) * math.log2(spec.lam) + o * math.log2(1.0 - spec.lam))
+    return slopes[np.bitwise_count(digit_words(xs, k))]
 
 
 def in_singular_set(spec: SingularFunctionSpec, probe: SingularSetProbe, x: float) -> bool:

@@ -107,11 +107,6 @@ def _propagation_factor(prod: np.ndarray, top: np.ndarray) -> np.ndarray:
     return 4.0 / (denom * denom)
 
 
-def f_values(spec: SurfaceSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the singular function elementwise; returns (values, bounds)."""
-    return evaluate_many(spec.f, coords)
-
-
 #: floor on surface error bounds: a few ulps of arithmetic noise, so that
 #: truncation bounds far below float resolution cannot certify a verdict
 _ERR_FLOOR = 1e-15

@@ -228,3 +228,48 @@ def test_mesh_17_digit_round_trip(capsys):
         x_str, f_str = line.split(",")
         expected, _ = F_eval(spec, Point((float(x_str),)))
         assert float(f_str) == expected  # 17 significant digits round-trip
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_mesh_bytes_match_per_point_loop(capsys, n, fmt):
+    # the vectorised export is elementwise, so it must reproduce a per-point
+    # F_eval loop byte for byte
+    import itertools
+
+    from antichain import F_eval, Point, SingularFunctionSpec, SurfaceSpec
+
+    code, out, _ = run_cli(
+        capsys, "export-mesh", "--n", str(n), "--resolution", "5", "--format", fmt
+    )
+    spec = SurfaceSpec(n=n, f=SingularFunctionSpec())
+    grid = [(i + 1) / 6 for i in range(5)]
+    rows = [[*x, F_eval(spec, Point(x))[0]] for x in itertools.product(grid, repeat=n - 1)]
+    if fmt == "csv":
+        lines = ["x1,F" if n == 2 else "x1,x2,F"]
+        lines += [",".join(format(v, ".17g") for v in row) for row in rows]
+        expected = "\n".join(lines) + "\n"
+    else:
+        payload = {"n": n, "grid": grid, "values": [row[-1] for row in rows]}
+        expected = json.dumps(payload, indent=2) + "\n"
+    assert code == 0
+    assert out == expected
+
+
+def test_mesh_over_budget(capsys, monkeypatch):
+    monkeypatch.setenv("ANTICHAIN_BUDGET", "24")
+    code, out, err = run_cli(capsys, "export-mesh", "--n", "3", "--resolution", "5")
+    assert code == 2
+    assert out == ""
+    assert "25 evaluations exceed budget 24" in err
+    monkeypatch.setenv("ANTICHAIN_BUDGET", "25")
+    code, _, _ = run_cli(capsys, "export-mesh", "--n", "3", "--resolution", "5")
+    assert code == 0
+
+
+@pytest.mark.parametrize("resolution", ["0", "-3"])
+def test_mesh_resolution_below_one_rejected(capsys, resolution):
+    code, out, err = run_cli(capsys, "export-mesh", "--n", "2", "--resolution", resolution)
+    assert code == 2
+    assert out == ""
+    assert "--resolution must be >= 1" in err

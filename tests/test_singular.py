@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,6 +72,11 @@ def test_eval_outside_domain():
         evaluate(spec, -0.1)
     with pytest.raises(DomainError):
         evaluate(spec, 1.1)
+    # NaN has no digit word; the vectorised kernels reject it too
+    with pytest.raises(DomainError):
+        evaluate_many(spec, np.array([0.5, math.nan]))
+    with pytest.raises(DomainError):
+        dyadic_slopes_many(spec, np.array([0.5, math.nan]), 10)
 
 
 # ------------------------------------------------------------------ salem f
@@ -117,6 +123,71 @@ def test_salem_matches_recursive_oracle_on_random_points(salem_default):
         oracle = salem_recursive(float(x), 0.25)
         # 1e-14 slack: the oracle recursion rounds once per level
         assert abs(value - oracle) <= err + 0.75**160 + 1e-14
+
+
+def test_bound_is_zero_for_terminating_dyadics(salem_default):
+    # no digit past the depth: f(T^depth x) = f(0) = 0, so the value is exact
+    for x in (0.5, 0.375, 1 / 1024):
+        assert evaluate(salem_default, x)[1] == 0.0
+    _, bounds = evaluate_many(salem_default, np.array([0.5, 0.375, 1 / 1024, 2.0**-60]))
+    assert list(bounds) == [0.0, 0.0, 0.0, 0.25**52]
+    # a digit past the depth keeps the rise over the all-zero cell
+    assert evaluate(salem_default, 2.0**-60)[1] == 0.25**52
+
+
+def _exact_truncation(x: float, lam: float, depth: int) -> tuple[Fraction, Fraction]:
+    """Exact rational (value, cell rise) of the depth-truncated salem sum."""
+    a = Fraction(lam)
+    b = 1 - a
+    word = int(x * 2**depth)
+    value, rise = Fraction(0), Fraction(1)
+    for j in range(depth - 1, -1, -1):
+        if (word >> j) & 1:
+            value += rise * a
+            rise *= b
+        else:
+            rise *= a
+    return value, rise
+
+
+def _oracle_points(depth: int) -> np.ndarray:
+    """Random points plus digit patterns that stress the chunked sum."""
+    rng = seeded_rng(808 + depth)
+    edge = [1 - 2.0**-53, 2.0**-60, 1 / 3, 2 / 3, 0.5, 0.0]
+    runs = [1 - 2.0**-m for m in range(1, 54, 4)] + [2.0**-m for m in range(1, 64, 4)]
+    tails = list(rng.random(30) * 2.0**-20) + list(1 - rng.random(30) * 2.0**-20)
+    return np.concatenate([rng.random(60), edge, runs, tails])
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.25, 0.75, 0.99])
+@pytest.mark.parametrize("depth", [1, 7, 8, 9, 52, 63])
+def test_salem_matches_exact_rational_truncation(lam, depth):
+    # depths hit a lone partial chunk (1, 7), whole chunks (8) and a partial
+    # last chunk (9, 52, 63); lam near 0 and 1 stresses the rise tables
+    spec = SingularFunctionSpec(lam=lam, depth=depth)
+    xs = _oracle_points(depth)
+    values, bounds = evaluate_many(spec, xs)
+    for x, v, s in zip(xs, values, bounds):
+        value, rise = _exact_truncation(float(x), lam, depth)
+        assert abs(Fraction(float(v)) - value) <= 2 * math.ulp(float(value)), x
+        if float(x) * 2**depth == int(float(x) * 2**depth):
+            assert s == 0.0, x
+        else:
+            assert abs(Fraction(float(s)) - rise) <= 2 * math.ulp(float(rise)), x
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.25, 0.75, 0.99])
+@pytest.mark.parametrize("k", [1, 8, 40, 63])
+def test_slopes_match_exact_digit_counts(lam, k):
+    spec = SingularFunctionSpec(lam=lam, depth=63)
+    xs = np.concatenate([seeded_rng(909).random(50), [1 - 2.0**-53, 2.0**-60, 1 / 3]])
+    slopes = dyadic_slopes_many(spec, xs, k)
+    for x, slope in zip(xs, slopes):
+        assert slope == dyadic_slope(spec, float(x), k)
+        # neighbouring counts differ by the factor (1-lam)/lam, so 4 ulp pins o
+        o = bin(int(float(x) * 2**k)).count("1")
+        expected = 2.0 ** (k + (k - o) * math.log2(lam) + o * math.log2(1.0 - lam))
+        assert math.isclose(slope, expected, rel_tol=2.0**-50, abs_tol=0.0)
 
 
 def test_salem_error_bound_decays_with_depth():
