@@ -33,10 +33,10 @@ from antichain import (
     SurfaceSpec,
     alpha,
     box_dimension,
-    extrapolated_cover_value,
     graph_length_n2,
     projection_measures,
 )
+from antichain.measure import DIMENSION_WINDOWS, PROJECTION_DEFAULTS, cover_sum
 from antichain.singular import dyadic_slopes_many
 
 # the closed-form length oracle lives with the tests that freeze its numbers
@@ -82,13 +82,13 @@ def main() -> None:
     print("note: the value enters [1.95, 2.0] only around k = 52")
 
     banner("3. box-count scaling windows")
-    for n, (k_min, k_max, m) in {2: (6, 14, 3), 3: (4, 9, 2)}.items():
+    for n, (k_min, k_max, m) in DIMENSION_WINDOWS.items():
         if args.quick:
             k_max = min(k_max, k_min + 4)
         spec = SurfaceSpec(n=n, f=f)
         t0 = time.time()
         est = box_dimension(spec, k_min, k_max, m)
-        trend = extrapolated_cover_value(spec, n - 1, k_min, k_max, m)
+        trend = cover_sum(n - 1, n, k_max, est.fitted_count(k_max))
         print(f"n={n} window=[{k_min},{k_max}] samples={m}: "
               f"slope={est.slope:.4f} r2={est.r2:.5f} "
               f"trend value={trend:.4f} (vs 1.25*n={1.25 * n:.2f})  "
@@ -97,8 +97,9 @@ def main() -> None:
 
     banner("4. projection areas at frozen parameters (seed 0)")
     probe = SingularSetProbe(depth=40, eps=0.01)
-    params = {2: (14, 10, 8), 3: (10 if args.quick else 11, 6, 3)}
-    for n, (kd, ki, m) in params.items():
+    for n, (kd, ki, m) in PROJECTION_DEFAULTS.items():
+        if args.quick and n == 3:
+            kd -= 1
         spec = SurfaceSpec(n=n, f=f)
         t0 = time.time()
         estimates = projection_measures(spec, probe, kd, ki, m, seed=0)

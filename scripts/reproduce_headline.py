@@ -26,6 +26,7 @@ from antichain import (
     graph_length_n2,
     lower_bound_total,
 )
+from antichain.measure import DIMENSION_WINDOWS, PROJECTION_DEFAULTS
 
 
 def main() -> None:
@@ -48,18 +49,18 @@ def main() -> None:
     line = "  ".join(f"L({k})={v:.4f}" for k, v in ladder)
     print(f"[n=2] inscribed length (limit 2): {line}  [{time.time() - t0:.1f}s]")
 
-    windows = {2: (6, 14, 3), 3: (4, 9, 2)}
-    projections = {2: (14, 10, 8), 3: (10 if args.quick else 11, 6, 3)}
     for n in (2, 3, 4, 5):
         spec = SurfaceSpec(n=n, f=f)
         t0 = time.time()
         scan = antichain_scan(spec, pairs, seed=args.seed)
         msg = f"[n={n}] violations={scan.violations}/{scan.pairs}"
-        if n in windows:
-            est = box_dimension(spec, *windows[n])
+        if n in DIMENSION_WINDOWS:
+            est = box_dimension(spec, *DIMENSION_WINDOWS[n])
             msg += f"  box-dim slope={est.slope:.3f} (target {n - 1})"
-        if n in projections:
-            kd, ki, m = projections[n]
+        if n in PROJECTION_DEFAULTS:
+            kd, ki, m = PROJECTION_DEFAULTS[n]
+            if args.quick and n == 3:
+                kd -= 1
             total = lower_bound_total(spec, probe, kd, ki, m, seed=0)
             msg += f"  projection total={total:.3f} (target {n})"
         print(msg + f"  [{time.time() - t0:.1f}s]")

@@ -19,7 +19,6 @@ from .measure import (
     DEFAULT_EVAL_BUDGET,
     CoverEstimate,
     DimensionEstimate,
-    DyadicGrid,
     ProjectionEstimate,
     alpha,
     box_dimension,
@@ -68,7 +67,6 @@ __all__ = [
     "DEFAULT_EVAL_BUDGET",
     "CoverEstimate",
     "DimensionEstimate",
-    "DyadicGrid",
     "ProjectionEstimate",
     "alpha",
     "box_dimension",

@@ -20,18 +20,13 @@ import numpy as np
 
 from . import measure, surface
 from .errors import AntichainError, BudgetError, ConfigurationError
-from .measure import DEFAULT_EVAL_BUDGET
+from .measure import DEFAULT_EVAL_BUDGET, DIMENSION_WINDOWS, PROJECTION_DEFAULTS
 from .singular import SALEM, KINDS, SingularFunctionSpec, SingularSetProbe
 from .surface import Point, SurfaceSpec
 
 BUDGET_ENV_VAR = "ANTICHAIN_BUDGET"
 
 _CLAMP = 1e-9
-
-#: per-ambient-dimension defaults for the grid estimators, frozen by the
-#: calibration runs in scripts/calibration_run.py
-_DIMENSION_DEFAULTS = {2: (6, 14, 3), 3: (4, 9, 2)}
-_PROJECTION_DEFAULTS = {2: (14, 10, 8), 3: (11, 6, 3)}
 
 
 @dataclass
@@ -72,30 +67,25 @@ class RunConfig:
         return SingularSetProbe(depth=self.probe_depth, eps=self.probe_eps)
 
 
+#: per grid command: calibrated defaults by n, the fields they fill, what they are
+_GRID_DEFAULTS = {
+    "dimension": (DIMENSION_WINDOWS, ("k_min", "k_max", "samples"), "depth window"),
+    "projections": (PROJECTION_DEFAULTS, ("domain_depth", "image_depth", "samples"),
+                    "projection depths"),
+}
+
+
 def _fill_grid_defaults(cfg: RunConfig) -> None:
-    if cfg.command == "dimension":
-        defaults = _DIMENSION_DEFAULTS.get(cfg.n)
-        if cfg.k_min == 0 or cfg.k_max == 0 or cfg.samples == 0:
-            if defaults is None:
-                raise AntichainError(
-                    f"no default depth window for n = {cfg.n}; pass --k-min/--k-max/--samples"
-                )
-            k_min, k_max, samples = defaults
-            cfg.k_min = cfg.k_min or k_min
-            cfg.k_max = cfg.k_max or k_max
-            cfg.samples = cfg.samples or samples
-    if cfg.command == "projections":
-        defaults = _PROJECTION_DEFAULTS.get(cfg.n)
-        if cfg.domain_depth == 0 or cfg.image_depth == 0 or cfg.samples == 0:
-            if defaults is None:
-                raise AntichainError(
-                    f"no default projection depths for n = {cfg.n}; pass "
-                    "--domain-depth/--image-depth/--samples"
-                )
-            kd, ki, samples = defaults
-            cfg.domain_depth = cfg.domain_depth or kd
-            cfg.image_depth = cfg.image_depth or ki
-            cfg.samples = cfg.samples or samples
+    if cfg.command not in _GRID_DEFAULTS:
+        return
+    table, fields, what = _GRID_DEFAULTS[cfg.command]
+    if all(getattr(cfg, name) for name in fields):
+        return
+    if cfg.n not in table:
+        flags = "/".join("--" + name.replace("_", "-") for name in fields)
+        raise AntichainError(f"no default {what} for n = {cfg.n}; pass {flags}")
+    for name, default in zip(fields, table[cfg.n]):
+        setattr(cfg, name, getattr(cfg, name) or default)
 
 
 def _warnings_for(cfg: RunConfig) -> list[str]:
@@ -115,13 +105,12 @@ def _cmd_eval(cfg: RunConfig) -> dict:
     was_clamped = list(cfg.point) != clamped
     x = Point(tuple(clamped))
     value, bound = surface.F_eval(spec, x)
-    lifted = surface.graph_point(spec, x)
     return {
         "point": clamped,
         "input_clamped": was_clamped,
         "F": value,
         "error_bound": bound,
-        "graph_point": list(lifted.coords),
+        "graph_point": [*x.coords, value],
     }
 
 
@@ -143,20 +132,16 @@ def _cmd_length(cfg: RunConfig) -> dict:
 def _cmd_dimension(cfg: RunConfig) -> dict:
     spec = cfg.surface_spec()
     est = measure.box_dimension(spec, cfg.k_min, cfg.k_max, cfg.samples, budget=cfg.budget)
-    s = spec.n - 1
-    extrap = measure.extrapolated_cover_value(
-        spec, s, cfg.k_min, cfg.k_max, cfg.samples, budget=cfg.budget
-    )
-    finest = measure.cover_estimate(spec, s, cfg.k_max, cfg.samples, budget=cfg.budget)
+    s, k, finest = spec.n - 1, cfg.k_max, est.counts[-1]
     return {
         "slope": est.slope,
         "intercept": est.intercept,
         "r2": est.r2,
         "depths": list(est.depths),
         "cover_s": s,
-        "cover_value_finest": finest.value,
-        "cover_count_finest": finest.count,
-        "cover_value_extrapolated": extrap,
+        "cover_value_finest": measure.cover_sum(s, spec.n, k, finest),
+        "cover_count_finest": finest,
+        "cover_value_extrapolated": measure.cover_sum(s, spec.n, k, est.fitted_count(k)),
     }
 
 
@@ -189,7 +174,7 @@ def _cmd_export_mesh(cfg: RunConfig) -> tuple[dict, list[list[float]]]:
     grid = [(i + 1) / (cfg.resolution + 1) for i in range(cfg.resolution)]
     axes = np.meshgrid(*[np.array(grid)] * (cfg.n - 1), indexing="ij")  # row-major order
     points = np.stack([a.ravel() for a in axes], axis=1)
-    values, _ = surface.surface_values(cfg.surface_spec(), points)
+    values = surface.surface_values(cfg.surface_spec(), points)
     rows = np.column_stack([points, values]).tolist()
     payload = {"n": cfg.n, "grid": grid, "values": values.tolist()}
     return payload, rows

@@ -40,71 +40,13 @@ _CHUNK_ROWS = 2**21
 #: evaluation; far below any cell width in use
 _EDGE = 2.0**-50
 
+#: calibrated (k_min, k_max, samples_per_cell) box-counting window per
+#: ambient dimension, frozen by scripts/calibration_run.py
+DIMENSION_WINDOWS = {2: (6, 14, 3), 3: (4, 9, 2)}
 
-@dataclass(frozen=True)
-class DyadicGrid:
-    """Half-open partition of [0,1)^dim into 2^(depth*dim) congruent cells."""
-
-    dim: int
-    depth: int
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise DomainError(f"grid dim must be >= 1, got {self.dim}")
-        if self.depth < 1:
-            raise DomainError(f"grid depth must be >= 1, got {self.depth}")
-        if self.dim * self.depth > 62:
-            raise BudgetError(f"grid with dim={self.dim}, depth={self.depth} "
-                              "cannot be linearised in 64-bit indices")
-
-    @property
-    def cells_per_axis(self) -> int:
-        return 1 << self.depth
-
-    @property
-    def total_cells(self) -> int:
-        return 1 << (self.depth * self.dim)
-
-    @property
-    def side(self) -> float:
-        return 2.0**-self.depth
-
-    @property
-    def diameter(self) -> float:
-        return self.side * math.sqrt(self.dim)
-
-    def cell_index(self, coords) -> tuple[int, ...]:
-        """Index of the unique cell containing a point of [0,1)^dim."""
-        if len(coords) != self.dim:
-            raise DomainError(f"expected {self.dim} coordinates")
-        idx = []
-        for c in coords:
-            if not 0.0 <= c < 1.0:
-                raise DomainError(f"coordinate {c} outside [0,1)")
-            idx.append(int(c * self.cells_per_axis))
-        return tuple(idx)
-
-    def cell_origin(self, index: tuple[int, ...]) -> tuple[float, ...]:
-        """Lower-left corner of a cell."""
-        if len(index) != self.dim:
-            raise DomainError(f"expected {self.dim} indices")
-        for i in index:
-            if not 0 <= i < self.cells_per_axis:
-                raise DomainError(f"cell index {i} out of range")
-        return tuple(i * self.side for i in index)
-
-    def linearize(self, index: tuple[int, ...]) -> int:
-        lin = 0
-        for i in index:
-            lin = (lin << self.depth) | i
-        return lin
-
-    def delinearize(self, lin: int) -> tuple[int, ...]:
-        mask = self.cells_per_axis - 1
-        out = []
-        for j in range(self.dim):
-            out.append((lin >> ((self.dim - 1 - j) * self.depth)) & mask)
-        return tuple(out)
+#: calibrated (domain_depth, image_depth, samples_per_cell) of the
+#: projection sweep per ambient dimension, frozen by the same runs
+PROJECTION_DEFAULTS = {2: (14, 10, 8), 3: (11, 6, 3)}
 
 
 @dataclass(frozen=True)
@@ -119,12 +61,17 @@ class CoverEstimate:
 
 @dataclass(frozen=True)
 class DimensionEstimate:
-    """Least-squares slope of log2 N(k) against k, with fit quality."""
+    """Least-squares slope of log2 N(k) against k, with fit quality and counts."""
 
     slope: float
     intercept: float
     r2: float
     depths: tuple[int, ...]
+    counts: tuple[int, ...]
+
+    def fitted_count(self, k: int) -> float:
+        """N(k) read off the fitted trend: 2^(intercept + slope k)."""
+        return 2.0 ** (self.intercept + self.slope * k)
 
 
 @dataclass(frozen=True)
@@ -142,6 +89,13 @@ def alpha(s: float) -> float:
     if s < 0:
         raise DomainError(f"dimension parameter must be >= 0, got {s}")
     return math.pi ** (s / 2.0) / (2.0**s * math.gamma(s / 2.0 + 1.0))
+
+
+def cover_sum(s: float, n: int, k: int, count: float) -> float:
+    """alpha(s) * count * (2^-k sqrt(n))^s: the s-cover sum of ``count``
+    depth-k cells of [0,1]^n."""
+    delta = 2.0**-k * math.sqrt(n)
+    return alpha(s) * count * delta**s
 
 
 def _offset_grid(samples_per_cell: int, dim: int) -> np.ndarray:
@@ -208,7 +162,7 @@ def occupied_cell_count(
         axis_idx = _cell_axis_indices(ids, domain_depth, d)
         coords = (axis_idx[:, None, :] + offsets[None, :, :]) / scale
         pts = np.clip(coords.reshape(-1, d), _EDGE, 1.0 - _EDGE)
-        F, _ = surface_values(spec, pts)
+        F = surface_values(spec, pts)
         ambient = np.concatenate([pts, F[:, None]], axis=1)
         seen.append(np.unique(_mark_codes(ambient, mark)))
     return int(np.unique(np.concatenate(seen)).size)
@@ -228,18 +182,7 @@ def cover_estimate(
     """
     count = occupied_cell_count(spec, k, samples_per_cell, budget=budget)
     delta = 2.0**-k * math.sqrt(spec.n)
-    return CoverEstimate(s=s, delta=delta, count=count, value=alpha(s) * count * delta**s)
-
-
-def _fit_log_counts(depths: list[int], counts: list[int]) -> tuple[float, float, float]:
-    ks = np.asarray(depths, dtype=np.float64)
-    logs = np.log2(np.asarray(counts, dtype=np.float64))
-    slope, intercept = np.polyfit(ks, logs, 1)
-    fitted = intercept + slope * ks
-    ss_res = float(np.sum((logs - fitted) ** 2))
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+    return CoverEstimate(s=s, delta=delta, count=count, value=cover_sum(s, spec.n, k, count))
 
 
 def box_dimension(
@@ -254,8 +197,14 @@ def box_dimension(
         raise InsufficientDataError("need at least 3 grid depths for a regression")
     depths = list(range(k_min, k_max + 1))
     counts = [occupied_cell_count(spec, k, samples_per_cell, budget=budget) for k in depths]
-    slope, intercept, r2 = _fit_log_counts(depths, counts)
-    return DimensionEstimate(slope=slope, intercept=intercept, r2=r2, depths=tuple(depths))
+    ks = np.asarray(depths, dtype=np.float64)
+    logs = np.log2(np.asarray(counts, dtype=np.float64))
+    slope, intercept = np.polyfit(ks, logs, 1)
+    ss_res = float(np.sum((logs - (intercept + slope * ks)) ** 2))
+    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return DimensionEstimate(slope=float(slope), intercept=float(intercept), r2=r2,
+                             depths=tuple(depths), counts=tuple(counts))
 
 
 def extrapolated_cover_value(
@@ -271,14 +220,8 @@ def extrapolated_cover_value(
     Fits log2 N(k) over the window and evaluates alpha(s) * N_fit * diam^s
     at k_max, smoothing single-grid noise out of upper-bound checks.
     """
-    if k_max - k_min + 1 < 3:
-        raise InsufficientDataError("need at least 3 grid depths for a regression")
-    depths = list(range(k_min, k_max + 1))
-    counts = [occupied_cell_count(spec, k, samples_per_cell, budget=budget) for k in depths]
-    slope, intercept, _ = _fit_log_counts(depths, counts)
-    n_fit = 2.0 ** (intercept + slope * k_max)
-    delta = 2.0**-k_max * math.sqrt(spec.n)
-    return alpha(s) * n_fit * delta**s
+    est = box_dimension(spec, k_min, k_max, samples_per_cell, budget=budget)
+    return cover_sum(s, spec.n, k_max, est.fitted_count(k_max))
 
 
 def graph_length_n2(spec: SurfaceSpec, k: int, budget: int = DEFAULT_EVAL_BUDGET) -> float:
@@ -325,9 +268,10 @@ def _projection_sweep(
     samples_per_cell: int,
     seed: int,
     budget: int,
-) -> tuple[dict[int, float], dict[int, int]]:
+) -> dict[int, float]:
     """Classify jittered domain samples into the B-pieces and mark their
-    projected graph images; one pass serves every requested axis."""
+    projected graph images; one pass serves every requested axis.  Returns
+    the occupied image area per axis."""
     d = spec.domain_dim
     n = spec.n
     if probe.depth > spec.f.depth:
@@ -347,7 +291,6 @@ def _projection_sweep(
     if n_cells * per_cell > budget:
         raise BudgetError(f"{n_cells * per_cell} evaluations exceed budget {budget}")
     occupancy = {axis: np.zeros(1 << (image_depth * img_dim), dtype=bool) for axis in axes}
-    members = {axis: 0 for axis in axes}
     scale = float(1 << domain_depth)
     for start in range(0, n_cells, JITTER_BLOCK):
         nb = min(JITTER_BLOCK, n_cells - start)
@@ -355,27 +298,16 @@ def _projection_sweep(
         ids = np.arange(start, start + nb, dtype=np.int64)
         axis_idx = _cell_axis_indices(ids, domain_depth, d)
         pts = ((axis_idx[:, None, :] + jit) / scale).reshape(-1, d)
-        in_s = np.stack(
-            [in_singular_set_many(spec.f, probe, pts[:, j]) for j in range(d)], axis=1
-        )
-        outside = (~in_s).sum(axis=1)
+        labels = classify_regions(spec, probe, pts)
         for axis in axes:
-            if axis == n:
-                mask = outside == 0
-                image = pts[mask]
-            else:
-                mask = (outside == 1) & ~in_s[:, axis - 1]
-                chosen = pts[mask]
-                F, _ = surface_values(spec, chosen)
-                image = np.concatenate(
-                    [chosen[:, : axis - 1], chosen[:, axis:], F[:, None]], axis=1
-                )
-            members[axis] += int(mask.sum())
+            image = pts[labels == axis]
+            if axis < n:  # drop coordinate axis, append F
+                F = surface_values(spec, image)
+                image = np.concatenate([image[:, : axis - 1], image[:, axis:], F[:, None]], axis=1)
             if len(image):
                 occupancy[axis][_mark_codes(image, image_depth)] = True
     cell_area = (2.0**-image_depth) ** img_dim
-    areas = {axis: float(occupancy[axis].sum()) * cell_area for axis in axes}
-    return areas, members
+    return {axis: float(occupancy[axis].sum()) * cell_area for axis in axes}
 
 
 def classify_regions(
@@ -390,17 +322,14 @@ def classify_regions(
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != spec.domain_dim:
         raise DomainError(f"expected points of dimension {spec.domain_dim}")
-    in_s = np.stack(
-        [in_singular_set_many(spec.f, probe, points[:, j]) for j in range(spec.domain_dim)],
-        axis=1,
-    )
-    outside = (~in_s).sum(axis=1)
-    labels = np.zeros(len(points), dtype=np.int64)
-    labels[outside == 0] = spec.n
-    only_one = outside == 1
-    if only_one.any():
-        which = np.argmax(~in_s[only_one], axis=1) + 1
-        labels[only_one] = which
+    outside = [
+        ~in_singular_set_many(spec.f, probe, points[:, j]) for j in range(spec.domain_dim)
+    ]
+    count = sum(o.astype(np.int8) for o in outside)
+    labels = np.where(count == 0, spec.n, 0)
+    only_one = count == 1
+    for i, out in enumerate(outside, start=1):
+        labels[only_one & out] = i
     return labels
 
 
@@ -415,7 +344,7 @@ def projection_measure(
     budget: int = DEFAULT_EVAL_BUDGET,
 ) -> ProjectionEstimate:
     """Area estimate of one coordinate projection of its graph piece."""
-    areas, _ = _projection_sweep(
+    areas = _projection_sweep(
         spec, probe, [axis], domain_depth, image_depth, samples_per_cell, seed, budget
     )
     return ProjectionEstimate(axis=axis, area=areas[axis], probe=probe, grid_depth=image_depth)
@@ -432,7 +361,7 @@ def projection_measures(
 ) -> list[ProjectionEstimate]:
     """All n axis projections from a single shared sample sweep."""
     axes = list(range(1, spec.n + 1))
-    areas, _ = _projection_sweep(
+    areas = _projection_sweep(
         spec, probe, axes, domain_depth, image_depth, samples_per_cell, seed, budget
     )
     return [

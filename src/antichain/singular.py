@@ -90,6 +90,13 @@ class SingularFunctionSpec:
             return 2.0 ** (1 - self.depth)
         return 2.0 ** (-self.depth)
 
+    @property
+    def rounding_ulps(self) -> int:
+        """Worst-case rounding of ``evaluate`` values in ulps of the exact
+        truncated sum: 2 for the salem tables; otherwise one per addition of
+        a power of two (minkowski partial sums stay within twice the value)."""
+        return 2 if self.kind == SALEM else self.depth
+
 
 @dataclass(frozen=True)
 class SingularSetProbe:
@@ -223,8 +230,10 @@ def _salem_many(lam: float, depth: int, xs: np.ndarray) -> tuple[np.ndarray, np.
 def evaluate(spec: SingularFunctionSpec, x: float) -> tuple[float, float]:
     """Evaluate f(x), returning (value, truncation bound).
 
-    The exact function value lies within the bound of the returned value.
-    The endpoints are exact: evaluate(0) = 0 and evaluate(1) = 1.
+    The bound covers truncation only: the exact value lies within it of the
+    exact truncated sum, from which the returned value may be up to
+    ``spec.rounding_ulps`` ulp off, even when the bound is 0.  The endpoints
+    are exact: evaluate(0) = 0 and evaluate(1) = 1.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0,1], got {x}")

@@ -9,6 +9,16 @@ coordinate and permutation symmetric.
 increasing singular function f, so F is strictly *decreasing* along every
 coordinate; its graph in [0,1]^n therefore contains no two comparable
 points.
+
+The same monotonicity certifies the numbers (an interval enclosure, Moore,
+*Interval Analysis*, 1966).  Each f value is known to within its truncation
+bound plus the kernel's rounding, so ``surface_enclosure`` evaluates
+``1 - p`` at the upper and at the lower corner of that box, widened by p's
+own rounding, and gets lo <= F <= hi; it is the only bound code.
+``surface_values`` returns values alone for the estimators.  A comparable
+pair is ``ordered_ok`` when the lower point's lo exceeds the upper point's
+hi, a violation when the lower point's hi falls below the upper point's
+lo, and within tolerance when the two enclosures overlap.
 """
 
 from __future__ import annotations
@@ -24,10 +34,6 @@ from .singular import SingularFunctionSpec, evaluate_many
 #: surface values are kept strictly inside (0,1) at float resolution
 _ONE_BELOW = 1.0 - 2.0**-53
 _ONE_ABOVE = 2.0**-1074
-
-#: Lipschitz clip: inputs this close to 1 are pulled back before the
-#: error-propagation factor is formed
-_LIP_CLIP = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,70 +89,87 @@ def p_eval(x: Point) -> float:
 
 
 def p_many(vals: np.ndarray) -> np.ndarray:
-    """Row-wise ``p_eval`` on an (N, m) array of cube points."""
+    """Row-wise ``p_eval`` on an (N, m) array of cube points, kept in (0,1)."""
     vals = np.asarray(vals, dtype=np.float64)
     if vals.ndim != 2:
         raise DomainError("expected a 2-d array of row points")
-    if vals.shape[1] == 1:
-        return vals[:, 0].copy()
-    svals = np.sort(vals, axis=1)
-    prod = np.prod(svals[:, :-1], axis=1)
-    top = svals[:, -1]
-    p = prod / (1.0 - top + prod)
+    m = vals.shape[1]
+    cols = list(vals.T)
+    for rnd in range(m):  # odd-even transposition sort of the columns, m rounds
+        for i in range(rnd % 2, m - 1, 2):
+            lo, hi = cols[i], cols[i + 1]
+            cols[i], cols[i + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
+    p = cols[0]
+    for c in cols[1:-1]:  # ascending order fixes P's rounding: exact symmetry
+        p = p * c
+    if m > 1:
+        p = p / (1.0 - cols[-1] + p)
     return np.clip(p, _ONE_ABOVE, _ONE_BELOW)
 
 
-def _propagation_factor(prod: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Conservative per-coordinate Lipschitz factor 4/(1 - M + P)^2.
-
-    The factor is evaluated with the largest coordinate clipped away from 1
-    so that it stays finite near the delicate corner M -> 1, P -> 0.
-    """
-    top_c = np.minimum(top, _LIP_CLIP)
-    denom = 1.0 - top_c + prod
-    return 4.0 / (denom * denom)
-
-
-#: floor on surface error bounds: a few ulps of arithmetic noise, so that
-#: truncation bounds far below float resolution cannot certify a verdict
-_ERR_FLOOR = 1e-15
-
-
-def surface_values(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F over an (N, n-1) array of domain points; returns (values, bounds).
-
-    The error bound propagates the per-coordinate evaluation bounds through
-    the conservative Lipschitz factor of p, holds a floor at float
-    arithmetic noise, and is capped at 1.
-    """
+def _f_values(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f and its truncation bounds at an (N, n-1) array of domain points."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != spec.domain_dim:
         raise DomainError(f"expected points of dimension {spec.domain_dim}")
-    fv, fe = evaluate_many(spec.f, points)
-    svals = np.sort(fv, axis=1)
-    if spec.domain_dim == 1:
-        p = svals[:, 0]
-        err = fe[:, 0] + _ERR_FLOOR
-    else:
-        prod = np.prod(svals[:, :-1], axis=1)
-        top = svals[:, -1]
-        p = prod / (1.0 - top + prod)
-        err = np.minimum(_propagation_factor(prod, top) * fe.sum(axis=1) + _ERR_FLOOR, 1.0)
-    F = 1.0 - np.clip(p, _ONE_ABOVE, _ONE_BELOW)
-    return np.clip(F, _ONE_ABOVE, _ONE_BELOW), err
+    return evaluate_many(spec.f, points)
+
+
+def _F_of(fv: np.ndarray) -> np.ndarray:
+    return np.clip(1.0 - p_many(fv), _ONE_ABOVE, _ONE_BELOW)
+
+
+def _enclose(f: SingularFunctionSpec, fv: np.ndarray, fe: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Enclosure (lo, hi) of the exact F from f values and their truncation bounds."""
+    # The exact f lies within the cell rise (fe, correctly rounded) of the
+    # exact truncated sum t, and t within rounding_ulps ulp(t) <= 2 spacing(fv)
+    # of fv (the two can straddle a power of two).  The factor 1 + 2^-50 and
+    # two spare spacings absorb the roundings of fe, r and fv +- r (each under
+    # u = 2^-53 relative, and u fv < spacing(fv)): no directed rounding needed.
+    r = np.spacing(fv)
+    r *= 2 * f.rounding_ulps + 2
+    r += fe * (1.0 + 2.0**-50)
+    f_hi = np.minimum(fv + r, 1.0)
+    f_lo = np.maximum(fv - r, 0.0, out=r)
+    # p is nondecreasing in every coordinate: 1 - p(f_hi) <= F <= 1 - p(f_lo).
+    # p's rounding (u = 2^-53, p <= 1): the m - 2 products of P, 1 - M, the
+    # sum and the quotient give at most (2m - 2) u (3u if m = 2, 0 if m = 1)
+    # <= m 2^-52; p_many's clip and the subtraction from the exact 1 -+ slack
+    # add u each.  (m + 4) 2^-52 leaves room for second-order terms and
+    # underflow in P; fmax turns the 0/0 at the corner M = 1, P = 0 into lo = 0.
+    slack = (fv.shape[1] + 4) * 2.0**-52
+    with np.errstate(invalid="ignore"):
+        lo = np.fmax((1.0 - slack) - p_many(f_hi), 0.0)
+    hi = np.fmin((1.0 + slack) - p_many(f_lo), 1.0)
+    return lo, hi
+
+
+def surface_values(spec: SurfaceSpec, points: np.ndarray) -> np.ndarray:
+    """F over an (N, n-1) array of domain points."""
+    fv, _ = _f_values(spec, points)
+    return _F_of(fv)
+
+
+def surface_enclosure(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified bounds (lo, hi) with lo <= F <= hi at each domain point."""
+    fv, fe = _f_values(spec, points)
+    return _enclose(spec.f, fv, fe)
 
 
 def F_eval(spec: SurfaceSpec, x: Point) -> tuple[float, float]:
-    """F(x) = 1 - p(f(x_1), ..., f(x_{n-1})), with its error bound."""
+    """F(x) = 1 - p(f(x_1), ..., f(x_{n-1})), with the half-width of its
+    enclosure about the value as error bound."""
     if x.dim != spec.domain_dim:
         raise DomainError(f"point has dim {x.dim}, surface domain needs {spec.domain_dim}")
-    values, bounds = surface_values(spec, np.array([x.coords]))
-    return float(values[0]), float(bounds[0])
+    fv, fe = _f_values(spec, np.array([x.coords]))
+    value = float(_F_of(fv)[0])
+    lo, hi = _enclose(spec.f, fv, fe)
+    return value, max(value - float(lo[0]), float(hi[0]) - value)
 
 
 def graph_point(spec: SurfaceSpec, x: Point) -> Point:
     """Lift a domain point onto the graph by appending F(x)."""
-    value, _ = F_eval(spec, x)
+    value = float(surface_values(spec, np.array([x.coords]))[0])
     return Point(x.coords + (value,))
 
 
@@ -156,12 +179,20 @@ class PairVerdict:
 
     ``ordered_ok`` for comparable pairs whose F values are ordered the right
     way (equal points count vacuously: x = y is not x < y, so no constraint
-    applies).  ``within_tolerance`` flags comparable pairs whose F gap is
-    inside the combined error bound.
+    applies).  ``within_tolerance`` flags comparable pairs whose F
+    enclosures overlap, so neither order is certified.
     """
 
     verdict: str  # "incomparable" | "ordered_ok" | "violation"
     within_tolerance: bool = False
+
+
+def _pair_verdicts(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified verdicts from the F enclosures of 2k rows: k lower points,
+    then their k upper partners.  Returns the masks (ordered_ok, violation);
+    a pair in neither is within tolerance."""
+    k = len(lo) // 2
+    return lo[:k] > hi[k:], hi[:k] < lo[k:]
 
 
 def check_antichain_pair(spec: SurfaceSpec, x: Point, y: Point) -> PairVerdict:
@@ -174,16 +205,11 @@ def check_antichain_pair(spec: SurfaceSpec, x: Point, y: Point) -> PairVerdict:
         return PairVerdict("incomparable")
     if x_le_y and y_le_x:  # x == y: not x < y, nothing to check
         return PairVerdict("ordered_ok")
-    lo, hi = (x, y) if x_le_y else (y, x)
-    f_lo, e_lo = F_eval(spec, lo)
-    f_hi, e_hi = F_eval(spec, hi)
-    combined = e_lo + e_hi
-    gap = f_lo - f_hi  # must be positive: F strictly decreases
-    if gap > combined:
-        return PairVerdict("ordered_ok")
-    if gap < -combined:
+    lower, upper = (x, y) if x_le_y else (y, x)
+    ok, bad = _pair_verdicts(*surface_enclosure(spec, np.array([lower.coords, upper.coords])))
+    if bad[0]:
         return PairVerdict("violation")
-    return PairVerdict("ordered_ok", within_tolerance=True)
+    return PairVerdict("ordered_ok", within_tolerance=not ok[0])
 
 
 @dataclass(frozen=True)
@@ -207,32 +233,25 @@ def antichain_scan(spec: SurfaceSpec, pairs: int, seed: int = 0) -> ScanResult:
     d = spec.domain_dim
     key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)  # seeds follow 64-bit semantics
     rng = np.random.Generator(np.random.Philox(key=key))
-    got = 0
-    ok = tol = bad = 0
+    got = ok = bad = 0
     # acceptance rate for a random pair is 2 * 2^-d
     batch = max(4096, min(4_000_000, int(pairs * 2 ** (d - 1) * 1.25)))
     while got < pairs:
         a = rng.random((batch, d))
         b = rng.random((batch, d))
-        a_le_b = (a <= b).all(axis=1)
         b_le_a = (b <= a).all(axis=1)
-        comparable = (a_le_b | b_le_a) & (a != b).any(axis=1)
-        a, b = a[comparable], b[comparable]
-        swap = (b <= a).all(axis=1)
-        lo = np.where(swap[:, None], b, a)
-        hi = np.where(swap[:, None], a, b)
-        if got + len(lo) > pairs:
-            lo, hi = lo[: pairs - got], hi[: pairs - got]
-        np.clip(lo, _ONE_ABOVE, _ONE_BELOW, out=lo)
-        np.clip(hi, _ONE_ABOVE, _ONE_BELOW, out=hi)
-        f_lo, e_lo = surface_values(spec, lo)
-        f_hi, e_hi = surface_values(spec, hi)
-        combined = e_lo + e_hi
-        gap = f_lo - f_hi
-        ok += int((gap > combined).sum())
-        bad += int((gap < -combined).sum())
-        tol += int((np.abs(gap) <= combined).sum())
-        got += len(lo)
+        comparable = ((a <= b).all(axis=1) | b_le_a) & (a != b).any(axis=1)
+        a, b, swap = a[comparable], b[comparable], b_le_a[comparable]
+        lower = np.where(swap[:, None], b, a)
+        upper = np.where(swap[:, None], a, b)
+        k = min(len(lower), pairs - got)
+        rows = np.concatenate([lower[:k], upper[:k]])
+        np.clip(rows, _ONE_ABOVE, _ONE_BELOW, out=rows)
+        ok_k, bad_k = _pair_verdicts(*surface_enclosure(spec, rows))
+        ok += int(ok_k.sum())
+        bad += int(bad_k.sum())
+        got += k
+    tol = pairs - ok - bad
     return ScanResult(pairs=pairs, ordered_ok=ok + tol, within_tolerance=tol,
                       violations=bad, seed=seed)
 
@@ -262,5 +281,4 @@ def section(spec: SurfaceSpec, fixed: Point, t: float) -> float:
         raise DomainError("sections need ambient dimension >= 3")
     if fixed.dim != spec.n - 2:
         raise DomainError(f"fixed part has dim {fixed.dim}, expected {spec.n - 2}")
-    value, _ = F_eval(spec, Point(fixed.coords + (float(t),)))
-    return value
+    return graph_point(spec, Point(fixed.coords + (float(t),))).coords[-1]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +67,25 @@ def salem_recursive(x: float, lam: float, depth: int = 160) -> float:
     if x < 0.5:
         return lam * salem_recursive(2.0 * x, lam, depth - 1)
     return lam + (1.0 - lam) * salem_recursive(2.0 * x - 1.0, lam, depth - 1)
+
+
+def salem_truncation_exact(x: float, lam: float, depth: int) -> tuple[Fraction, Fraction]:
+    """Exact rational (value, cell rise) of the depth-truncated salem sum.
+
+    For x >= 2^-11 every binary digit of the double x sits within the first
+    63, so at depth 63 the value is the exact f(x).
+    """
+    a = Fraction(lam)
+    b = 1 - a
+    word = int(x * 2**depth)
+    value, rise = Fraction(0), Fraction(1)
+    for j in range(depth - 1, -1, -1):
+        if (word >> j) & 1:
+            value += rise * a
+            rise *= b
+        else:
+            rise *= a
+    return value, rise
 
 
 def length_binomial(k: int, lam: float) -> float:

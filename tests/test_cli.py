@@ -32,6 +32,17 @@ def test_eval_salem_n3(capsys):
     assert report["results"]["graph_point"] == pytest.approx([0.5, 0.5, 0.75])
 
 
+def test_eval_bound_covers_rounding_near_corner(capsys):
+    # both inputs are dyadic, so f carries no truncation bound, but
+    # f(1 - 2^-27) is rounded and p's slope (about 61 here) amplifies that:
+    # F lies 3.38e-15 from the exact rational value
+    code, out, _ = run_cli(capsys, "eval", "--n", "3", "--point", "0.125,0.9999999925494194")
+    results = json.loads(out)["results"]
+    assert code == 0
+    assert results["error_bound"] >= 3.38e-15
+    assert results["graph_point"] == [0.125, 0.9999999925494194, results["F"]]
+
+
 def test_eval_point_clamped(capsys):
     code, out, _ = run_cli(capsys, "eval", "--n", "2", "--point", "0")
     report = json.loads(out)

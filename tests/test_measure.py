@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from antichain import (
     BudgetError,
     DomainError,
-    DyadicGrid,
     InsufficientDataError,
     PrecisionError,
     SingularSetProbe,
@@ -21,7 +20,7 @@ from antichain import (
     projection_measure,
     projection_measures,
 )
-from antichain.measure import _block_jitter, classify_regions
+from antichain.measure import _block_jitter, _mark_codes, classify_regions, cover_sum
 from antichain.singular import in_singular_set
 
 from conftest import length_binomial, seeded_rng
@@ -58,61 +57,16 @@ def test_alpha_positive(s):
     assert alpha(s) > 0.0
 
 
-# -------------------------------------------------------------- DyadicGrid
+# ------------------------------------------------------------ cell marking
 
 
-def test_grid_basic_geometry():
-    grid = DyadicGrid(dim=2, depth=3)
-    assert grid.cells_per_axis == 8
-    assert grid.total_cells == 64
-    assert grid.side == 0.125
-    assert grid.diameter == pytest.approx(0.125 * math.sqrt(2.0))
-
-
-def test_grid_index_origin_inverse():
-    grid = DyadicGrid(dim=3, depth=4)
-    rng = seeded_rng(1)
-    for _ in range(500):
-        point = tuple(rng.random(3))
-        idx = grid.cell_index(point)
-        origin = grid.cell_origin(idx)
-        for c, o in zip(point, origin):
-            assert o <= c < o + grid.side
-        assert grid.cell_index(origin) == idx  # origins belong to their own cell
-
-
-def test_grid_half_open_boundaries():
-    # internal boundaries belong to the cell on their right
-    grid = DyadicGrid(dim=2, depth=2)
-    assert grid.cell_index((0.5, 0.25)) == (2, 1)
-    assert grid.cell_index((0.0, 0.999)) == (0, 3)
-
-
-@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=8),
-       st.data())
-def test_grid_linearize_roundtrip(dim, depth, data):
-    grid = DyadicGrid(dim=dim, depth=depth)
-    idx = tuple(
-        data.draw(st.integers(min_value=0, max_value=grid.cells_per_axis - 1))
-        for _ in range(dim)
-    )
-    lin = grid.linearize(idx)
-    assert 0 <= lin < grid.total_cells
-    assert grid.delinearize(lin) == idx
-
-
-def test_grid_validation():
-    with pytest.raises(DomainError):
-        DyadicGrid(dim=0, depth=3)
-    with pytest.raises(BudgetError):
-        DyadicGrid(dim=3, depth=21)
-    grid = DyadicGrid(dim=2, depth=2)
-    with pytest.raises(DomainError):
-        grid.cell_index((0.5,))
-    with pytest.raises(DomainError):
-        grid.cell_index((0.5, 1.0))
-    with pytest.raises(DomainError):
-        grid.cell_origin((4, 0))
+def test_mark_codes_half_open():
+    # a point on a cell boundary belongs to the upper cell; 1.0 to the last
+    pts = np.array([[0.5, 0.25], [0.0, 0.999], [0.25, 1.0], [1.0, 1.0]])
+    codes = _mark_codes(pts, 2)
+    assert [divmod(int(c), 4) for c in codes] == [(2, 1), (0, 3), (1, 3), (3, 3)]
+    assert _mark_codes(np.array([[0.375]]), 3)[0] == 3
+    assert _mark_codes(np.array([[0.375 - 2.0**-54]]), 3)[0] == 2
 
 
 # --------------------------------------------------------------- occupancy
@@ -153,7 +107,7 @@ def test_occupancy_budget_guard(surface_n2):
 def test_cover_estimate_identity_example(identity_n2):
     est = cover_estimate(identity_n2, 1.0, 8, 3)
     assert est.count == 511
-    assert est.count <= DyadicGrid(dim=2, depth=8).total_cells
+    assert est.count <= 2**16  # cells of the depth-8 planar grid
     assert est.delta == 2.0**-8 * math.sqrt(2.0)
     assert est.value == alpha(1.0) * 511 * est.delta
     assert est.value == pytest.approx(2.823, abs=5e-4)
@@ -186,6 +140,15 @@ def test_box_dimension_needs_three_depths(identity_n2):
         box_dimension(identity_n2, 6, 7, 2)
     with pytest.raises(InsufficientDataError):
         extrapolated_cover_value(identity_n2, 1.0, 6, 7, 2)
+
+
+def test_dimension_estimate_carries_its_counts(identity_n2, surface_n3):
+    # the fit, the finest count and the extrapolated value share one sweep
+    est = box_dimension(surface_n3, 2, 5, 2)
+    assert est.counts == tuple(occupied_cell_count(surface_n3, k, 2) for k in est.depths)
+    value = extrapolated_cover_value(surface_n3, 2.0, 2, 5, 2)
+    assert value == cover_sum(2.0, 3, 5, est.fitted_count(5))
+    assert cover_sum(1.0, 2, 8, 511) == cover_estimate(identity_n2, 1.0, 8, 3).value
 
 
 def test_extrapolated_value_identity(identity_n2):

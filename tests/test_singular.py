@@ -20,7 +20,7 @@ from antichain import (
 )
 from antichain.singular import dyadic_slopes_many, in_singular_set_many
 
-from conftest import salem_recursive, seeded_rng
+from conftest import salem_recursive, salem_truncation_exact, seeded_rng
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -135,21 +135,6 @@ def test_bound_is_zero_for_terminating_dyadics(salem_default):
     assert evaluate(salem_default, 2.0**-60)[1] == 0.25**52
 
 
-def _exact_truncation(x: float, lam: float, depth: int) -> tuple[Fraction, Fraction]:
-    """Exact rational (value, cell rise) of the depth-truncated salem sum."""
-    a = Fraction(lam)
-    b = 1 - a
-    word = int(x * 2**depth)
-    value, rise = Fraction(0), Fraction(1)
-    for j in range(depth - 1, -1, -1):
-        if (word >> j) & 1:
-            value += rise * a
-            rise *= b
-        else:
-            rise *= a
-    return value, rise
-
-
 def _oracle_points(depth: int) -> np.ndarray:
     """Random points plus digit patterns that stress the chunked sum."""
     rng = seeded_rng(808 + depth)
@@ -168,7 +153,7 @@ def test_salem_matches_exact_rational_truncation(lam, depth):
     xs = _oracle_points(depth)
     values, bounds = evaluate_many(spec, xs)
     for x, v, s in zip(xs, values, bounds):
-        value, rise = _exact_truncation(float(x), lam, depth)
+        value, rise = salem_truncation_exact(float(x), lam, depth)
         assert abs(Fraction(float(v)) - value) <= 2 * math.ulp(float(value)), x
         if float(x) * 2**depth == int(float(x) * 2**depth):
             assert s == 0.0, x
@@ -216,6 +201,40 @@ def test_minkowski_known_values():
     # sqrt(2)-1 has quotients 2,2,2,...: alternating sum 2/5
     v, e = evaluate(spec, math.sqrt(2) - 1)
     assert abs(v - 0.4) <= 1e-9
+
+
+def _minkowski_sum(quotients) -> Fraction:
+    """Exact alternating dyadic series of ? over the given partial quotients."""
+    value, exponent, sign = Fraction(0), 1, 1
+    for a in quotients:
+        exponent -= a
+        value += sign * Fraction(2) ** exponent
+        sign = -sign
+    return value
+
+
+@pytest.mark.parametrize("depth", [8, 52])
+def test_minkowski_within_rounding_allowance(depth):
+    # values stay within rounding_ulps of the exact sum over the quotients the
+    # kernel keeps (the first depth, clamped at 62), and the exact ? value
+    # within the truncation bound plus that allowance; quotients past 2000
+    # (from 2^-70 and 1 - 2^-53) move ? by under 2^-1998, so they are
+    # clamped there to keep the exact powers of two small
+    spec = SingularFunctionSpec(kind=MINKOWSKI, depth=depth)
+    xs = np.concatenate([seeded_rng(707).random(60), [1 / 3, 0.4, 2.0**-70, 1 - 2.0**-53]])
+    for x in xs:
+        num, den = Fraction(float(x)).denominator, Fraction(float(x)).numerator
+        quotients = []
+        while den:
+            a, num = divmod(num, den)
+            num, den = den, num
+            quotients.append(a)
+        kept = _minkowski_sum(min(a, 62) for a in quotients[:depth])
+        v, e = evaluate(spec, float(x))
+        allowance = spec.rounding_ulps * math.ulp(float(kept))
+        assert abs(Fraction(v) - kept) <= allowance, x
+        exact = _minkowski_sum(min(a, 2000) for a in quotients)
+        assert abs(Fraction(v) - exact) <= Fraction(e) + allowance + Fraction(2) ** -1998, x
 
 
 def test_minkowski_dyadic_fixed_points():

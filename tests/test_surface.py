@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from antichain import (
     p_projective_crosscheck,
     section,
 )
-from antichain.surface import p_many, surface_values
+from antichain.surface import p_many, surface_enclosure, surface_values
 
-from conftest import salem_recursive, seeded_rng
+from conftest import salem_recursive, salem_truncation_exact, seeded_rng
 
 open_floats = st.floats(min_value=1e-9, max_value=1.0 - 1e-9, allow_nan=False)
 
@@ -199,14 +200,48 @@ def test_graph_point_examples(identity_n2, surface_n3, identity_f):
 
 
 def test_surface_values_error_bound_is_conservative(surface_n3):
-    # exact value at exact dyadics: error bound must cover the gap to a
-    # much deeper evaluation
+    # the depth-52 enclosure must cover a much deeper evaluation
     deep = SurfaceSpec(n=3, f=SingularFunctionSpec(depth=63))
     rng = seeded_rng(55)
     pts = rng.uniform(1e-6, 1.0 - 1e-6, (500, 2))
-    v52, e52 = surface_values(surface_n3, pts)
-    v63, _ = surface_values(deep, pts)
-    assert (np.abs(v52 - v63) <= e52 + 1e-15).all()
+    lo, hi = surface_enclosure(surface_n3, pts)
+    v63 = surface_values(deep, pts)
+    assert ((lo - 1e-15 <= v63) & (v63 <= hi + 1e-15)).all()
+
+
+def _F_exact(coords, lam: float) -> Fraction:
+    """Exact F at a point with every coordinate >= 2^-11 (f exact at depth 63)."""
+    fs = sorted(salem_truncation_exact(float(x), lam, 63)[0] for x in coords)
+    if len(fs) == 1:
+        return 1 - fs[0]
+    prod = Fraction(1)
+    for v in fs[:-1]:
+        prod *= v
+    return 1 - prod / (1 - fs[-1] + prod)
+
+
+@pytest.mark.parametrize("depth", [8, 52])
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("lam", [0.01, 0.25, 0.75, 0.99])
+def test_enclosure_contains_exact_F(lam, n, depth):
+    # (0.125, 1 - 2^-27) has bound 0 at depth 52, yet f(1 - 2^-27) is
+    # rounded and p's slope near M = 1 amplifies that past a fixed floor
+    spec = SurfaceSpec(n=n, f=SingularFunctionSpec(lam=lam, depth=depth))
+    corner = (0.125,) * (n - 2) + (1.0 - 2.0**-27,)
+    pts = np.vstack([seeded_rng(31 + n).uniform(2.0**-11, 1.0, (40, n - 1)), corner])
+    lo, hi = surface_enclosure(spec, pts)
+    for row, a, b in zip(pts, lo, hi):
+        assert Fraction(float(a)) <= _F_exact(row, lam) <= Fraction(float(b)), row
+
+
+def test_F_eval_bound_is_enclosure_half_width(surface_n3):
+    for x in ((0.125, 1.0 - 2.0**-27), (0.3, 0.6), (0.5, 0.5)):
+        value, bound = F_eval(surface_n3, Point(x))
+        (lo,), (hi,) = surface_enclosure(surface_n3, np.array([x]))
+        assert lo <= value <= hi
+        assert bound == max(value - lo, hi - value)
+    value, bound = F_eval(surface_n3, Point((0.125, 1.0 - 2.0**-27)))
+    assert abs(Fraction(value) - _F_exact((0.125, 1.0 - 2.0**-27), 0.25)) <= bound
 
 
 # ------------------------------------------------------------ antichain
