@@ -8,6 +8,7 @@ projection lower bounds) on dyadic grids.
 """
 
 from .errors import (
+    DEFAULT_EVAL_BUDGET,
     AntichainError,
     BudgetError,
     ConfigurationError,
@@ -16,7 +17,6 @@ from .errors import (
     PrecisionError,
 )
 from .measure import (
-    DEFAULT_EVAL_BUDGET,
     CoverEstimate,
     DimensionEstimate,
     ProjectionEstimate,

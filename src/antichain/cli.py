@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import measure, surface
-from .errors import AntichainError, BudgetError, ConfigurationError
-from .measure import DEFAULT_EVAL_BUDGET, DIMENSION_WINDOWS, PROJECTION_DEFAULTS
+from .errors import DEFAULT_EVAL_BUDGET, AntichainError, BudgetError, ConfigurationError
+from .measure import DIMENSION_WINDOWS, PROJECTION_DEFAULTS
 from .singular import SALEM, KINDS, SingularFunctionSpec, SingularSetProbe
 from .surface import Point, SurfaceSpec
 
@@ -115,7 +115,8 @@ def _cmd_eval(cfg: RunConfig) -> dict:
 
 
 def _cmd_check_antichain(cfg: RunConfig) -> dict:
-    result = surface.antichain_scan(cfg.surface_spec(), cfg.pairs, seed=cfg.seed)
+    result = surface.antichain_scan(cfg.surface_spec(), cfg.pairs, seed=cfg.seed,
+                                    budget=cfg.budget)
     return {
         "pairs": result.pairs,
         "ordered_ok": result.ordered_ok,

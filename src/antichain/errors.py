@@ -1,4 +1,7 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy and the evaluation budget shared by all modules."""
+
+#: default cap on the number of surface evaluations in one estimator call
+DEFAULT_EVAL_BUDGET = 100_000_000
 
 
 class AntichainError(Exception):

@@ -22,12 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, InsufficientDataError, PrecisionError
+from .errors import (
+    DEFAULT_EVAL_BUDGET,
+    BudgetError,
+    DomainError,
+    InsufficientDataError,
+    PrecisionError,
+)
 from .singular import SingularSetProbe, digit_words, evaluate_many, in_singular_set_many
 from .surface import SurfaceSpec, surface_values
-
-#: default cap on the number of surface evaluations in one estimator call
-DEFAULT_EVAL_BUDGET = 100_000_000
 
 #: cells per jitter block; a fixed constant that is part of the sampling
 #: definition (jitter for a cell depends only on seed, block, in-block row)

@@ -28,12 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DEFAULT_EVAL_BUDGET, BudgetError, ConfigurationError, DomainError
 from .singular import SingularFunctionSpec, evaluate_many
 
 #: surface values are kept strictly inside (0,1) at float resolution
 _ONE_BELOW = 1.0 - 2.0**-53
 _ONE_ABOVE = 2.0**-1074
+
+#: pairs per block of ``antichain_scan``; bounds its memory, not its verdicts
+_SCAN_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,10 @@ def _f_values(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _F_of(fv: np.ndarray) -> np.ndarray:
-    return np.clip(1.0 - p_many(fv), _ONE_ABOVE, _ONE_BELOW)
+    # at the corner M = 1, P = 0 p is 0/0; fmax turns that NaN into a value
+    # inside the enclosure, which is [0, 1] there (see _enclose)
+    with np.errstate(invalid="ignore"):
+        return np.fmin(np.fmax(1.0 - p_many(fv), _ONE_ABOVE), _ONE_BELOW)
 
 
 def _enclose(f: SingularFunctionSpec, fv: np.ndarray, fe: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -223,34 +229,45 @@ class ScanResult:
     seed: int
 
 
-def antichain_scan(spec: SurfaceSpec, pairs: int, seed: int = 0) -> ScanResult:
+def antichain_scan(
+    spec: SurfaceSpec, pairs: int, seed: int = 0, budget: int = DEFAULT_EVAL_BUDGET
+) -> ScanResult:
     """Draw seeded random comparable pairs and count verdicts.
 
-    Pairs are drawn uniformly from the open cube and rejected unless
-    comparable; equal pairs never occur (probability zero, and rejection
-    keeps only strictly ordered ones).
+    The pairs follow the law of two iid uniform points of the open cube
+    conditioned on being comparable.  Given x <= y, the density 2^d on
+    {x <= y} factors over the coordinates, each pair (x_i, y_i) being
+    uniform on {x_i <= y_i}: the law of (min, max) of two independent
+    uniforms.  Both orders are equally likely, so the lower point is the
+    per-coordinate min and the upper point the per-coordinate max of two
+    uniform points, drawn directly with no rejection.
+
+    Pairs are walked in blocks of ``_SCAN_BLOCK``, so memory does not grow
+    with ``pairs``.  Pair i reads the 2d uniforms at positions [2di, 2d(i+1))
+    of the Philox stream keyed by the seed, so the verdicts do not depend
+    on the block size.  Equal points, which rejection used to exclude, come
+    up with probability about 2^(-53d); such a pair has overlapping
+    enclosures and counts as within tolerance.  Each pair costs two surface
+    evaluations against ``budget``.
     """
+    if pairs < 1:
+        raise ConfigurationError(f"a scan needs at least one pair, got {pairs}")
+    if 2 * pairs > budget:
+        raise BudgetError(f"{2 * pairs} evaluations exceed budget {budget}")
     d = spec.domain_dim
     key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)  # seeds follow 64-bit semantics
     rng = np.random.Generator(np.random.Philox(key=key))
-    got = ok = bad = 0
-    # acceptance rate for a random pair is 2 * 2^-d
-    batch = max(4096, min(4_000_000, int(pairs * 2 ** (d - 1) * 1.25)))
-    while got < pairs:
-        a = rng.random((batch, d))
-        b = rng.random((batch, d))
-        b_le_a = (b <= a).all(axis=1)
-        comparable = ((a <= b).all(axis=1) | b_le_a) & (a != b).any(axis=1)
-        a, b, swap = a[comparable], b[comparable], b_le_a[comparable]
-        lower = np.where(swap[:, None], b, a)
-        upper = np.where(swap[:, None], a, b)
-        k = min(len(lower), pairs - got)
-        rows = np.concatenate([lower[:k], upper[:k]])
+    ok = bad = 0
+    for start in range(0, pairs, _SCAN_BLOCK):
+        k = min(_SCAN_BLOCK, pairs - start)
+        u = rng.random((k, 2, d))
+        rows = np.empty((2 * k, d))
+        np.minimum(u[:, 0], u[:, 1], out=rows[:k])
+        np.maximum(u[:, 0], u[:, 1], out=rows[k:])
         np.clip(rows, _ONE_ABOVE, _ONE_BELOW, out=rows)
         ok_k, bad_k = _pair_verdicts(*surface_enclosure(spec, rows))
         ok += int(ok_k.sum())
         bad += int(bad_k.sum())
-        got += k
     tol = pairs - ok - bad
     return ScanResult(pairs=pairs, ordered_ok=ok + tol, within_tolerance=tol,
                       violations=bad, seed=seed)

@@ -68,6 +68,50 @@ def test_check_antichain_small(capsys):
     assert report["config"]["seed"] == 42
 
 
+@pytest.mark.parametrize("pairs", ["0", "-5"])
+def test_check_antichain_pairs_below_one_rejected(capsys, pairs):
+    code, out, err = run_cli(capsys, "check-antichain", "--pairs", pairs)
+    assert code == 2
+    assert out == ""
+    assert "at least one pair" in err
+
+
+def test_check_antichain_over_budget(capsys, monkeypatch):
+    monkeypatch.setenv("ANTICHAIN_BUDGET", "199")
+    code, out, err = run_cli(capsys, "check-antichain", "--n", "2", "--pairs", "100")
+    assert code == 2
+    assert out == ""
+    assert "200 evaluations exceed budget 199" in err
+    monkeypatch.setenv("ANTICHAIN_BUDGET", "200")
+    code, _, _ = run_cli(capsys, "check-antichain", "--n", "2", "--pairs", "100")
+    assert code == 0
+
+
+def test_eval_corner_report_is_finite_json(capsys):
+    # f(2^-11) truncates to 0 at depth 8 and f(0.984375) rounds to 1: p is
+    # 0/0 there, and the report must still be valid JSON with F in [lo, hi]
+    import warnings
+
+    import numpy as np
+
+    from antichain import SingularFunctionSpec, SurfaceSpec
+    from antichain.surface import surface_enclosure
+
+    def reject(name):
+        raise ValueError(f"{name} in the report")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "eval", "--n", "3", "--lambda", "0.999", "--depth",
+                               "8", "--point", "0.00048828125,0.984375")
+    assert code == 0
+    results = json.loads(out, parse_constant=reject)["results"]
+    spec = SurfaceSpec(n=3, f=SingularFunctionSpec(lam=0.999, depth=8))
+    lo, hi = surface_enclosure(spec, np.array([[0.00048828125, 0.984375]]))
+    assert lo[0] <= results["F"] <= hi[0]
+    assert results["error_bound"] >= 0.99
+
+
 def test_length_report(capsys):
     code, out, _ = run_cli(capsys, "length", "--k", "10")
     report = json.loads(out)
@@ -220,7 +264,7 @@ def test_violation_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         cli_module.surface,
         "antichain_scan",
-        lambda spec, pairs, seed=0: ScanResult(pairs, pairs - 1, 0, 1, seed),
+        lambda spec, pairs, seed=0, budget=0: ScanResult(pairs, pairs - 1, 0, 1, seed),
     )
     code, out, _ = run_cli(capsys, "check-antichain", "--pairs", "100")
     assert code == 1

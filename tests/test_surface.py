@@ -1,12 +1,16 @@
 import itertools
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import antichain.surface as surface_module
 from antichain import (
     CANTOR,
+    BudgetError,
     ConfigurationError,
     DomainError,
     F_eval,
@@ -287,6 +291,90 @@ def test_scan_deterministic(surface_n3):
     a = antichain_scan(surface_n3, 5_000, seed=99)
     b = antichain_scan(surface_n3, 5_000, seed=99)
     assert a == b
+
+
+def scan_pairs(monkeypatch, spec, pairs, seed, block):
+    """Scan with ``block`` pairs per block; returns the result and the
+    (lower, upper) points it drew, recorded from the rows it encloses."""
+    seen = []
+
+    def recording_enclosure(spec_, rows):
+        seen.append(rows.copy())
+        return surface_enclosure(spec_, rows)
+
+    monkeypatch.setattr(surface_module, "_SCAN_BLOCK", block)
+    monkeypatch.setattr(surface_module, "surface_enclosure", recording_enclosure)
+    result = antichain_scan(spec, pairs, seed=seed)
+    halves = [np.split(rows, 2) for rows in seen]
+    return result, *(np.concatenate(h) for h in zip(*halves))
+
+
+def test_scan_independent_of_block_size(monkeypatch, surface_n3):
+    # 4321 pairs: five blocks of 1000 (the last one short) against one block
+    a, lower_a, upper_a = scan_pairs(monkeypatch, surface_n3, 4_321, 11, 1000)
+    b, lower_b, upper_b = scan_pairs(monkeypatch, surface_n3, 4_321, 11, 2**14)
+    assert a == b
+    assert len(lower_a) == len(upper_a) == 4_321
+    np.testing.assert_array_equal(lower_a, lower_b)
+    np.testing.assert_array_equal(upper_a, upper_b)
+
+
+def test_scan_draws_the_conditional_law(monkeypatch, salem_default):
+    # two iid uniform points conditioned on x <= y: per coordinate, (x_i, y_i)
+    # is (min, max) of two uniforms, independently across coordinates.  So
+    # E[x_i] = 1/3, E[y_i] = 2/3 (variance 1/18 each), E[x_i y_i] = 1/4
+    # (variance 7/144) and P(x_i <= t) = 1 - (1 - t)^2
+    spec = SurfaceSpec(n=4, f=salem_default)
+    count = 40_000
+    _, lower, upper = scan_pairs(monkeypatch, spec, count, 5, 2**14)
+    assert lower.shape == upper.shape == (count, 3)
+    assert (lower <= upper).all()
+    se = np.sqrt(1 / 18 / count)
+    assert np.all(np.abs(lower.mean(axis=0) - 1 / 3) <= 4 * se)
+    assert np.all(np.abs(upper.mean(axis=0) - 2 / 3) <= 4 * se)
+    assert np.all(np.abs((lower * upper).mean(axis=0) - 1 / 4) <= 4 * np.sqrt(7 / 144 / count))
+    for t in (0.1, 0.25, 0.5, 0.75, 0.9):
+        cdf = 1 - (1 - t) ** 2
+        se_t = np.sqrt(cdf * (1 - cdf) / count)
+        assert np.all(np.abs((lower <= t).mean(axis=0) - cdf) <= 4 * se_t)
+
+
+def test_scan_memory_does_not_grow_with_pairs(salem_default):
+    spec = SurfaceSpec(n=5, f=salem_default)
+    antichain_scan(spec, 100, seed=1)  # builds the kernel's lazy tables
+    peaks = []
+    for blocks in (1, 4):
+        tracemalloc.start()
+        try:
+            antichain_scan(spec, blocks * surface_module._SCAN_BLOCK, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_scan_rejects_pair_counts_below_one_and_over_budget(surface_n3):
+    for pairs in (0, -5):
+        with pytest.raises(ConfigurationError):
+            antichain_scan(surface_n3, pairs)
+    with pytest.raises(BudgetError):
+        antichain_scan(surface_n3, 51, budget=100)  # two evaluations per pair
+    assert antichain_scan(surface_n3, 50, budget=100).pairs == 50
+
+
+def test_values_finite_inside_enclosure_at_corner():
+    # f(2^-11) truncates to 0 at depth 8 and f(0.984375) rounds to 1, so p
+    # is 0/0 there; the enclosure is [0, 1] and the value must lie in it
+    spec = SurfaceSpec(n=3, f=SingularFunctionSpec(lam=0.999, depth=8))
+    corner = np.array([[2.0**-11, 0.984375]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = surface_values(spec, corner)[0]
+        lo, hi = surface_enclosure(spec, corner)
+        F, bound = F_eval(spec, Point(tuple(corner[0])))
+    assert np.isfinite(value) and F == value
+    assert lo[0] <= value <= hi[0]
+    assert bound == max(value - lo[0], hi[0] - value) >= 0.99
 
 
 def test_scan_agrees_with_scalar_verdicts(surface_n3):
