@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import measure, surface
-from .errors import DEFAULT_EVAL_BUDGET, AntichainError, BudgetError, ConfigurationError
+from .errors import DEFAULT_EVAL_BUDGET, AntichainError, ConfigurationError, check_budget
 from .measure import DIMENSION_WINDOWS, PROJECTION_DEFAULTS
 from .singular import SALEM, KINDS, SingularFunctionSpec, SingularSetProbe
 from .surface import Point, SurfaceSpec
@@ -97,6 +97,7 @@ def _warnings_for(cfg: RunConfig) -> list[str]:
 
 def _cmd_eval(cfg: RunConfig) -> dict:
     spec = cfg.surface_spec()
+    check_budget(1, cfg.budget)
     if len(cfg.point) != cfg.n - 1:
         raise AntichainError(
             f"--point needs {cfg.n - 1} comma-separated coordinates for n = {cfg.n}"
@@ -169,9 +170,7 @@ def _cmd_export_mesh(cfg: RunConfig) -> tuple[dict, list[list[float]]]:
         raise AntichainError(f"mesh export supports n in {{2, 3}}, got n = {cfg.n}")
     if cfg.resolution < 1:
         raise ConfigurationError(f"--resolution must be >= 1, got {cfg.resolution}")
-    count = cfg.resolution ** (cfg.n - 1)
-    if count > cfg.budget:
-        raise BudgetError(f"{count} evaluations exceed budget {cfg.budget}")
+    check_budget(cfg.resolution ** (cfg.n - 1), cfg.budget)
     grid = [(i + 1) / (cfg.resolution + 1) for i in range(cfg.resolution)]
     axes = np.meshgrid(*[np.array(grid)] * (cfg.n - 1), indexing="ij")  # row-major order
     points = np.stack([a.ravel() for a in axes], axis=1)

@@ -4,6 +4,12 @@
 DEFAULT_EVAL_BUDGET = 100_000_000
 
 
+def check_budget(count: int, budget: int) -> None:
+    """Raise ``BudgetError`` when ``count`` surface evaluations exceed ``budget``."""
+    if count > budget:
+        raise BudgetError(f"{count} evaluations exceed budget {budget}")
+
+
 class AntichainError(Exception):
     """Base class for all package errors."""
 

@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     PrecisionError,
+    check_budget,
 )
 from .singular import SingularSetProbe, digit_words, evaluate_many, in_singular_set_many
 from .surface import SurfaceSpec, surface_values
@@ -154,8 +155,7 @@ def occupied_cell_count(
                           f"{spec.n} overflow 64-bit cell codes")
     n_cells = 1 << (domain_depth * d)
     n_off = (samples_per_cell + 1) ** d
-    if n_cells * n_off > budget:
-        raise BudgetError(f"{n_cells * n_off} evaluations exceed budget {budget}")
+    check_budget(n_cells * n_off, budget)
     offsets = _offset_grid(samples_per_cell, d)
     scale = float(1 << domain_depth)
     block = max(1, _CHUNK_ROWS // n_off)
@@ -240,8 +240,7 @@ def graph_length_n2(spec: SurfaceSpec, k: int, budget: int = DEFAULT_EVAL_BUDGET
         raise DomainError("partition depth must be >= 1")
     if k > spec.f.depth:
         raise PrecisionError(f"partition depth {k} exceeds evaluation depth {spec.f.depth}")
-    if (1 << k) + 1 > budget:
-        raise BudgetError(f"{(1 << k) + 1} evaluations exceed budget {budget}")
+    check_budget((1 << k) + 1, budget)
     dx = 2.0**-k
     pieces: list[float] = []
     # chunk endpoint evaluations; chunks overlap by one point to close gaps
@@ -291,8 +290,7 @@ def _projection_sweep(
         raise BudgetError("image occupancy array would exceed the memory guard")
     per_cell = samples_per_cell**d
     n_cells = 1 << (domain_depth * d)
-    if n_cells * per_cell > budget:
-        raise BudgetError(f"{n_cells * per_cell} evaluations exceed budget {budget}")
+    check_budget(n_cells * per_cell, budget)
     occupancy = {axis: np.zeros(1 << (image_depth * img_dim), dtype=bool) for axis in axes}
     scale = float(1 << domain_depth)
     for start in range(0, n_cells, JITTER_BLOCK):

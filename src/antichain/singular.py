@@ -21,6 +21,9 @@ kernel composes these maps over 8-bit digit chunks with tables built once
 per (lam, width) in exact integer arithmetic, to within 2 ulp of the exact
 truncated sum; the bound is the rise over the depth-cell of x, or exactly 0
 when x has no digit past the depth.  The slope probe is one popcount.
+Each quantity has one array kernel, and the scalar calls are one-row
+wrappers over it; ``evaluate_many`` is the one place that branches on the
+kind.
 """
 
 from __future__ import annotations
@@ -227,88 +230,77 @@ def _salem_many(lam: float, depth: int, xs: np.ndarray) -> tuple[np.ndarray, np.
     return values, bounds
 
 
-def evaluate(spec: SingularFunctionSpec, x: float) -> tuple[float, float]:
-    """Evaluate f(x), returning (value, truncation bound).
+def evaluate_many(spec: SingularFunctionSpec, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f and its truncation bound at each x of an array in [0,1].
 
     The bound covers truncation only: the exact value lies within it of the
     exact truncated sum, from which the returned value may be up to
     ``spec.rounding_ulps`` ulp off, even when the bound is 0.  The endpoints
-    are exact: evaluate(0) = 0 and evaluate(1) = 1.
+    are exact for every kind: f(0) = 0 and f(1) = 1 with bound 0.
     """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0,1], got {x}")
-    if spec.kind == SALEM:
-        values, bounds = evaluate_many(spec, np.array([x]))
-        return float(values[0]), float(bounds[0])
-    if x in (0.0, 1.0):
-        return float(x), 0.0
-    if spec.kind == MINKOWSKI:
-        return _eval_minkowski(x, spec.depth)
-    return _eval_cantor(x, spec.depth)
-
-
-def evaluate_many(spec: SingularFunctionSpec, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised ``evaluate`` over an array of coordinates."""
     xs = np.asarray(xs, dtype=np.float64)
-    top = xs.max() if xs.size else 0.0
-    if xs.size and not (xs.min() >= 0.0 and top <= 1.0):
-        raise DomainError("coordinates must lie in [0,1]")
-    if spec.kind != SALEM:
-        pairs = [evaluate(spec, float(x)) for x in xs.ravel()]
-        v = np.array([p[0] for p in pairs]).reshape(xs.shape)
-        e = np.array([p[1] for p in pairs]).reshape(xs.shape)
-        return v, e
     flat = xs.ravel()
-    if top < 1.0:
+    low, top = (flat.min(), flat.max()) if flat.size else (0.5, 0.5)
+    if not (low >= 0.0 and top <= 1.0):
+        raise DomainError("coordinates must lie in [0,1]")
+    ends = None
+    if low == 0.0 or top == 1.0:  # 1 has no digit word; cantor's digits of 0 never stop
+        ends = (flat == 0.0) | (flat == 1.0)
+        exact = flat[ends]
+        flat = np.where(ends, 0.5, flat)
+    if spec.kind == SALEM:
         v, s = _salem_many(spec.lam, spec.depth, flat)
-    else:  # 1 has no digit word below 2**depth; f(1) = 1 exactly
-        ones = flat == 1.0
-        v, s = _salem_many(spec.lam, spec.depth, np.where(ones, 0.0, flat))
-        v[ones] = 1.0
-        s[ones] = 0.0
+    else:
+        scalar = _eval_minkowski if spec.kind == MINKOWSKI else _eval_cantor
+        pairs = [scalar(x, spec.depth) for x in flat.tolist()]
+        v, s = np.array(pairs).reshape(-1, 2).T  # (-1, 2): an empty list stays two-column
+    if ends is not None:
+        v[ends], s[ends] = exact, 0.0
     return v.reshape(xs.shape), s.reshape(xs.shape)
 
 
-def dyadic_slope(spec: SingularFunctionSpec, x: float, k: int) -> float:
-    """Difference quotient of f over the depth-k dyadic cell containing x.
-
-    For the salem kind this is the digit product of 2*lam per 0-digit and
-    2*(1-lam) per 1-digit, accumulated in log space so deep products do not
-    underflow.  Other kinds fall back to evaluating the cell endpoints.
-    Dyadic rationals sit on a cell boundary and are assigned to the
-    right-closed cell [x, x + 2**-k), matching the half-open grid convention.
-    """
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"x must lie in (0,1), got {x}")
-    if k > spec.depth:
-        raise PrecisionError(f"slope depth {k} exceeds spec depth {spec.depth}")
-    if spec.kind == SALEM:
-        return float(dyadic_slopes_many(spec, np.array([x]), k)[0])
-    scale = float(1 << k)
-    a = math.floor(x * scale) / scale
-    b = a + 1.0 / scale
-    va, _ = evaluate(spec, a)
-    vb, _ = evaluate(spec, b)
-    return (vb - va) * scale
+def evaluate(spec: SingularFunctionSpec, x: float) -> tuple[float, float]:
+    """f(x) and its truncation bound: one row of ``evaluate_many``."""
+    values, bounds = evaluate_many(spec, np.array([x]))
+    return float(values[0]), float(bounds[0])
 
 
 def dyadic_slopes_many(spec: SingularFunctionSpec, xs: np.ndarray, k: int) -> np.ndarray:
-    """Vectorised ``dyadic_slope`` (salem fast path; loop otherwise)."""
+    """Difference quotient of f over the depth-k dyadic cell containing each x.
+
+    Dyadic rationals sit on a cell boundary and are assigned to the
+    right-closed cell [x, x + 2**-k), matching the half-open grid
+    convention.  For the salem kind the slope is the digit product of 2*lam
+    per 0-digit and 2*(1-lam) per 1-digit, accumulated in log space so deep
+    products do not underflow; it depends only on the count of ones.  Other
+    kinds evaluate f at the cell ends.
+    """
     if k > spec.depth:
         raise PrecisionError(f"slope depth {k} exceeds spec depth {spec.depth}")
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size and not (xs.min() > 0.0 and xs.max() < 1.0):
         raise DomainError("coordinates must lie in (0,1)")
-    if spec.kind != SALEM:
-        return np.array([dyadic_slope(spec, float(x), k) for x in xs.ravel()]).reshape(xs.shape)
-    o = np.arange(k + 1)  # the slope of a cell depends only on its count of ones
-    slopes = 2.0 ** (k + (k - o) * math.log2(spec.lam) + o * math.log2(1.0 - spec.lam))
-    return slopes[np.bitwise_count(digit_words(xs, k))]
+    words = digit_words(xs, k)
+    if spec.kind == SALEM:
+        o = np.arange(k + 1)
+        slopes = 2.0 ** (k + (k - o) * math.log2(spec.lam) + o * math.log2(1.0 - spec.lam))
+        return slopes[np.bitwise_count(words)]
+    scale = float(1 << k)
+    a = words / scale
+    ends, _ = evaluate_many(spec, np.stack([a, a + 1.0 / scale]))
+    return (ends[1] - ends[0]) * scale
+
+
+def dyadic_slope(spec: SingularFunctionSpec, x: float, k: int) -> float:
+    """Difference quotient of f over the depth-k dyadic cell containing x:
+    one row of ``dyadic_slopes_many``."""
+    return float(dyadic_slopes_many(spec, np.array([x]), k)[0])
 
 
 def in_singular_set(spec: SingularFunctionSpec, probe: SingularSetProbe, x: float) -> bool:
-    """Membership in the computable slope-threshold set standing in for S."""
-    return dyadic_slope(spec, x, probe.depth) < probe.eps
+    """Membership in the computable slope-threshold set standing in for S:
+    one row of ``in_singular_set_many``."""
+    return bool(in_singular_set_many(spec, probe, np.array([x]))[0])
 
 
 def in_singular_set_many(

@@ -23,12 +23,11 @@ lo, and within tolerance when the two enclosures overlap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_EVAL_BUDGET, BudgetError, ConfigurationError, DomainError
+from .errors import DEFAULT_EVAL_BUDGET, ConfigurationError, DomainError, check_budget
 from .singular import SingularFunctionSpec, evaluate_many
 
 #: surface values are kept strictly inside (0,1) at float resolution
@@ -81,18 +80,13 @@ class SurfaceSpec:
 
 
 def p_eval(x: Point) -> float:
-    """Monotone map of the open cube onto (0,1); identity in dimension 1."""
-    vals = sorted(x.coords)
-    if len(vals) == 1:
-        return vals[0]
-    prod = math.prod(vals[:-1])
-    top = vals[-1]
-    p = prod / (1.0 - top + prod)
-    return min(max(p, _ONE_ABOVE), _ONE_BELOW)
+    """Monotone map of the open cube onto (0,1): one row of ``p_many``."""
+    return float(p_many(np.array([x.coords]))[0])
 
 
 def p_many(vals: np.ndarray) -> np.ndarray:
-    """Row-wise ``p_eval`` on an (N, m) array of cube points, kept in (0,1)."""
+    """p on each row of an (N, m) array of cube points, kept in (0,1);
+    the identity when m = 1."""
     vals = np.asarray(vals, dtype=np.float64)
     if vals.ndim != 2:
         raise DomainError("expected a 2-d array of row points")
@@ -184,9 +178,9 @@ class PairVerdict:
     """Outcome of comparing two domain points on the surface.
 
     ``ordered_ok`` for comparable pairs whose F values are ordered the right
-    way (equal points count vacuously: x = y is not x < y, so no constraint
-    applies).  ``within_tolerance`` flags comparable pairs whose F
-    enclosures overlap, so neither order is certified.
+    way.  ``within_tolerance`` flags comparable pairs whose F enclosures
+    overlap, so neither order is certified; equal points have overlapping
+    enclosures: within tolerance.
     """
 
     verdict: str  # "incomparable" | "ordered_ok" | "violation"
@@ -202,17 +196,15 @@ def _pair_verdicts(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def check_antichain_pair(spec: SurfaceSpec, x: Point, y: Point) -> PairVerdict:
-    """Check the defining property of the graph on one pair of points."""
+    """Check the defining property of the graph on one pair of points, with
+    the verdicts of ``antichain_scan``."""
     if x.dim != y.dim or x.dim != spec.domain_dim:
         raise DomainError("points must both have the surface's domain dimension")
-    x_le_y = all(a <= b for a, b in zip(x.coords, y.coords))
-    y_le_x = all(b <= a for a, b in zip(x.coords, y.coords))
-    if not x_le_y and not y_le_x:
+    lower = tuple(map(min, x.coords, y.coords))
+    upper = tuple(map(max, x.coords, y.coords))
+    if lower not in (x.coords, y.coords):  # neither point lies below the other
         return PairVerdict("incomparable")
-    if x_le_y and y_le_x:  # x == y: not x < y, nothing to check
-        return PairVerdict("ordered_ok")
-    lower, upper = (x, y) if x_le_y else (y, x)
-    ok, bad = _pair_verdicts(*surface_enclosure(spec, np.array([lower.coords, upper.coords])))
+    ok, bad = _pair_verdicts(*surface_enclosure(spec, np.array([lower, upper])))
     if bad[0]:
         return PairVerdict("violation")
     return PairVerdict("ordered_ok", within_tolerance=not ok[0])
@@ -252,8 +244,7 @@ def antichain_scan(
     """
     if pairs < 1:
         raise ConfigurationError(f"a scan needs at least one pair, got {pairs}")
-    if 2 * pairs > budget:
-        raise BudgetError(f"{2 * pairs} evaluations exceed budget {budget}")
+    check_budget(2 * pairs, budget)
     d = spec.domain_dim
     key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)  # seeds follow 64-bit semantics
     rng = np.random.Generator(np.random.Philox(key=key))

@@ -87,6 +87,19 @@ def test_check_antichain_over_budget(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_eval_over_budget(capsys, monkeypatch, budget):
+    # one evaluation, charged against the budget like every other command
+    monkeypatch.setenv("ANTICHAIN_BUDGET", budget)
+    code, out, err = run_cli(capsys, "eval", "--point", "0.5,0.5")
+    assert code == 2
+    assert out == ""
+    assert f"1 evaluations exceed budget {budget}" in err
+    monkeypatch.setenv("ANTICHAIN_BUDGET", "1")
+    code, _, _ = run_cli(capsys, "eval", "--point", "0.5,0.5")
+    assert code == 0
+
+
 def test_eval_corner_report_is_finite_json(capsys):
     # f(2^-11) truncates to 0 at depth 8 and f(0.984375) rounds to 1: p is
     # 0/0 there, and the report must still be valid JSON with F in [lo, hi]

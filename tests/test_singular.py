@@ -18,7 +18,7 @@ from antichain import (
     evaluate_many,
     in_singular_set,
 )
-from antichain.singular import dyadic_slopes_many, in_singular_set_many
+from antichain.singular import KINDS, dyadic_slopes_many, in_singular_set_many
 
 from conftest import salem_recursive, salem_truncation_exact, seeded_rng
 
@@ -168,11 +168,26 @@ def test_slopes_match_exact_digit_counts(lam, k):
     xs = np.concatenate([seeded_rng(909).random(50), [1 - 2.0**-53, 2.0**-60, 1 / 3]])
     slopes = dyadic_slopes_many(spec, xs, k)
     for x, slope in zip(xs, slopes):
-        assert slope == dyadic_slope(spec, float(x), k)
         # neighbouring counts differ by the factor (1-lam)/lam, so 4 ulp pins o
         o = bin(int(float(x) * 2**k)).count("1")
         expected = 2.0 ** (k + (k - o) * math.log2(lam) + o * math.log2(1.0 - lam))
         assert math.isclose(slope, expected, rel_tol=2.0**-50, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scalar_slope_is_one_row_of_the_array(kind):
+    # the array call on a 2-d batch, row by row against the scalar call; for
+    # minkowski and cantor also against f at the exact cell ends
+    spec = SingularFunctionSpec(kind=kind)
+    xs = np.concatenate([seeded_rng(910).random(20), [1 - 2.0**-53, 2.0**-60, 1 / 3, 0.5]])
+    for k in (1, 8, 40, 52):
+        slopes = dyadic_slopes_many(spec, xs.reshape(-1, 4), k).ravel()
+        for x, slope in zip(xs, slopes):
+            assert slope == dyadic_slope(spec, float(x), k)
+            if kind != "salem":
+                cell = math.floor(float(x) * 2**k)
+                va, vb = (evaluate(spec, c / 2**k)[0] for c in (cell, cell + 1))
+                assert slope == (vb - va) * 2**k
 
 
 def test_salem_error_bound_decays_with_depth():
@@ -421,10 +436,15 @@ def test_slope_concentration_statistics(salem_default):
     assert np.mean(slopes < 1.0) >= 0.95
 
 
-def test_vectorised_eval_agrees_with_scalar(salem_default):
+def test_vectorised_eval_agrees_with_scalar():
+    # a batch holding the endpoints takes the kernels' endpoint path, a
+    # scalar call inside (0,1) does not; both must give the same bits
     rng = seeded_rng(707)
-    xs = np.concatenate([[0.0, 1.0, 0.5], rng.random(64)])
-    values, errs = evaluate_many(salem_default, xs)
-    for x, v, e in zip(xs, values, errs):
-        sv, se = evaluate(salem_default, float(x))
-        assert sv == v and se == e
+    special = [0.0, 1.0, 0.5, 1 - 2.0**-53, 2.0**-1074, 2.0**-60]
+    xs = np.concatenate([special, rng.random(40), rng.random(20) * 2.0**-9])
+    for kind in KINDS:
+        spec = SingularFunctionSpec(kind=kind)
+        values, errs = evaluate_many(spec, xs.reshape(-1, 6))
+        for x, v, e in zip(xs, values.ravel(), errs.ravel()):
+            sv, se = evaluate(spec, float(x))
+            assert sv == v and se == e, (kind, x)

@@ -155,14 +155,13 @@ def test_p_lands_in_open_interval(coords):
 
 
 def test_p_many_matches_scalar():
-    from antichain.surface import p_many
-
+    # bit for bit: the scalar call is one row of the array call
     rng = seeded_rng(99)
     for dim in range(1, 6):
         rows = rng.uniform(1e-6, 1 - 1e-6, (50, dim))
         batched = p_many(rows)
         for row, value in zip(rows, batched):
-            assert p_eval(Point(tuple(row))) == pytest.approx(value, rel=1e-14)
+            assert p_eval(Point(tuple(row))) == value
 
 
 # ----------------------------------------------------------------------- F
@@ -258,8 +257,14 @@ def test_pair_ordered_identity(identity_n2):
 
 
 def test_pair_equal_points_vacuous(surface_n3):
+    # x = y is not x < y, so nothing can be violated; the two enclosures
+    # coincide, so the pair is within tolerance, as in the scan's verdicts
     x = Point((0.3, 0.7))
-    assert check_antichain_pair(surface_n3, x, x).verdict == "ordered_ok"
+    verdict = check_antichain_pair(surface_n3, x, x)
+    assert verdict.verdict == "ordered_ok"
+    assert verdict.within_tolerance is True
+    ok, bad = surface_module._pair_verdicts(*surface_enclosure(surface_n3, np.array([x.coords] * 2)))
+    assert not ok[0] and not bad[0]
 
 
 def test_pair_incomparable(surface_n3):
@@ -392,6 +397,20 @@ def test_scan_agrees_with_scalar_verdicts(surface_n3):
         else:
             assert verdict.verdict == "ordered_ok"
             checked += 1
+
+
+def test_scalar_verdicts_reproduce_scan_counts(monkeypatch, surface_n3):
+    # every pair the scan draws, checked one at a time in both orders
+    result, lower, upper = scan_pairs(monkeypatch, surface_n3, 1_500, 21, 2**14)
+    counts = {"ordered_ok": 0, "within_tolerance": 0, "violation": 0}
+    for lo, hi in zip(lower, upper):
+        verdict = check_antichain_pair(surface_n3, Point(tuple(lo)), Point(tuple(hi)))
+        assert check_antichain_pair(surface_n3, Point(tuple(hi)), Point(tuple(lo))) == verdict
+        counts[verdict.verdict] += 1
+        counts["within_tolerance"] += verdict.within_tolerance
+    assert (counts["ordered_ok"], counts["within_tolerance"], counts["violation"]) == (
+        result.ordered_ok, result.within_tolerance, result.violations)
+    assert result.pairs == len(lower) == 1_500
 
 
 # ------------------------------------------------- projective cross-check
