@@ -12,8 +12,8 @@ Reproduces, from scratch and with fixed seeds:
      the trend-extrapolated cover values at the finest depth;
   4. projection areas at the frozen estimator parameters.
 
-Needs the test extras (pytest, hypothesis): the length oracle is imported
-from tests/conftest.py.
+The length oracle is imported from tests/oracles.py, which needs only
+numpy, so the test extras are not needed.
 
 Usage:
     python scripts/calibration_run.py            # full run (~2 min)
@@ -41,7 +41,7 @@ from antichain.singular import dyadic_slopes_many
 
 # the closed-form length oracle lives with the tests that freeze its numbers
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import length_binomial  # noqa: E402
+from oracles import length_binomial  # noqa: E402
 
 
 def banner(title: str) -> None:

@@ -31,7 +31,8 @@ _CLAMP = 1e-9
 
 @dataclass
 class RunConfig:
-    """Validated bag of CLI parameters; one instance drives one command."""
+    """Validated bag of CLI parameters, and the one place their defaults are
+    stated; one instance drives one command."""
 
     command: str
     n: int = 3
@@ -250,15 +251,18 @@ def run(cfg: RunConfig) -> tuple[int, str]:
     return code, _report_text(cfg, results)
 
 
-def _add_common(p: argparse.ArgumentParser, default_n: int = 3) -> None:
-    p.add_argument("--n", type=int, default=default_n, help="ambient dimension")
-    p.add_argument("--kind", choices=KINDS, default=SALEM)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.25,
-                   help="salem contraction ratio")
-    p.add_argument("--depth", type=int, default=52, help="evaluation depth in bits")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    p.add_argument("--output", default=None, help="report path (default stdout)")
+def _add_command(sub, name: str, help_text: str) -> argparse.ArgumentParser:
+    """A subcommand parser with the common options.  Options left out stay
+    out of the namespace, so every default is the one in ``RunConfig``."""
+    p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+    p.add_argument("--n", type=int, help="ambient dimension")
+    p.add_argument("--kind", choices=KINDS)
+    p.add_argument("--lambda", dest="lam", type=float, help="salem contraction ratio")
+    p.add_argument("--depth", type=int, help="evaluation depth in bits")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--format", dest="fmt", choices=("json", "csv"))
+    p.add_argument("--output", help="report path (default stdout)")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,38 +273,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate the surface at one point")
-    _add_common(p)
+    p = _add_command(sub, "eval", "evaluate the surface at one point")
     p.add_argument("--point", required=True,
                    help="comma-separated domain coordinates, e.g. 0.5,0.5")
 
-    p = sub.add_parser("check-antichain", help="seeded comparable-pair scan")
-    _add_common(p)
-    p.add_argument("--pairs", type=int, default=1_000_000)
+    p = _add_command(sub, "check-antichain", "seeded comparable-pair scan")
+    p.add_argument("--pairs", type=int)
 
-    p = sub.add_parser("length", help="polyline length of the planar graph")
-    _add_common(p, default_n=2)
-    p.add_argument("--k", type=int, default=22, help="dyadic partition depth")
+    p = _add_command(sub, "length", "polyline length of the planar graph")
+    p.set_defaults(n=2)
+    p.add_argument("--k", type=int, help="dyadic partition depth")
 
-    p = sub.add_parser("dimension", help="box-counting dimension regression")
-    _add_common(p)
-    p.add_argument("--k-min", type=int, default=0)
-    p.add_argument("--k-max", type=int, default=0)
-    p.add_argument("--samples", type=int, default=0,
-                   help="sub-grid samples per cell and axis")
+    p = _add_command(sub, "dimension", "box-counting dimension regression")
+    p.add_argument("--k-min", type=int)
+    p.add_argument("--k-max", type=int)
+    p.add_argument("--samples", type=int, help="sub-grid samples per cell and axis")
 
-    p = sub.add_parser("projections", help="projection lower-bound areas")
-    _add_common(p)
-    p.add_argument("--probe-depth", type=int, default=40)
-    p.add_argument("--probe-eps", type=float, default=0.01)
-    p.add_argument("--domain-depth", type=int, default=0)
-    p.add_argument("--image-depth", type=int, default=0)
-    p.add_argument("--samples", type=int, default=0)
+    p = _add_command(sub, "projections", "projection lower-bound areas")
+    p.add_argument("--probe-depth", type=int)
+    p.add_argument("--probe-eps", type=float)
+    p.add_argument("--domain-depth", type=int)
+    p.add_argument("--image-depth", type=int)
+    p.add_argument("--samples", type=int)
 
-    p = sub.add_parser("export-mesh", help="sample the surface on a grid")
-    _add_common(p)
-    p.add_argument("--resolution", type=int, default=32,
-                   help="interior grid points per axis")
+    p = _add_command(sub, "export-mesh", "sample the surface on a grid")
+    p.add_argument("--resolution", type=int, help="interior grid points per axis")
     return parser
 
 

@@ -18,6 +18,7 @@ the cell block, so results do not depend on how the grid is partitioned.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,11 +114,19 @@ def _offset_grid(samples_per_cell: int, dim: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _cell_axis_indices(cell_ids: np.ndarray, depth: int, dim: int) -> np.ndarray:
-    """Decode flat domain-cell ids to per-axis integer coordinates (N, dim)."""
+def _grid_walk(depth: int, dim: int, per_cell: int, block: int,
+               budget: int) -> Iterator[np.ndarray]:
+    """Integer corners (cells, dim) of the depth-``depth`` grid of [0,1]^dim in
+    flat-id order, ``block`` cells at a time.  The id guard and the budget
+    charge of ``per_cell`` evaluations per cell run at the call, not lazily."""
+    if depth * dim > 62:
+        raise BudgetError("domain grid overflows 64-bit cell ids")
+    n_cells = 1 << (depth * dim)
+    check_budget(n_cells * per_cell, budget)
+    shifts = depth * np.arange(dim - 1, -1, -1, dtype=np.int64)
     mask = (1 << depth) - 1
-    cols = [(cell_ids >> ((dim - 1 - j) * depth)) & mask for j in range(dim)]
-    return np.stack(cols, axis=1)
+    return ((np.arange(start, min(start + block, n_cells), dtype=np.int64)[:, None] >> shifts)
+            & mask for start in range(0, n_cells, block))
 
 
 def _mark_codes(points: np.ndarray, depth: int) -> np.ndarray:
@@ -133,41 +142,31 @@ def occupied_cell_count(
     spec: SurfaceSpec,
     domain_depth: int,
     samples_per_cell: int,
-    mark_depth: int | None = None,
     budget: int = DEFAULT_EVAL_BUDGET,
 ) -> int:
     """Number of ambient grid cells hit by sampled graph points.
 
     The domain grid at ``domain_depth`` is swept cell by cell; each cell is
     sampled on the corner-including offset lattice and the image cells of
-    the lifted points are marked at ``mark_depth`` (defaults to the domain
-    depth).  Separating the two depths lets nested runs share one sample
-    set across mark resolutions.
+    the lifted points are marked at the same depth.
     """
     if domain_depth < 1 or samples_per_cell < 1:
         raise DomainError("domain_depth and samples_per_cell must be >= 1")
     d = spec.domain_dim
-    mark = domain_depth if mark_depth is None else mark_depth
-    if mark < 1:
-        raise DomainError("mark depth must be >= 1")
-    if mark * spec.n > 62 or domain_depth * d > 62:
-        raise BudgetError(f"grid depths ({domain_depth}, {mark}) in dimension "
-                          f"{spec.n} overflow 64-bit cell codes")
-    n_cells = 1 << (domain_depth * d)
+    if domain_depth * spec.n > 62:
+        raise BudgetError(f"grid depth {domain_depth} in dimension {spec.n} "
+                          "overflows 64-bit cell codes")
     n_off = (samples_per_cell + 1) ** d
-    check_budget(n_cells * n_off, budget)
+    blocks = _grid_walk(domain_depth, d, n_off, max(1, _CHUNK_ROWS // n_off), budget)
     offsets = _offset_grid(samples_per_cell, d)
     scale = float(1 << domain_depth)
-    block = max(1, _CHUNK_ROWS // n_off)
     seen: list[np.ndarray] = []
-    for start in range(0, n_cells, block):
-        ids = np.arange(start, min(start + block, n_cells), dtype=np.int64)
-        axis_idx = _cell_axis_indices(ids, domain_depth, d)
-        coords = (axis_idx[:, None, :] + offsets[None, :, :]) / scale
+    for corners in blocks:
+        coords = (corners[:, None, :] + offsets[None, :, :]) / scale
         pts = np.clip(coords.reshape(-1, d), _EDGE, 1.0 - _EDGE)
         F = surface_values(spec, pts)
         ambient = np.concatenate([pts, F[:, None]], axis=1)
-        seen.append(np.unique(_mark_codes(ambient, mark)))
+        seen.append(np.unique(_mark_codes(ambient, domain_depth)))
     return int(np.unique(np.concatenate(seen)).size)
 
 
@@ -195,10 +194,15 @@ def box_dimension(
     samples_per_cell: int,
     budget: int = DEFAULT_EVAL_BUDGET,
 ) -> DimensionEstimate:
-    """Box-counting dimension estimate of the graph over a depth window."""
+    """Box-counting dimension estimate of the graph over a depth window; the
+    budget caps the evaluations of all the window's sweeps together."""
     if k_max - k_min + 1 < 3:
         raise InsufficientDataError("need at least 3 grid depths for a regression")
+    if k_min < 1 or samples_per_cell < 1:
+        raise DomainError("domain_depth and samples_per_cell must be >= 1")
     depths = list(range(k_min, k_max + 1))
+    d = spec.domain_dim
+    check_budget(sum((1 << (k * d)) * (samples_per_cell + 1) ** d for k in depths), budget)
     counts = [occupied_cell_count(spec, k, samples_per_cell, budget=budget) for k in depths]
     ks = np.asarray(depths, dtype=np.float64)
     logs = np.log2(np.asarray(counts, dtype=np.float64))
@@ -283,22 +287,16 @@ def _projection_sweep(
             raise DomainError(f"projection axis must lie in 1..{n}, got {axis}")
     if domain_depth < 1 or image_depth < 1 or samples_per_cell < 1:
         raise DomainError("depths and samples_per_cell must be >= 1")
-    if domain_depth * d > 62:
-        raise BudgetError("domain grid overflows 64-bit cell ids")
     img_dim = n - 1
     if image_depth * img_dim > 28:
         raise BudgetError("image occupancy array would exceed the memory guard")
     per_cell = samples_per_cell**d
-    n_cells = 1 << (domain_depth * d)
-    check_budget(n_cells * per_cell, budget)
+    blocks = _grid_walk(domain_depth, d, per_cell, JITTER_BLOCK, budget)
     occupancy = {axis: np.zeros(1 << (image_depth * img_dim), dtype=bool) for axis in axes}
     scale = float(1 << domain_depth)
-    for start in range(0, n_cells, JITTER_BLOCK):
-        nb = min(JITTER_BLOCK, n_cells - start)
-        jit = _block_jitter(seed, start // JITTER_BLOCK, nb, per_cell, d)
-        ids = np.arange(start, start + nb, dtype=np.int64)
-        axis_idx = _cell_axis_indices(ids, domain_depth, d)
-        pts = ((axis_idx[:, None, :] + jit) / scale).reshape(-1, d)
+    for block_index, corners in enumerate(blocks):
+        jit = _block_jitter(seed, block_index, len(corners), per_cell, d)
+        pts = ((corners[:, None, :] + jit) / scale).reshape(-1, d)
         labels = classify_regions(spec, probe, pts)
         for axis in axes:
             image = pts[labels == axis]

@@ -120,38 +120,28 @@ class SingularSetProbe:
             raise ConfigurationError(f"probe eps must be positive, got {self.eps}")
 
 
-def _continued_fraction(x: float, max_terms: int) -> tuple[list[int], bool, bool]:
-    """Partial quotients of x in (0,1), from its exact rational value.
-
-    Returns (quotients, terminated, clamped).  Quotients above the
+def _eval_minkowski(x: float, depth: int) -> tuple[float, float]:
+    """Alternating sum over the first ``depth`` partial quotients of x in
+    (0,1), from its exact rational value.  Quotients above the
     representability cap are clamped, which perturbs the value by less
-    than 2**-61.
-    """
+    than 2**-61."""
     p, q = x.as_integer_ratio()
-    quotients = []
-    clamped = False
     # x = p/q with 0 < p < q; Euclid on (q, p) yields [a1, a2, ...]
     num, den = q, p
-    while den > 0 and len(quotients) < max_terms:
+    v, exponent, sign = 0.0, 1.0, 1.0
+    terms = 0
+    clamped = False
+    while den > 0 and terms < depth:
         a, num = divmod(num, den)
         num, den = den, num
         if a > _MAX_CF_QUOTIENT:
             a = _MAX_CF_QUOTIENT
             clamped = True
-        quotients.append(a)
-    return quotients, den == 0, clamped
-
-
-def _eval_minkowski(x: float, depth: int) -> tuple[float, float]:
-    quotients, terminated, clamped = _continued_fraction(x, depth)
-    v = 0.0
-    exponent = 1.0
-    sign = 1.0
-    for a in quotients:
         exponent -= a
         v += sign * 2.0**exponent
         sign = -sign
-    err = 0.0 if terminated else 2.0 ** (1 - len(quotients))
+        terms += 1
+    err = 0.0 if den == 0 else 2.0 ** (1 - terms)
     if clamped:
         err = max(err, 2.0**-61)
     return v, err

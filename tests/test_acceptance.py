@@ -41,7 +41,7 @@ from antichain import (
 from antichain.measure import classify_regions
 from antichain.surface import Point, p_many
 
-from conftest import length_binomial, seeded_rng
+from oracles import length_binomial, seeded_rng
 
 LAM = 0.25
 PROBE = SingularSetProbe(depth=40, eps=0.01)

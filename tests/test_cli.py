@@ -100,6 +100,18 @@ def test_eval_over_budget(capsys, monkeypatch, budget):
     assert code == 0
 
 
+def test_dimension_charges_its_whole_window(capsys, monkeypatch):
+    # the default n = 2 window, depths 6..14 at 4 samples per cell
+    monkeypatch.setenv("ANTICHAIN_BUDGET", "130815")
+    code, out, err = run_cli(capsys, "dimension", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert "130816 evaluations exceed budget 130815" in err
+    monkeypatch.setenv("ANTICHAIN_BUDGET", "130816")
+    code, _, _ = run_cli(capsys, "dimension", "--n", "2")
+    assert code == 0
+
+
 def test_eval_corner_report_is_finite_json(capsys):
     # f(2^-11) truncates to 0 at depth 8 and f(0.984375) rounds to 1: p is
     # 0/0 there, and the report must still be valid JSON with F in [lo, hi]

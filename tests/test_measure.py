@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import antichain.measure as measure_module
 from antichain import (
     BudgetError,
     DomainError,
@@ -23,7 +24,7 @@ from antichain import (
 from antichain.measure import _block_jitter, _mark_codes, classify_regions, cover_sum
 from antichain.singular import in_singular_set
 
-from conftest import length_binomial, seeded_rng
+from oracles import length_binomial, seeded_rng
 
 
 def antidiagonal_cells(k: int) -> set[tuple[int, int]]:
@@ -69,6 +70,17 @@ def test_mark_codes_half_open():
     assert _mark_codes(np.array([[0.375 - 2.0**-54]]), 3)[0] == 2
 
 
+def test_mark_codes_nest_across_depths():
+    # a depth-k code is the depth-(k+1) code with each axis's last digit dropped
+    pts = seeded_rng(17).random((2000, 3))
+    for k in (1, 4, 9):
+        coarse, fine = _mark_codes(pts, k), _mark_codes(pts, k + 1)
+        for j in range(3):
+            coarse_axis = (coarse >> ((2 - j) * k)) & ((1 << k) - 1)
+            fine_axis = (fine >> ((2 - j) * (k + 1))) & ((1 << (k + 1)) - 1)
+            assert np.array_equal(coarse_axis, fine_axis >> 1)
+
+
 # --------------------------------------------------------------- occupancy
 
 
@@ -86,19 +98,19 @@ def test_occupancy_monotone_under_sample_refinement(surface_n2, surface_n3):
         assert counts == sorted(counts)
 
 
-def test_occupancy_child_cell_bound(surface_n2, surface_n3):
-    # same sample set marked at two resolutions: children bound the growth
-    for spec, k in ((surface_n2, 7), (surface_n3, 4)):
-        coarse = occupied_cell_count(spec, k + 1, 2, mark_depth=k)
-        fine = occupied_cell_count(spec, k + 1, 2, mark_depth=k + 1)
-        assert fine <= 2**spec.n * coarse
-
-
 def test_occupancy_budget_guard(surface_n2):
     with pytest.raises(BudgetError):
         occupied_cell_count(surface_n2, 10, 3, budget=100)
-    with pytest.raises(BudgetError):
-        occupied_cell_count(surface_n2, 10, 3, mark_depth=40)
+    with pytest.raises(BudgetError, match="64-bit"):
+        occupied_cell_count(surface_n2, 40, 1)
+
+
+def test_cover_counts_do_not_depend_on_block_size(surface_n2, surface_n3, monkeypatch):
+    # 50 sample rows per block cuts the sweep into blocks of a few cells
+    cases = ((surface_n3, 5, 2), (surface_n2, 9, 3))
+    counts = [occupied_cell_count(spec, k, m) for spec, k, m in cases]
+    monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 50)
+    assert [occupied_cell_count(spec, k, m) for spec, k, m in cases] == counts == [1338, 668]
 
 
 # ----------------------------------------------------------- cover values
@@ -133,6 +145,18 @@ def test_box_dimension_identity_segment(identity_n2):
     assert est.slope == pytest.approx(1.0, abs=0.02)
     assert est.r2 > 0.999
     assert est.depths == tuple(range(6, 13))
+
+
+def test_box_dimension_charges_its_whole_window(surface_n2):
+    # the finest sweep alone fits a budget that the window's sweeps exceed
+    with pytest.raises(BudgetError):
+        box_dimension(surface_n2, 6, 14, 3, budget=4 << 14)
+    total = sum(4 << k for k in range(6, 15))
+    assert box_dimension(surface_n2, 6, 14, 3, budget=total).depths == tuple(range(6, 15))
+    with pytest.raises(DomainError):
+        box_dimension(surface_n2, -5, 3, 2)
+    with pytest.raises(DomainError):
+        box_dimension(surface_n2, 6, 14, 0)
 
 
 def test_box_dimension_needs_three_depths(identity_n2):
@@ -296,6 +320,8 @@ def test_projection_validation(surface_n3):
         projection_measure(surface_n3, 1, probe, 10, 5, 3, budget=100)
     with pytest.raises(BudgetError):
         projection_measure(surface_n3, 1, probe, 6, 15, 2)  # image array guard
+    with pytest.raises(BudgetError, match="64-bit"):
+        projection_measure(surface_n3, 1, probe, 32, 5, 1, budget=2**70)
 
 
 # ---------------------------------------------------------------- jitter

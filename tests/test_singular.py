@@ -20,7 +20,7 @@ from antichain import (
 )
 from antichain.singular import KINDS, dyadic_slopes_many, in_singular_set_many
 
-from conftest import salem_recursive, salem_truncation_exact, seeded_rng
+from oracles import salem_recursive, salem_truncation_exact, seeded_rng
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 

@@ -26,7 +26,7 @@ from antichain import (
 )
 from antichain.surface import p_many, surface_enclosure, surface_values
 
-from conftest import salem_recursive, salem_truncation_exact, seeded_rng
+from oracles import salem_recursive, salem_truncation_exact, seeded_rng
 
 open_floats = st.floats(min_value=1e-9, max_value=1.0 - 1e-9, allow_nan=False)
 
