@@ -55,14 +55,15 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=12345)
     args = parser.parse_args()
 
-    lam = 0.25
-    f = SingularFunctionSpec(lam=lam, depth=52)
+    f = SingularFunctionSpec()
+    probe = SingularSetProbe()
+    lam = f.lam
 
-    banner("1. slope concentration (depth 40, 10^4 uniform points)")
+    banner(f"1. slope concentration (depth {probe.depth}, 10^4 uniform points)")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
-    slopes = dyadic_slopes_many(f, rng.random(10_000), 40)
+    slopes = dyadic_slopes_many(f, rng.random(10_000), probe.depth)
     print(f"median slope          : {np.median(slopes):.6f}   (analytic (3/4)^20 = {0.75**20:.6f})")
-    print(f"fraction slope < 0.01 : {np.mean(slopes < 0.01):.4f}")
+    print(f"fraction slope < {probe.eps} : {np.mean(slopes < probe.eps):.4f}")
     print(f"fraction slope < 1    : {np.mean(slopes < 1.0):.4f}")
     print("frozen: median < 0.01, fraction(<0.01) >= 0.6, fraction(<1) >= 0.95")
 
@@ -96,7 +97,6 @@ def main() -> None:
     print(f"alpha check: a(1)={alpha(1.0):.12f} a(2)={alpha(2.0):.12f}")
 
     banner("4. projection areas at frozen parameters (seed 0)")
-    probe = SingularSetProbe(depth=40, eps=0.01)
     for n, (kd, ki, m) in PROJECTION_DEFAULTS.items():
         if args.quick and n == 3:
             kd -= 1

@@ -35,9 +35,9 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    f = SingularFunctionSpec(lam=0.25, depth=52)
+    f = SingularFunctionSpec()
     pairs = 100_000 if args.quick else 1_000_000
-    probe = SingularSetProbe(depth=40, eps=0.01)
+    probe = SingularSetProbe()
 
     print("surface: F(x) = 1 - p(f(x_1), ..., f(x_{n-1})), salem ratio 1/4")
     print(f"comparability scan: {pairs} seeded pairs per dimension\n")

@@ -31,14 +31,16 @@ _CLAMP = 1e-9
 
 @dataclass
 class RunConfig:
-    """Validated bag of CLI parameters, and the one place their defaults are
-    stated; one instance drives one command."""
+    """Bag of CLI parameters; one instance drives one command.  It is not
+    validated: the library rejects bad values when the command runs.  The
+    CLI-only defaults are stated here; the function and probe defaults are
+    the library's own."""
 
     command: str
     n: int = 3
-    kind: str = SALEM
-    lam: float = 0.25
-    depth: int = 52
+    kind: str = SingularFunctionSpec.kind
+    lam: float = SingularFunctionSpec.lam
+    depth: int = SingularFunctionSpec.depth
     seed: int = 0
     fmt: str = "json"
     output: str | None = None
@@ -49,16 +51,16 @@ class RunConfig:
     k_min: int = 0
     k_max: int = 0
     samples: int = 0
-    probe_depth: int = 40
-    probe_eps: float = 0.01
+    probe_depth: int = SingularSetProbe.depth
+    probe_eps: float = SingularSetProbe.eps
     domain_depth: int = 0
     image_depth: int = 0
     resolution: int = 32
 
     def function_spec(self) -> SingularFunctionSpec:
-        allow = self.kind == SALEM and self.lam == 0.5
+        # lam = 1/2 is accepted here and flagged in the report's warnings
         return SingularFunctionSpec(
-            kind=self.kind, lam=self.lam, depth=self.depth, allow_non_singular=allow
+            kind=self.kind, lam=self.lam, depth=self.depth, allow_non_singular=True
         )
 
     def surface_spec(self) -> SurfaceSpec:
@@ -74,19 +76,6 @@ _GRID_DEFAULTS = {
     "projections": (PROJECTION_DEFAULTS, ("domain_depth", "image_depth", "samples"),
                     "projection depths"),
 }
-
-
-def _fill_grid_defaults(cfg: RunConfig) -> None:
-    if cfg.command not in _GRID_DEFAULTS:
-        return
-    table, fields, what = _GRID_DEFAULTS[cfg.command]
-    if all(getattr(cfg, name) for name in fields):
-        return
-    if cfg.n not in table:
-        flags = "/".join("--" + name.replace("_", "-") for name in fields)
-        raise AntichainError(f"no default {what} for n = {cfg.n}; pass {flags}")
-    for name, default in zip(fields, table[cfg.n]):
-        setattr(cfg, name, getattr(cfg, name) or default)
 
 
 def _warnings_for(cfg: RunConfig) -> list[str]:
@@ -166,7 +155,7 @@ def _cmd_projections(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_export_mesh(cfg: RunConfig) -> tuple[dict, list[list[float]]]:
+def _cmd_export_mesh(cfg: RunConfig) -> str:
     if cfg.n not in (2, 3):
         raise AntichainError(f"mesh export supports n in {{2, 3}}, got n = {cfg.n}")
     if cfg.resolution < 1:
@@ -176,23 +165,17 @@ def _cmd_export_mesh(cfg: RunConfig) -> tuple[dict, list[list[float]]]:
     axes = np.meshgrid(*[np.array(grid)] * (cfg.n - 1), indexing="ij")  # row-major order
     points = np.stack([a.ravel() for a in axes], axis=1)
     values = surface.surface_values(cfg.surface_spec(), points)
-    rows = np.column_stack([points, values]).tolist()
-    payload = {"n": cfg.n, "grid": grid, "values": values.tolist()}
-    return payload, rows
+    if cfg.fmt == "csv":
+        rows = np.column_stack([points, values]).tolist()
+        lines = ["x1,F" if cfg.n == 2 else "x1,x2,F"]
+        lines += [",".join(_format_float(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    # json floats use shortest round-trip repr, which reproduces binary64 exactly
+    return json.dumps({"n": cfg.n, "grid": grid, "values": values.tolist()}, indent=2) + "\n"
 
 
 def _format_float(v: float) -> str:
     return format(v, ".17g")
-
-
-def _mesh_text(cfg: RunConfig, payload: dict, rows: list[list[float]]) -> str:
-    if cfg.fmt == "csv":
-        header = "x1,F" if cfg.n == 2 else "x1,x2,F"
-        lines = [header]
-        lines += [",".join(_format_float(v) for v in row) for row in rows]
-        return "\n".join(lines) + "\n"
-    # json floats use shortest round-trip repr, which reproduces binary64 exactly
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _flatten(prefix: str, obj, out: list[tuple[str, object]]) -> None:
@@ -233,10 +216,8 @@ def _report_text(cfg: RunConfig, results: dict) -> str:
 
 def run(cfg: RunConfig) -> tuple[int, str]:
     """Execute one command; returns (exit_code, report_text)."""
-    _fill_grid_defaults(cfg)
     if cfg.command == "export-mesh":
-        payload, rows = _cmd_export_mesh(cfg)
-        return 0, _mesh_text(cfg, payload, rows)
+        return 0, _cmd_export_mesh(cfg)
     handlers = {
         "eval": _cmd_eval,
         "check-antichain": _cmd_check_antichain,
@@ -253,7 +234,7 @@ def run(cfg: RunConfig) -> tuple[int, str]:
 
 def _add_command(sub, name: str, help_text: str) -> argparse.ArgumentParser:
     """A subcommand parser with the common options.  Options left out stay
-    out of the namespace, so every default is the one in ``RunConfig``."""
+    out of the namespace, so ``_config_from_args`` sees which were given."""
     p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
     p.add_argument("--n", type=int, help="ambient dimension")
     p.add_argument("--kind", choices=KINDS)
@@ -302,16 +283,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(args):
-        if name == "point":
-            cfg.point = tuple(float(tok) for tok in args.point.split(","))
-        elif hasattr(cfg, name):
-            setattr(cfg, name, getattr(args, name))
+    """The run's whole configuration: the options given, then the calibrated
+    grid defaults for n where a grid option is missing, then ``RunConfig``'s."""
+    given = dict(vars(args))
+    if "point" in given:
+        given["point"] = tuple(float(tok) for tok in given["point"].split(","))
     budget_override = os.environ.get(BUDGET_ENV_VAR)
     if budget_override is not None:
-        cfg.budget = int(budget_override)
-    return cfg
+        given["budget"] = int(budget_override)
+    if given["command"] in _GRID_DEFAULTS:
+        table, fields, what = _GRID_DEFAULTS[given["command"]]
+        if not all(name in given for name in fields):
+            n = given.get("n", RunConfig.n)
+            if n not in table:
+                flags = "/".join("--" + name.replace("_", "-") for name in fields)
+                raise AntichainError(f"no default {what} for n = {n}; pass {flags}")
+            given = {**dict(zip(fields, table[n])), **given}
+    return RunConfig(**given)
 
 
 def main(argv: list[str] | None = None) -> int:

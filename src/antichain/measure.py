@@ -85,8 +85,6 @@ class ProjectionEstimate:
 
     axis: int
     area: float
-    probe: SingularSetProbe
-    grid_depth: int
 
 
 def alpha(s: float) -> float:
@@ -346,7 +344,7 @@ def projection_measure(
     areas = _projection_sweep(
         spec, probe, [axis], domain_depth, image_depth, samples_per_cell, seed, budget
     )
-    return ProjectionEstimate(axis=axis, area=areas[axis], probe=probe, grid_depth=image_depth)
+    return ProjectionEstimate(axis=axis, area=areas[axis])
 
 
 def projection_measures(
@@ -363,10 +361,7 @@ def projection_measures(
     areas = _projection_sweep(
         spec, probe, axes, domain_depth, image_depth, samples_per_cell, seed, budget
     )
-    return [
-        ProjectionEstimate(axis=a, area=areas[a], probe=probe, grid_depth=image_depth)
-        for a in axes
-    ]
+    return [ProjectionEstimate(axis=a, area=areas[a]) for a in axes]
 
 
 def lower_bound_total(

@@ -29,7 +29,6 @@ kind.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,9 +260,10 @@ def dyadic_slopes_many(spec: SingularFunctionSpec, xs: np.ndarray, k: int) -> np
     Dyadic rationals sit on a cell boundary and are assigned to the
     right-closed cell [x, x + 2**-k), matching the half-open grid
     convention.  For the salem kind the slope is the digit product of 2*lam
-    per 0-digit and 2*(1-lam) per 1-digit, accumulated in log space so deep
-    products do not underflow; it depends only on the count of ones.  Other
-    kinds evaluate f at the cell ends.
+    per 0-digit and 2*(1-lam) per 1-digit: the cell's correctly rounded rise
+    from ``_cylinder_lengths``, looked up by the count of ones, times 2**k,
+    which is exact while the rise is a normal float.  Other kinds evaluate f
+    at the cell ends.
     """
     if k > spec.depth:
         raise PrecisionError(f"slope depth {k} exceeds spec depth {spec.depth}")
@@ -272,9 +272,7 @@ def dyadic_slopes_many(spec: SingularFunctionSpec, xs: np.ndarray, k: int) -> np
         raise DomainError("coordinates must lie in (0,1)")
     words = digit_words(xs, k)
     if spec.kind == SALEM:
-        o = np.arange(k + 1)
-        slopes = 2.0 ** (k + (k - o) * math.log2(spec.lam) + o * math.log2(1.0 - spec.lam))
-        return slopes[np.bitwise_count(words)]
+        return (_cylinder_lengths(spec.lam, k) * 2.0**k)[np.bitwise_count(words)]
     scale = float(1 << k)
     a = words / scale
     ends, _ = evaluate_many(spec, np.stack([a, a + 1.0 / scale]))

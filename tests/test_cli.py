@@ -162,6 +162,33 @@ def test_dimension_small_window(capsys):
     assert report["results"]["depths"] == [5, 6, 7, 8, 9]
 
 
+@pytest.mark.parametrize("argv", [
+    "dimension --n 2 --k-min 0 --k-max 8 --samples 1",
+    "dimension --n 2 --k-min 6 --k-max 8 --samples 0",
+    "dimension --n 2 --k-min 6 --k-max 0 --samples 1",
+    "projections --n 2 --domain-depth 6 --image-depth 0 --samples 2",
+    "projections --n 2 --domain-depth 0 --image-depth 6 --samples 2",
+    "projections --n 2 --domain-depth 6 --image-depth 6 --samples 0",
+])
+def test_explicit_zero_grid_option_rejected(capsys, argv):
+    # a given 0 reaches the estimator, which rejects it; it is never
+    # replaced by the calibrated default
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_partial_window_keeps_given_options(capsys):
+    # the missing k_min comes from the calibrated n = 2 window (6, 14, 3)
+    code, out, _ = run_cli(capsys, "dimension", "--n", "2", "--k-max", "8", "--samples", "1")
+    report = json.loads(out)
+    assert code == 0
+    assert (report["config"]["k_min"], report["config"]["k_max"]) == (6, 8)
+    assert report["config"]["samples"] == 1
+    assert report["results"]["depths"] == [6, 7, 8]
+
+
 def test_projections_small(capsys):
     code, out, _ = run_cli(
         capsys, "projections", "--n", "2", "--domain-depth", "9",

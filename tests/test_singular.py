@@ -168,10 +168,10 @@ def test_slopes_match_exact_digit_counts(lam, k):
     xs = np.concatenate([seeded_rng(909).random(50), [1 - 2.0**-53, 2.0**-60, 1 / 3]])
     slopes = dyadic_slopes_many(spec, xs, k)
     for x, slope in zip(xs, slopes):
-        # neighbouring counts differ by the factor (1-lam)/lam, so 4 ulp pins o
+        # the exact rise times 2**k, correctly rounded
         o = bin(int(float(x) * 2**k)).count("1")
-        expected = 2.0 ** (k + (k - o) * math.log2(lam) + o * math.log2(1.0 - lam))
-        assert math.isclose(slope, expected, rel_tol=2.0**-50, abs_tol=0.0)
+        expected = float(Fraction(lam) ** (k - o) * (1 - Fraction(lam)) ** o * 2**k)
+        assert slope == expected
 
 
 @pytest.mark.parametrize("kind", KINDS)
