@@ -62,12 +62,16 @@ def main() -> None:
     banner(f"1. slope concentration (depth {probe.depth}, 10^4 uniform points)")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
     slopes = dyadic_slopes_many(f, rng.random(10_000), probe.depth)
-    print(f"median slope          : {np.median(slopes):.6f}   (analytic (3/4)^20 = {0.75**20:.6f})")
+    # half the probe's digits are ones at the median: (4 lam (1 - lam))^(depth/2)
+    half = probe.depth / 2
+    analytic = (4 * lam * (1 - lam)) ** half
+    print(f"median slope          : {np.median(slopes):.6f}   "
+          f"(analytic (4*{lam:g}*{1 - lam:g})^{half:g} = {analytic:.6f})")
     print(f"fraction slope < {probe.eps} : {np.mean(slopes < probe.eps):.4f}")
     print(f"fraction slope < 1    : {np.mean(slopes < 1.0):.4f}")
     print("frozen: median < 0.01, fraction(<0.01) >= 0.6, fraction(<1) >= 0.95")
 
-    banner("2. planar inscribed length, lam = 1/4")
+    banner(f"2. planar inscribed length, lam = {lam:g}")
     spec2 = SurfaceSpec(n=2, f=f)
     top = 16 if args.quick else 22
     t0 = time.time()

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Reproduce the headline numbers in one run.
 
-For the default surface (salem ratio 1/4, depth 52) this prints, per
-ambient dimension n:
+For the default surface (``SingularFunctionSpec()``, whose kind, ratio
+and depth the first line prints) this prints, per ambient dimension n:
 
   * a seeded million-pair comparability scan (expected: zero violations),
   * the box-counting slope of the graph (expected: close to n - 1),
@@ -39,7 +39,8 @@ def main() -> None:
     pairs = 100_000 if args.quick else 1_000_000
     probe = SingularSetProbe()
 
-    print("surface: F(x) = 1 - p(f(x_1), ..., f(x_{n-1})), salem ratio 1/4")
+    print(f"surface: F(x) = 1 - p(f(x_1), ..., f(x_{{n-1}})), "
+          f"{f.kind} ratio {f.lam:g}, depth {f.depth}")
     print(f"comparability scan: {pairs} seeded pairs per dimension\n")
 
     spec2 = SurfaceSpec(n=2, f=f)

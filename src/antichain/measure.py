@@ -11,8 +11,8 @@ Everything here reduces to counting occupied half-open dyadic cells:
 
 Counts are exact integers; length/area accumulations keep float error far
 below the 1e-12 budget (per-chunk pairwise sums combined with exact fsum).
-Sampling jitter comes from a counter-based generator keyed by the seed and
-the cell block, so results do not depend on how the grid is partitioned.
+Both sweeps walk one grid in chunks of at most ``_CHUNK_ROWS`` rows; jitter comes
+from a generator keyed by seed and cell block, so results do not depend on the chunks.
 """
 
 from __future__ import annotations
@@ -101,30 +101,31 @@ def cover_sum(s: float, n: int, k: int, count: float) -> float:
     return alpha(s) * count * delta**s
 
 
-def _offset_grid(samples_per_cell: int, dim: int) -> np.ndarray:
-    """Per-cell sample offsets: the (m+1)^dim lattice j/m including all corners.
-
-    Doubling m refines this lattice in place (old offsets are kept), which
-    makes occupied-cell counts monotone under sample refinement.
-    """
-    offs = np.arange(samples_per_cell + 1, dtype=np.float64) / samples_per_cell
-    grids = np.meshgrid(*([offs] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def _grid_walk(depth: int, dim: int, per_cell: int, block: int,
+def _grid_walk(side: int, dim: int, per_point: int, block: int,
                budget: int) -> Iterator[np.ndarray]:
-    """Integer corners (cells, dim) of the depth-``depth`` grid of [0,1]^dim in
-    flat-id order, ``block`` cells at a time.  The id guard and the budget
-    charge of ``per_cell`` evaluations per cell run at the call, not lazily."""
-    if depth * dim > 62:
+    """Integer coordinates (points, dim) of the side^dim grid in flat-id order,
+    ``block`` points at a time.  The id guard and the budget charge of
+    ``per_point`` evaluations per point run at the call, not lazily."""
+    total = side**dim
+    if total > 2**62:
         raise BudgetError("domain grid overflows 64-bit cell ids")
-    n_cells = 1 << (depth * dim)
-    check_budget(n_cells * per_cell, budget)
-    shifts = depth * np.arange(dim - 1, -1, -1, dtype=np.int64)
-    mask = (1 << depth) - 1
-    return ((np.arange(start, min(start + block, n_cells), dtype=np.int64)[:, None] >> shifts)
-            & mask for start in range(0, n_cells, block))
+    check_budget(total * per_point, budget)
+
+    def blocks() -> Iterator[np.ndarray]:
+        for start in range(0, total, block):
+            ids = np.arange(start, min(start + block, total), dtype=np.int64)
+            out = np.empty((len(ids), dim), dtype=np.int64)
+            for j in range(dim - 1, -1, -1):
+                np.remainder(ids, side, out=out[:, j])
+                ids //= side
+            yield out
+
+    return blocks()
+
+
+def _cover_side(depth: int, samples_per_cell: int) -> int:
+    """Points per axis of the cover's lattice; a sweep evaluates side**domain_dim."""
+    return (samples_per_cell << depth) + 1
 
 
 def _mark_codes(points: np.ndarray, depth: int) -> np.ndarray:
@@ -144,26 +145,24 @@ def occupied_cell_count(
 ) -> int:
     """Number of ambient grid cells hit by sampled graph points.
 
-    The domain grid at ``domain_depth`` is swept cell by cell; each cell is
-    sampled on the corner-including offset lattice and the image cells of
-    the lifted points are marked at the same depth.
+    Each domain cell at ``domain_depth`` is sampled at the offsets j/m,
+    corners included; the lattice they form is swept once per point and the
+    image cells of the lifted points are marked at the same depth.  The 2m
+    lattice contains the m lattice, so counts cannot drop when m doubles.
     """
     if domain_depth < 1 or samples_per_cell < 1:
         raise DomainError("domain_depth and samples_per_cell must be >= 1")
-    d = spec.domain_dim
     if domain_depth * spec.n > 62:
         raise BudgetError(f"grid depth {domain_depth} in dimension {spec.n} "
                           "overflows 64-bit cell codes")
-    n_off = (samples_per_cell + 1) ** d
-    blocks = _grid_walk(domain_depth, d, n_off, max(1, _CHUNK_ROWS // n_off), budget)
-    offsets = _offset_grid(samples_per_cell, d)
-    scale = float(1 << domain_depth)
+    side = _cover_side(domain_depth, samples_per_cell)
+    blocks = _grid_walk(side, spec.domain_dim, 1, _CHUNK_ROWS, budget)
+    i, m = np.arange(side), samples_per_cell  # point i: cell i // m, offset (i % m) / m
+    axis = np.clip((i // m + (i % m) / m) / float(1 << domain_depth), _EDGE, 1.0 - _EDGE)
     seen: list[np.ndarray] = []
-    for corners in blocks:
-        coords = (corners[:, None, :] + offsets[None, :, :]) / scale
-        pts = np.clip(coords.reshape(-1, d), _EDGE, 1.0 - _EDGE)
-        F = surface_values(spec, pts)
-        ambient = np.concatenate([pts, F[:, None]], axis=1)
+    for ids in blocks:
+        pts = axis[ids]
+        ambient = np.column_stack([pts, surface_values(spec, pts)])
         seen.append(np.unique(_mark_codes(ambient, domain_depth)))
     return int(np.unique(np.concatenate(seen)).size)
 
@@ -200,7 +199,7 @@ def box_dimension(
         raise DomainError("domain_depth and samples_per_cell must be >= 1")
     depths = list(range(k_min, k_max + 1))
     d = spec.domain_dim
-    check_budget(sum((1 << (k * d)) * (samples_per_cell + 1) ** d for k in depths), budget)
+    check_budget(sum(_cover_side(k, samples_per_cell) ** d for k in depths), budget)
     counts = [occupied_cell_count(spec, k, samples_per_cell, budget=budget) for k in depths]
     ks = np.asarray(depths, dtype=np.float64)
     logs = np.log2(np.asarray(counts, dtype=np.float64))
@@ -246,21 +245,19 @@ def graph_length_n2(spec: SurfaceSpec, k: int, budget: int = DEFAULT_EVAL_BUDGET
     dx = 2.0**-k
     pieces: list[float] = []
     # chunk endpoint evaluations; chunks overlap by one point to close gaps
-    step = _CHUNK_ROWS
-    for start in range(0, 1 << k, step):
-        stop = min(start + step, 1 << k)
-        xs = np.arange(start, stop + 1, dtype=np.float64) * dx
+    for start in range(0, 1 << k, _CHUNK_ROWS):
+        xs = np.arange(start, min(start + _CHUNK_ROWS, 1 << k) + 1, dtype=np.float64) * dx
         f, _ = evaluate_many(spec.f, xs)
         df = np.diff(f)
         pieces.append(float(np.sum(np.sqrt(dx * dx + df * df))))
     return math.fsum(pieces)
 
 
-def _block_jitter(seed: int, block_index: int, n_cells: int, per_cell: int, dim: int) -> np.ndarray:
-    """Stratified jitter for one block of cells, keyed by (seed, block)."""
+def _block_jitter(seed: int, block_index: int) -> np.random.Generator:
+    """Jitter generator of one block of cells, keyed by (seed, block); drawn
+    cell by cell in flat-id order, in one piece or several alike."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random((n_cells, per_cell, dim))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _projection_sweep(
@@ -276,8 +273,7 @@ def _projection_sweep(
     """Classify jittered domain samples into the B-pieces and mark their
     projected graph images; one pass serves every requested axis.  Returns
     the occupied image area per axis."""
-    d = spec.domain_dim
-    n = spec.n
+    d, n = spec.domain_dim, spec.n
     if probe.depth > spec.f.depth:
         raise PrecisionError(f"probe depth {probe.depth} exceeds spec depth {spec.f.depth}")
     for axis in axes:
@@ -289,18 +285,21 @@ def _projection_sweep(
     if image_depth * img_dim > 28:
         raise BudgetError("image occupancy array would exceed the memory guard")
     per_cell = samples_per_cell**d
-    blocks = _grid_walk(domain_depth, d, per_cell, JITTER_BLOCK, budget)
+    # power-of-two chunks of at most _CHUNK_ROWS rows tile the jitter blocks
+    chunk = 1 << (min(JITTER_BLOCK, max(1, _CHUNK_ROWS // per_cell)).bit_length() - 1)
+    blocks = _grid_walk(1 << domain_depth, d, per_cell, chunk, budget)
     occupancy = {axis: np.zeros(1 << (image_depth * img_dim), dtype=bool) for axis in axes}
-    scale = float(1 << domain_depth)
-    for block_index, corners in enumerate(blocks):
-        jit = _block_jitter(seed, block_index, len(corners), per_cell, d)
-        pts = ((corners[:, None, :] + jit) / scale).reshape(-1, d)
+    for i, corners in enumerate(blocks):
+        if i * chunk % JITTER_BLOCK == 0:
+            jitter = _block_jitter(seed, i * chunk // JITTER_BLOCK)
+        jit = jitter.random((len(corners), per_cell, d))
+        pts = ((corners[:, None, :] + jit) / float(1 << domain_depth)).reshape(-1, d)
         labels = classify_regions(spec, probe, pts)
         for axis in axes:
             image = pts[labels == axis]
             if axis < n:  # drop coordinate axis, append F
-                F = surface_values(spec, image)
-                image = np.concatenate([image[:, : axis - 1], image[:, axis:], F[:, None]], axis=1)
+                image = np.column_stack([image[:, : axis - 1], image[:, axis:],
+                                         surface_values(spec, image)])
             if len(image):
                 occupancy[axis][_mark_codes(image, image_depth)] = True
     cell_area = (2.0**-image_depth) ** img_dim

@@ -101,13 +101,13 @@ def test_eval_over_budget(capsys, monkeypatch, budget):
 
 
 def test_dimension_charges_its_whole_window(capsys, monkeypatch):
-    # the default n = 2 window, depths 6..14 at 4 samples per cell
-    monkeypatch.setenv("ANTICHAIN_BUDGET", "130815")
+    # the default n = 2 window, depths 6..14, sweeps 3 * 2^k + 1 lattice points
+    monkeypatch.setenv("ANTICHAIN_BUDGET", "98120")
     code, out, err = run_cli(capsys, "dimension", "--n", "2")
     assert code == 2
     assert out == ""
-    assert "130816 evaluations exceed budget 130815" in err
-    monkeypatch.setenv("ANTICHAIN_BUDGET", "130816")
+    assert "98121 evaluations exceed budget 98120" in err
+    monkeypatch.setenv("ANTICHAIN_BUDGET", "98121")
     code, _, _ = run_cli(capsys, "dimension", "--n", "2")
     assert code == 0
 

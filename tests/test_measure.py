@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from antichain import (
     InsufficientDataError,
     PrecisionError,
     SingularSetProbe,
+    SurfaceSpec,
     alpha,
     box_dimension,
     cover_estimate,
@@ -23,6 +25,7 @@ from antichain import (
 )
 from antichain.measure import _block_jitter, _mark_codes, classify_regions, cover_sum
 from antichain.singular import in_singular_set
+from antichain.surface import surface_values
 
 from oracles import length_binomial, seeded_rng
 
@@ -105,12 +108,35 @@ def test_occupancy_budget_guard(surface_n2):
         occupied_cell_count(surface_n2, 40, 1)
 
 
-def test_cover_counts_do_not_depend_on_block_size(surface_n2, surface_n3, monkeypatch):
-    # 50 sample rows per block cuts the sweep into blocks of a few cells
-    cases = ((surface_n3, 5, 2), (surface_n2, 9, 3))
+def test_cover_counts_do_not_depend_on_block_size(surface_n2, surface_n3, salem_default,
+                                                  monkeypatch):
+    # 50 lattice points per block cuts the sweep mid-row; the counts were
+    # recorded from the per-cell sweep, whose m = 3 and 5 offsets j/m are
+    # inexact floats
+    surface_n4 = SurfaceSpec(n=4, f=salem_default)
+    cases = ((surface_n3, 5, 2), (surface_n2, 9, 3), (surface_n3, 4, 3), (surface_n2, 8, 5),
+             (surface_n4, 2, 3))
     counts = [occupied_cell_count(spec, k, m) for spec, k, m in cases]
     monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 50)
-    assert [occupied_cell_count(spec, k, m) for spec, k, m in cases] == counts == [1338, 668]
+    assert [occupied_cell_count(spec, k, m) for spec, k, m in cases] == counts
+    assert counts == [1338, 668, 363, 375, 104]
+
+
+def test_cover_evaluates_each_lattice_point_once(surface_n3, monkeypatch):
+    # the depth-3 lattice with 2 samples per cell has 17 points per axis;
+    # cells share their boundary points, so 289 evaluations, not 64 * 9
+    rows = []
+
+    def counting(spec, pts):
+        rows.append(len(pts))
+        return surface_values(spec, pts)
+
+    monkeypatch.setattr(measure_module, "surface_values", counting)
+    count = occupied_cell_count(surface_n3, 3, 2, budget=289)
+    assert sum(rows) == 289
+    assert count == occupied_cell_count(surface_n3, 3, 2)
+    with pytest.raises(BudgetError, match="289 evaluations exceed budget 288"):
+        occupied_cell_count(surface_n3, 3, 2, budget=288)
 
 
 # ----------------------------------------------------------- cover values
@@ -151,7 +177,7 @@ def test_box_dimension_charges_its_whole_window(surface_n2):
     # the finest sweep alone fits a budget that the window's sweeps exceed
     with pytest.raises(BudgetError):
         box_dimension(surface_n2, 6, 14, 3, budget=4 << 14)
-    total = sum(4 << k for k in range(6, 15))
+    total = sum((3 << k) + 1 for k in range(6, 15))
     assert box_dimension(surface_n2, 6, 14, 3, budget=total).depths == tuple(range(6, 15))
     with pytest.raises(DomainError):
         box_dimension(surface_n2, -5, 3, 2)
@@ -328,14 +354,46 @@ def test_projection_validation(surface_n3):
 
 
 def test_jitter_deterministic_and_block_keyed():
-    a = _block_jitter(7, 3, 16, 4, 2)
-    b = _block_jitter(7, 3, 16, 4, 2)
+    a = _block_jitter(7, 3).random((16, 4, 2))
+    b = _block_jitter(7, 3).random((16, 4, 2))
     assert np.array_equal(a, b)
-    c = _block_jitter(7, 4, 16, 4, 2)
+    c = _block_jitter(7, 4).random((16, 4, 2))
     assert not np.array_equal(a, c)
-    d = _block_jitter(8, 3, 16, 4, 2)
+    d = _block_jitter(8, 3).random((16, 4, 2))
     assert not np.array_equal(a, d)
     assert a.min() >= 0.0 and a.max() < 1.0
+    # a block drawn in pieces, cell by cell, gets the numbers of one whole draw
+    gen = _block_jitter(7, 3)
+    assert np.array_equal(np.concatenate([gen.random((n, 4, 2)) for n in (5, 1, 10)]), a)
+
+
+def test_projection_areas_do_not_depend_on_chunk_size(surface_n2, surface_n3, monkeypatch):
+    # small chunks split the jitter blocks; depth 18 spans two of them
+    probe = SingularSetProbe(depth=40, eps=0.01)
+    cases = ((surface_n3, 6, 5, 3), (surface_n2, 18, 8, 1))
+    areas = [projection_measures(spec, probe, kd, ki, m, seed=2) for spec, kd, ki, m in cases]
+    monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 1 << 14)
+    assert [projection_measures(spec, probe, kd, ki, m, seed=2)
+            for spec, kd, ki, m in cases] == areas
+    monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 50)
+    assert projection_measures(surface_n3, probe, 6, 5, 3, seed=2) == areas[0]
+
+
+def test_projection_memory_does_not_grow_with_samples(surface_n3, monkeypatch):
+    # chunks hold at most _CHUNK_ROWS sample rows whatever the sample count;
+    # the first call fills the kernels' cached tables before tracing starts
+    probe = SingularSetProbe(depth=40, eps=0.01)
+    monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 1 << 12)
+    projection_measures(surface_n3, probe, 3, 5, 1, seed=1)
+    peaks = []
+    for m in (2, 8):
+        tracemalloc.start()
+        try:
+            projection_measures(surface_n3, probe, 6, 5, m, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
 
 
 def test_projection_deterministic(surface_n2):
