@@ -21,6 +21,7 @@ Usage:
 """
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -108,7 +109,7 @@ def main() -> None:
         t0 = time.time()
         estimates = projection_measures(spec, probe, kd, ki, m, seed=0)
         areas = " ".join(f"axis{e.axis}={e.area:.4f}" for e in estimates)
-        total = sum(e.area for e in estimates)
+        total = math.fsum(e.area for e in estimates)
         print(f"n={n} kd={kd} ki={ki} m={m}: {areas}  total={total:.4f}  "
               f"[{time.time() - t0:.1f}s]")
     print("frozen floors: per-axis 0.8 (n=2) / 0.85 (n=3); totals 1.8 / 2.6")

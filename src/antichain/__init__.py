@@ -17,15 +17,11 @@ from .errors import (
     PrecisionError,
 )
 from .measure import (
-    CoverEstimate,
     DimensionEstimate,
     ProjectionEstimate,
     alpha,
     box_dimension,
-    cover_estimate,
-    extrapolated_cover_value,
     graph_length_n2,
-    lower_bound_total,
     occupied_cell_count,
     projection_measure,
     projection_measures,
@@ -65,15 +61,11 @@ __all__ = [
     "InsufficientDataError",
     "PrecisionError",
     "DEFAULT_EVAL_BUDGET",
-    "CoverEstimate",
     "DimensionEstimate",
     "ProjectionEstimate",
     "alpha",
     "box_dimension",
-    "cover_estimate",
-    "extrapolated_cover_value",
     "graph_length_n2",
-    "lower_bound_total",
     "occupied_cell_count",
     "projection_measure",
     "projection_measures",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -150,7 +151,7 @@ def _cmd_projections(cfg: RunConfig) -> dict:
     )
     return {
         "areas": {str(e.axis): e.area for e in estimates},
-        "total": sum(e.area for e in estimates),
+        "total": math.fsum(e.area for e in estimates),
         "target": float(spec.n),
     }
 
@@ -308,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         code, text = run(cfg)
-    except (AntichainError, ValueError) as exc:
+    except (AntichainError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if cfg.output:

@@ -2,12 +2,14 @@
 
 Everything here reduces to counting occupied half-open dyadic cells:
 
-* ``cover_estimate``  -- one normalised cover sum alpha(s) * N * diam^s,
-* ``box_dimension``   -- log2 N(k) against k regression (box-counting slope),
+* ``occupied_cell_count`` -- N(k), the occupied cells of one depth-k sweep;
+  ``cover_sum`` turns a count into the cover sum alpha(s) * N * diam^s,
+* ``box_dimension``   -- log2 N(k) against k regression (box-counting slope);
+  its counts and fitted trend feed ``cover_sum`` without a second sweep,
 * ``graph_length_n2`` -- inscribed polyline length of the planar graph,
-* ``projection_measure`` / ``lower_bound_total`` -- area of coordinate
-  projections of the graph pieces classified by the slope probe; summing
-  them realises the projection lower-bound mechanism.
+* ``projection_measure`` / ``projection_measures`` -- area of coordinate
+  projections of the graph pieces classified by the slope probe; the
+  ``math.fsum`` of the n areas is the projection lower-bound total.
 
 Counts are exact integers; length/area accumulations keep float error far
 below the 1e-12 budget (per-chunk pairwise sums combined with exact fsum).
@@ -55,16 +57,6 @@ PROJECTION_DEFAULTS = {2: (14, 10, 8), 3: (11, 6, 3)}
 
 
 @dataclass(frozen=True)
-class CoverEstimate:
-    """One normalised cover sum: value = alpha(s) * count * delta^s."""
-
-    s: float
-    delta: float
-    count: int
-    value: float
-
-
-@dataclass(frozen=True)
 class DimensionEstimate:
     """Least-squares slope of log2 N(k) against k, with fit quality and counts."""
 
@@ -96,7 +88,8 @@ def alpha(s: float) -> float:
 
 def cover_sum(s: float, n: int, k: int, count: float) -> float:
     """alpha(s) * count * (2^-k sqrt(n))^s: the s-cover sum of ``count``
-    depth-k cells of [0,1]^n."""
+    depth-k cells of [0,1]^n.  The grid restricts the infimum over arbitrary
+    covers, so single values overestimate; trends over k carry the meaning."""
     delta = 2.0**-k * math.sqrt(n)
     return alpha(s) * count * delta**s
 
@@ -123,8 +116,19 @@ def _grid_walk(side: int, dim: int, per_point: int, block: int,
     return blocks()
 
 
-def _cover_side(depth: int, samples_per_cell: int) -> int:
-    """Points per axis of the cover's lattice; a sweep evaluates side**domain_dim."""
+def _check_code_bits(depth: int, dim: int) -> None:
+    """Depth-``depth`` cell codes of the ``dim``-cube must fit 64-bit integers;
+    checked before any ``1 << depth`` is built."""
+    if depth * dim > 62:
+        raise BudgetError(f"grid depth {depth} in dimension {dim} overflows 64-bit cell codes")
+
+
+def _checked_cover_side(spec: SurfaceSpec, depth: int, samples_per_cell: int) -> int:
+    """Points per axis of the cover's lattice, after the cover's argument
+    checks; a sweep evaluates side**domain_dim."""
+    if depth < 1 or samples_per_cell < 1:
+        raise DomainError("domain_depth and samples_per_cell must be >= 1")
+    _check_code_bits(depth, spec.n)
     return (samples_per_cell << depth) + 1
 
 
@@ -150,12 +154,7 @@ def occupied_cell_count(
     image cells of the lifted points are marked at the same depth.  The 2m
     lattice contains the m lattice, so counts cannot drop when m doubles.
     """
-    if domain_depth < 1 or samples_per_cell < 1:
-        raise DomainError("domain_depth and samples_per_cell must be >= 1")
-    if domain_depth * spec.n > 62:
-        raise BudgetError(f"grid depth {domain_depth} in dimension {spec.n} "
-                          "overflows 64-bit cell codes")
-    side = _cover_side(domain_depth, samples_per_cell)
+    side = _checked_cover_side(spec, domain_depth, samples_per_cell)
     blocks = _grid_walk(side, spec.domain_dim, 1, _CHUNK_ROWS, budget)
     i, m = np.arange(side), samples_per_cell  # point i: cell i // m, offset (i % m) / m
     axis = np.clip((i // m + (i % m) / m) / float(1 << domain_depth), _EDGE, 1.0 - _EDGE)
@@ -165,23 +164,6 @@ def occupied_cell_count(
         ambient = np.column_stack([pts, surface_values(spec, pts)])
         seen.append(np.unique(_mark_codes(ambient, domain_depth)))
     return int(np.unique(np.concatenate(seen)).size)
-
-
-def cover_estimate(
-    spec: SurfaceSpec,
-    s: float,
-    k: int,
-    samples_per_cell: int,
-    budget: int = DEFAULT_EVAL_BUDGET,
-) -> CoverEstimate:
-    """Grid cover sum at one resolution: alpha(s) * N * (2^-k sqrt(n))^s.
-
-    The grid restricts the infimum over arbitrary covers, so single values
-    overestimate; trends over k carry the meaning.
-    """
-    count = occupied_cell_count(spec, k, samples_per_cell, budget=budget)
-    delta = 2.0**-k * math.sqrt(spec.n)
-    return CoverEstimate(s=s, delta=delta, count=count, value=cover_sum(s, spec.n, k, count))
 
 
 def box_dimension(
@@ -195,11 +177,10 @@ def box_dimension(
     budget caps the evaluations of all the window's sweeps together."""
     if k_max - k_min + 1 < 3:
         raise InsufficientDataError("need at least 3 grid depths for a regression")
-    if k_min < 1 or samples_per_cell < 1:
-        raise DomainError("domain_depth and samples_per_cell must be >= 1")
-    depths = list(range(k_min, k_max + 1))
-    d = spec.domain_dim
-    check_budget(sum(_cover_side(k, samples_per_cell) ** d for k in depths), budget)
+    depths = range(k_min, k_max + 1)
+    # the checks stop a deep window before its lattice sizes are summed
+    sides = [_checked_cover_side(spec, k, samples_per_cell) for k in depths]
+    check_budget(sum(side**spec.domain_dim for side in sides), budget)
     counts = [occupied_cell_count(spec, k, samples_per_cell, budget=budget) for k in depths]
     ks = np.asarray(depths, dtype=np.float64)
     logs = np.log2(np.asarray(counts, dtype=np.float64))
@@ -209,23 +190,6 @@ def box_dimension(
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return DimensionEstimate(slope=float(slope), intercept=float(intercept), r2=r2,
                              depths=tuple(depths), counts=tuple(counts))
-
-
-def extrapolated_cover_value(
-    spec: SurfaceSpec,
-    s: float,
-    k_min: int,
-    k_max: int,
-    samples_per_cell: int,
-    budget: int = DEFAULT_EVAL_BUDGET,
-) -> float:
-    """Cover value at the finest depth read off the fitted count trend.
-
-    Fits log2 N(k) over the window and evaluates alpha(s) * N_fit * diam^s
-    at k_max, smoothing single-grid noise out of upper-bound checks.
-    """
-    est = box_dimension(spec, k_min, k_max, samples_per_cell, budget=budget)
-    return cover_sum(s, spec.n, k_max, est.fitted_count(k_max))
 
 
 def graph_length_n2(spec: SurfaceSpec, k: int, budget: int = DEFAULT_EVAL_BUDGET) -> float:
@@ -284,6 +248,7 @@ def _projection_sweep(
     img_dim = n - 1
     if image_depth * img_dim > 28:
         raise BudgetError("image occupancy array would exceed the memory guard")
+    _check_code_bits(domain_depth, d)
     per_cell = samples_per_cell**d
     # power-of-two chunks of at most _CHUNK_ROWS rows tile the jitter blocks
     chunk = 1 << (min(JITTER_BLOCK, max(1, _CHUNK_ROWS // per_cell)).bit_length() - 1)
@@ -362,18 +327,3 @@ def projection_measures(
     )
     return [ProjectionEstimate(axis=a, area=areas[a]) for a in axes]
 
-
-def lower_bound_total(
-    spec: SurfaceSpec,
-    probe: SingularSetProbe,
-    domain_depth: int,
-    image_depth: int,
-    samples_per_cell: int,
-    seed: int = 0,
-    budget: int = DEFAULT_EVAL_BUDGET,
-) -> float:
-    """Sum of the n projection areas; approaches n as resolution grows."""
-    estimates = projection_measures(
-        spec, probe, domain_depth, image_depth, samples_per_cell, seed, budget
-    )
-    return math.fsum(e.area for e in estimates)

@@ -28,17 +28,14 @@ from antichain import (
     alpha,
     antichain_scan,
     box_dimension,
-    cover_estimate,
-    extrapolated_cover_value,
     graph_length_n2,
-    lower_bound_total,
     occupied_cell_count,
     p_eval,
     p_projective_crosscheck,
     projection_measure,
     projection_measures,
 )
-from antichain.measure import classify_regions
+from antichain.measure import classify_regions, cover_sum
 from antichain.surface import Point, p_many
 
 from oracles import length_binomial, seeded_rng
@@ -107,13 +104,16 @@ def test_criterion_3_upper_bound_consistency(n):
     spec = _surface(n)
     s = n - 1
     k_min, k_max, samples = DIMENSION_WINDOWS[n]
-    finest = cover_estimate(spec, s, k_max, samples)
-    bound = alpha(s) * finest.count * finest.delta**s
-    trend = extrapolated_cover_value(spec, s, k_min, k_max, samples)
-    ok = finest.value <= bound * (1.0 + 1e-12) and trend < 1.25 * n
+    # one window sweep yields the finest count and the fitted trend
+    est = box_dimension(spec, k_min, k_max, samples)
+    count = est.counts[-1]
+    finest = cover_sum(s, n, k_max, count)
+    bound = alpha(s) * count * (2.0**-k_max * math.sqrt(n)) ** s
+    trend = cover_sum(s, n, k_max, est.fitted_count(k_max))
+    ok = finest <= bound * (1.0 + 1e-12) and trend < 1.25 * n
     _line(3, ok, f"n={n} trend_value={trend:.4f} limit={1.25 * n:.2f} "
-                 f"finest_value={finest.value:.4f}")
-    assert finest.value <= bound * (1.0 + 1e-12)
+                 f"finest_value={finest:.4f}")
+    assert finest <= bound * (1.0 + 1e-12)
     assert trend < 1.25 * n
 
 
@@ -145,8 +145,6 @@ def test_criterion_5_projection_lower_bound(n):
     for axis, area in areas.items():
         assert area > axis_floor, f"axis {axis} area {area} below {axis_floor}"
     assert total >= total_floor
-    # consistency with the lower-bound aggregate
-    assert lower_bound_total(spec, PROBE, kd, ki, samples, seed=0) == pytest.approx(total)
 
 
 def test_criterion_6_alpha_oracle():

@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
 
-from antichain.cli import main
+import antichain
+from antichain.cli import RunConfig, main
+from antichain.measure import box_dimension, cover_sum
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +163,21 @@ def test_dimension_small_window(capsys):
     assert 0.9 <= report["results"]["slope"] <= 1.1
     assert report["results"]["cover_s"] == 1
     assert report["results"]["depths"] == [5, 6, 7, 8, 9]
+    # both cover values come from the one sweep behind the fit
+    est = box_dimension(RunConfig("dimension", n=2).surface_spec(), 5, 9, 2)
+    assert report["results"]["cover_value_finest"] == cover_sum(1, 2, 9, est.counts[-1])
+    assert report["results"]["cover_value_extrapolated"] == cover_sum(
+        1, 2, 9, est.fitted_count(9))
+
+
+def test_deep_window_rejected_before_it_is_sized(capsys):
+    # the 64-bit guard runs on each depth before the window's lattice sizes are summed
+    code, out, err = run_cli(
+        capsys, "dimension", "--n", "3", "--k-min", "1", "--k-max", "20000", "--samples", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "64-bit" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -198,7 +216,7 @@ def test_projections_small(capsys):
     assert code == 0
     areas = report["results"]["areas"]
     assert set(areas) == {"1", "2"}
-    assert report["results"]["total"] == pytest.approx(sum(areas.values()))
+    assert report["results"]["total"] == math.fsum(areas.values())
     assert report["results"]["target"] == 2.0
 
 
@@ -304,6 +322,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["F"] == pytest.approx(0.75)
+
+
+def test_package_exports_resolve():
+    for name in antichain.__all__:
+        assert hasattr(antichain, name), name
+
+
+def test_memory_error_is_a_resource_error(capsys, monkeypatch):
+    # exit 2, not the violation code 1; no large allocation is made
+    import antichain.cli as cli_module
+
+    def out_of_memory(spec, pairs, seed=0, budget=0):
+        raise MemoryError("Unable to allocate the scan block")
+
+    monkeypatch.setattr(cli_module.surface, "antichain_scan", out_of_memory)
+    code, out, err = run_cli(capsys, "check-antichain", "--pairs", "100")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Unable to allocate")
 
 
 def test_violation_exit_code(capsys, monkeypatch):

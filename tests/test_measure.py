@@ -15,10 +15,7 @@ from antichain import (
     SurfaceSpec,
     alpha,
     box_dimension,
-    cover_estimate,
-    extrapolated_cover_value,
     graph_length_n2,
-    lower_bound_total,
     occupied_cell_count,
     projection_measure,
     projection_measures,
@@ -142,25 +139,26 @@ def test_cover_evaluates_each_lattice_point_once(surface_n3, monkeypatch):
 # ----------------------------------------------------------- cover values
 
 
-def test_cover_estimate_identity_example(identity_n2):
-    est = cover_estimate(identity_n2, 1.0, 8, 3)
-    assert est.count == 511
-    assert est.count <= 2**16  # cells of the depth-8 planar grid
-    assert est.delta == 2.0**-8 * math.sqrt(2.0)
-    assert est.value == alpha(1.0) * 511 * est.delta
-    assert est.value == pytest.approx(2.823, abs=5e-4)
+def test_cover_value_identity_example(identity_n2):
+    count = occupied_cell_count(identity_n2, 8, 3)
+    delta = 2.0**-8 * math.sqrt(2.0)  # diameter of a depth-8 planar cell
+    value = cover_sum(1.0, 2, 8, count)
+    assert count == 511
+    assert count <= 2**16  # cells of the depth-8 planar grid
+    assert value == alpha(1.0) * 511 * delta
+    assert value == pytest.approx(2.823, abs=5e-4)
 
 
-def test_cover_estimate_s0_counts_cells(surface_n2):
-    est = cover_estimate(surface_n2, 0.0, 6, 2)
-    assert est.value == float(est.count)
+def test_cover_sum_s0_counts_cells(surface_n2):
+    count = occupied_cell_count(surface_n2, 6, 2)
+    assert cover_sum(0.0, 2, 6, count) == float(count)
 
 
 def test_cover_values_bounded_n2(surface_n2):
     # N(k) * 2^-k stays below the variation bound 2 (plus boundary effects)
     for k in (6, 9, 12):
-        est = cover_estimate(surface_n2, 1.0, k, 3)
-        assert est.value <= 2.0 * math.sqrt(2.0) * alpha(1.0) + 0.1
+        value = cover_sum(1.0, 2, k, occupied_cell_count(surface_n2, k, 3))
+        assert value <= 2.0 * math.sqrt(2.0) * alpha(1.0) + 0.1
 
 
 # ------------------------------------------------------------- dimension
@@ -188,22 +186,21 @@ def test_box_dimension_charges_its_whole_window(surface_n2):
 def test_box_dimension_needs_three_depths(identity_n2):
     with pytest.raises(InsufficientDataError):
         box_dimension(identity_n2, 6, 7, 2)
-    with pytest.raises(InsufficientDataError):
-        extrapolated_cover_value(identity_n2, 1.0, 6, 7, 2)
 
 
 def test_dimension_estimate_carries_its_counts(identity_n2, surface_n3):
-    # the fit, the finest count and the extrapolated value share one sweep
+    # the finest count and the fitted trend that feed cover_sum come from one sweep
     est = box_dimension(surface_n3, 2, 5, 2)
     assert est.counts == tuple(occupied_cell_count(surface_n3, k, 2) for k in est.depths)
-    value = extrapolated_cover_value(surface_n3, 2.0, 2, 5, 2)
-    assert value == cover_sum(2.0, 3, 5, est.fitted_count(5))
-    assert cover_sum(1.0, 2, 8, 511) == cover_estimate(identity_n2, 1.0, 8, 3).value
+    slope, intercept = np.polyfit(est.depths, np.log2(est.counts), 1)
+    assert est.fitted_count(5) == pytest.approx(2.0 ** (intercept + slope * 5), rel=1e-12)
+    assert cover_sum(1.0, 2, 8, 511) == cover_sum(1.0, 2, 8, occupied_cell_count(identity_n2, 8, 3))
 
 
 def test_extrapolated_value_identity(identity_n2):
     # exact counts 2^{k+1} - 1 give a trend value just under 2 sqrt(2)
-    value = extrapolated_cover_value(identity_n2, 1.0, 6, 12, 2)
+    est = box_dimension(identity_n2, 6, 12, 2)
+    value = cover_sum(1.0, 2, 12, est.fitted_count(12))
     assert value == pytest.approx(2.0 * math.sqrt(2.0), rel=0.02)
 
 
@@ -299,7 +296,8 @@ def test_projection_degenerate_probe(identity_n2):
     side = projection_measure(identity_n2, 1, probe, 8, 6, 2, seed=0)
     assert top.area == 1.0
     assert side.area == 0.0
-    assert lower_bound_total(identity_n2, probe, 8, 6, 2, seed=0) == 1.0
+    total = math.fsum(e.area for e in projection_measures(identity_n2, probe, 8, 6, 2, seed=0))
+    assert total == 1.0
 
 
 def test_projection_areas_in_unit_interval(surface_n2):
@@ -348,6 +346,8 @@ def test_projection_validation(surface_n3):
         projection_measure(surface_n3, 1, probe, 6, 15, 2)  # image array guard
     with pytest.raises(BudgetError, match="64-bit"):
         projection_measure(surface_n3, 1, probe, 32, 5, 1, budget=2**70)
+    with pytest.raises(BudgetError, match="64-bit"):  # before 1 << 10**9 is built
+        projection_measure(surface_n3, 1, probe, 10**9, 5, 1)
 
 
 # ---------------------------------------------------------------- jitter
