@@ -4,7 +4,7 @@ The package builds the graph of F(x) = 1 - p(f(x_1), ..., f(x_{n-1})) for a
 strictly increasing singular function f and the sorted-coordinate monotone
 map p, checks that no two graph points are comparable, and estimates the
 graph's Hausdorff quantities (cover sums, box dimension, planar length,
-projection lower bounds) on dyadic grids.
+sampled projection areas) on dyadic grids.
 """
 
 from .errors import (

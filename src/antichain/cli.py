@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int)
     p.add_argument("--samples", type=int, help="sub-grid samples per cell and axis")
 
-    p = _add_command(sub, "projections", "projection lower-bound areas")
+    p = _add_command(sub, "projections", "sampled projection areas")
     p.add_argument("--probe-depth", type=int)
     p.add_argument("--probe-eps", type=float)
     p.add_argument("--domain-depth", type=int)

@@ -7,7 +7,16 @@ DEFAULT_EVAL_BUDGET = 100_000_000
 def check_budget(count: int, budget: int) -> None:
     """Raise ``BudgetError`` when ``count`` surface evaluations exceed ``budget``."""
     if count > budget:
-        raise BudgetError(f"{count} evaluations exceed budget {budget}")
+        raise BudgetError(f"{_short(count)} evaluations exceed budget {_short(budget)}")
+
+
+def _short(count: int) -> str:
+    """A count as digits, or past 64 bits as the power of two it passes, so a
+    huge count never meets the integer-to-string digit limit."""
+    if abs(count) < 2**64:
+        return str(count)
+    power = f"2^{abs(count).bit_length() - 1}"
+    return f"at least {power}" if count > 0 else f"at most -{power}"
 
 
 class AntichainError(Exception):

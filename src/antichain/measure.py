@@ -9,7 +9,7 @@ Everything here reduces to counting occupied half-open dyadic cells:
 * ``graph_length_n2`` -- inscribed polyline length of the planar graph,
 * ``projection_measure`` / ``projection_measures`` -- area of coordinate
   projections of the graph pieces classified by the slope probe; the
-  ``math.fsum`` of the n areas is the projection lower-bound total.
+  ``math.fsum`` of the n areas is the sampled projection total.
 
 Counts are exact integers; length/area accumulations keep float error far
 below the 1e-12 budget (per-chunk pairwise sums combined with exact fsum).
@@ -48,7 +48,7 @@ _CHUNK_ROWS = 2**21
 _EDGE = 2.0**-50
 
 #: calibrated (k_min, k_max, samples_per_cell) box-counting window per
-#: ambient dimension, frozen by scripts/calibration_run.py
+#: ambient dimension, frozen by the runs in scripts/reproduce_headline.py
 DIMENSION_WINDOWS = {2: (6, 14, 3), 3: (4, 9, 2)}
 
 #: calibrated (domain_depth, image_depth, samples_per_cell) of the
@@ -95,23 +95,24 @@ def cover_sum(s: float, n: int, k: int, count: float) -> float:
 
 
 def _grid_walk(side: int, dim: int, per_point: int, block: int,
-               budget: int) -> Iterator[np.ndarray]:
-    """Integer coordinates (points, dim) of the side^dim grid in flat-id order,
-    ``block`` points at a time.  The id guard and the budget charge of
-    ``per_point`` evaluations per point run at the call, not lazily."""
-    total = side**dim
-    if total > 2**62:
-        raise BudgetError("domain grid overflows 64-bit cell ids")
-    check_budget(total * per_point, budget)
+               budget: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Integer coordinates of the side^dim grid in flat-id order, each point
+    repeated on ``per_point`` consecutive rows, as (first row, (rows, dim))
+    blocks of ``block`` rows.  The budget charge of one evaluation per row and
+    the 64-bit row-id guard run at the call, not lazily."""
+    rows = side**dim * per_point
+    check_budget(rows, budget)
+    if rows > 2**62:
+        raise BudgetError("domain grid overflows 64-bit row ids")
 
-    def blocks() -> Iterator[np.ndarray]:
-        for start in range(0, total, block):
-            ids = np.arange(start, min(start + block, total), dtype=np.int64)
+    def blocks() -> Iterator[tuple[int, np.ndarray]]:
+        for start in range(0, rows, block):
+            ids = np.arange(start, min(start + block, rows), dtype=np.int64) // per_point
             out = np.empty((len(ids), dim), dtype=np.int64)
             for j in range(dim - 1, -1, -1):
                 np.remainder(ids, side, out=out[:, j])
                 ids //= side
-            yield out
+            yield start, out
 
     return blocks()
 
@@ -159,7 +160,7 @@ def occupied_cell_count(
     i, m = np.arange(side), samples_per_cell  # point i: cell i // m, offset (i % m) / m
     axis = np.clip((i // m + (i % m) / m) / float(1 << domain_depth), _EDGE, 1.0 - _EDGE)
     seen: list[np.ndarray] = []
-    for ids in blocks:
+    for _, ids in blocks:
         pts = axis[ids]
         ambient = np.column_stack([pts, surface_values(spec, pts)])
         seen.append(np.unique(_mark_codes(ambient, domain_depth)))
@@ -250,15 +251,15 @@ def _projection_sweep(
         raise BudgetError("image occupancy array would exceed the memory guard")
     _check_code_bits(domain_depth, d)
     per_cell = samples_per_cell**d
-    # power-of-two chunks of at most _CHUNK_ROWS rows tile the jitter blocks
-    chunk = 1 << (min(JITTER_BLOCK, max(1, _CHUNK_ROWS // per_cell)).bit_length() - 1)
+    # power-of-two chunks of rows tile the jitter blocks of JITTER_BLOCK cells
+    chunk = 1 << (min(_CHUNK_ROWS, JITTER_BLOCK).bit_length() - 1)
+    block_rows = JITTER_BLOCK * per_cell
     blocks = _grid_walk(1 << domain_depth, d, per_cell, chunk, budget)
     occupancy = {axis: np.zeros(1 << (image_depth * img_dim), dtype=bool) for axis in axes}
-    for i, corners in enumerate(blocks):
-        if i * chunk % JITTER_BLOCK == 0:
-            jitter = _block_jitter(seed, i * chunk // JITTER_BLOCK)
-        jit = jitter.random((len(corners), per_cell, d))
-        pts = ((corners[:, None, :] + jit) / float(1 << domain_depth)).reshape(-1, d)
+    for first, corners in blocks:
+        if first % block_rows == 0:
+            jitter = _block_jitter(seed, first // block_rows)
+        pts = (corners + jitter.random(corners.shape)) / float(1 << domain_depth)
         labels = classify_regions(spec, probe, pts)
         for axis in axes:
             image = pts[labels == axis]

@@ -237,10 +237,9 @@ def antichain_scan(
     Pairs are walked in blocks of ``_SCAN_BLOCK``, so memory does not grow
     with ``pairs``.  Pair i reads the 2d uniforms at positions [2di, 2d(i+1))
     of the Philox stream keyed by the seed, so the verdicts do not depend
-    on the block size.  Equal points, which rejection used to exclude, come
-    up with probability about 2^(-53d); such a pair has overlapping
-    enclosures and counts as within tolerance.  Each pair costs two surface
-    evaluations against ``budget``.
+    on the block size.  Equal points come up with probability about
+    2^(-53d); such a pair has overlapping enclosures and counts as within
+    tolerance.  Each pair costs two surface evaluations against ``budget``.
     """
     if pairs < 1:
         raise ConfigurationError(f"a scan needs at least one pair, got {pairs}")

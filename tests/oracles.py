@@ -1,4 +1,4 @@
-"""Reference helpers shared by the tests and the calibration script.
+"""Reference helpers shared by the tests and the reproduction script.
 
 Imports only the standard library and numpy, so the scripts run without
 the test extras.

@@ -2,7 +2,7 @@
 
 Every test prints a single ``[criterion N] PASS/FAIL`` line (run pytest with
 ``-s`` to see them inline).  Tolerances and estimator parameters are frozen
-from the calibration runs in scripts/calibration_run.py.
+from the calibration runs in scripts/reproduce_headline.py.
 
 Criterion 1 asks the planar length to climb into [1.95, 2.0].  The climb
 is slow: the exact length is 1.8274 at partition depth 22 and first enters

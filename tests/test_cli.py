@@ -90,6 +90,16 @@ def test_check_antichain_over_budget(capsys, monkeypatch):
     assert code == 0
 
 
+def test_huge_sample_count_reports_the_budget_error(capsys):
+    # about 10^4402 sample rows: the budget error, not the integer-to-string digit limit
+    code, out, err = run_cli(capsys, "projections", "--n", "3", "--domain-depth", "4",
+                             "--image-depth", "4", "--samples", "9" * 2200)
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+    assert len(err) < 300
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_eval_over_budget(capsys, monkeypatch, budget):
     # one evaluation, charged against the budget like every other command

@@ -20,6 +20,7 @@ from antichain import (
     projection_measure,
     projection_measures,
 )
+from antichain.errors import check_budget
 from antichain.measure import _block_jitter, _mark_codes, classify_regions, cover_sum
 from antichain.singular import in_singular_set
 from antichain.surface import surface_values
@@ -103,6 +104,15 @@ def test_occupancy_budget_guard(surface_n2):
         occupied_cell_count(surface_n2, 10, 3, budget=100)
     with pytest.raises(BudgetError, match="64-bit"):
         occupied_cell_count(surface_n2, 40, 1)
+
+
+def test_budget_message_shortens_huge_counts():
+    # compared first, then printed as the power of two the count passes
+    with pytest.raises(BudgetError, match=r"^at least 2\^16609 evaluations exceed budget 1$"):
+        check_budget(10**5000, 1)
+    with pytest.raises(BudgetError, match="^289 evaluations exceed budget 288$"):
+        check_budget(289, 288)
+    check_budget(10**5000, 10**5000)
 
 
 def test_cover_counts_do_not_depend_on_block_size(surface_n2, surface_n3, salem_default,
@@ -380,20 +390,22 @@ def test_projection_areas_do_not_depend_on_chunk_size(surface_n2, surface_n3, mo
 
 
 def test_projection_memory_does_not_grow_with_samples(surface_n3, monkeypatch):
-    # chunks hold at most _CHUNK_ROWS sample rows whatever the sample count;
+    # chunks hold at most _CHUNK_ROWS sample rows whatever the sample count,
+    # also when one cell's samples outnumber them (16384 rows per cell at m = 128);
     # the first call fills the kernels' cached tables before tracing starts
     probe = SingularSetProbe(depth=40, eps=0.01)
-    monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 1 << 12)
     projection_measures(surface_n3, probe, 3, 5, 1, seed=1)
-    peaks = []
-    for m in (2, 8):
-        tracemalloc.start()
-        try:
-            projection_measures(surface_n3, probe, 6, 5, m, seed=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < 2 * peaks[0]
+    for chunk_rows, depth, samples in ((1 << 12, 6, (2, 8)), (1 << 10, 2, (8, 128))):
+        monkeypatch.setattr(measure_module, "_CHUNK_ROWS", chunk_rows)
+        peaks = []
+        for m in samples:
+            tracemalloc.start()
+            try:
+                projection_measures(surface_n3, probe, depth, 5, m, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], (chunk_rows, depth, peaks)
 
 
 def test_projection_deterministic(surface_n2):

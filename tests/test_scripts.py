@@ -19,7 +19,7 @@ runpy.run_path({script!r}, run_name="__main__")
 """
 
 
-@pytest.mark.parametrize("name", ["calibration_run.py", "reproduce_headline.py"])
+@pytest.mark.parametrize("name", ["reproduce_headline.py"])
 def test_script_help_without_test_extras(name):
     code = RUN_WITHOUT_EXTRAS.format(src=str(ROOT / "src"), script=str(ROOT / "scripts" / name))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -426,7 +426,7 @@ def test_probe_membership_monotone_in_eps(salem_default):
 
 def test_slope_concentration_statistics(salem_default):
     # thresholds frozen from a seeded Monte Carlo oracle run
-    # (scripts/calibration_run.py): median 0.0032, P(slope < 0.01) = 0.68,
+    # (scripts/reproduce_headline.py): median 0.0032, P(slope < 0.01) = 0.68,
     # P(slope < 1) = 0.96 at this resolution
     rng = seeded_rng(12345)
     xs = rng.random(10_000)
