@@ -114,10 +114,10 @@ def main() -> None:
         if args.quick and n == 3:
             kd -= 1
         t0 = time.time()
-        estimates = projection_measures(SurfaceSpec(n=n, f=f), probe, kd, ki, m, seed=0)
-        areas = " ".join(f"axis{e.axis}={e.area:.4f}" for e in estimates)
-        total = math.fsum(e.area for e in estimates)
-        print(f"n={n} kd={kd} ki={ki} m={m}: {areas}  total={total:.4f}  "
+        areas = projection_measures(SurfaceSpec(n=n, f=f), probe, kd, ki, m, seed=0)
+        listed = " ".join(f"axis{axis}={area:.4f}" for axis, area in areas.items())
+        total = math.fsum(areas.values())
+        print(f"n={n} kd={kd} ki={ki} m={m}: {listed}  total={total:.4f}  "
               f"[{time.time() - t0:.1f}s]")
     print("frozen floors: per-axis 0.8 (n=2) / 0.85 (n=3); totals 1.8 / 2.6")
 

@@ -18,12 +18,10 @@ from .errors import (
 )
 from .measure import (
     DimensionEstimate,
-    ProjectionEstimate,
     alpha,
     box_dimension,
     graph_length_n2,
     occupied_cell_count,
-    projection_measure,
     projection_measures,
 )
 from .singular import (
@@ -62,12 +60,10 @@ __all__ = [
     "PrecisionError",
     "DEFAULT_EVAL_BUDGET",
     "DimensionEstimate",
-    "ProjectionEstimate",
     "alpha",
     "box_dimension",
     "graph_length_n2",
     "occupied_cell_count",
-    "projection_measure",
     "projection_measures",
     "CANTOR",
     "MINKOWSKI",

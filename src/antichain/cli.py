@@ -140,7 +140,7 @@ def _cmd_dimension(cfg: RunConfig) -> dict:
 
 def _cmd_projections(cfg: RunConfig) -> dict:
     spec = cfg.surface_spec()
-    estimates = measure.projection_measures(
+    areas = measure.projection_measures(
         spec,
         cfg.probe(),
         cfg.domain_depth,
@@ -150,8 +150,8 @@ def _cmd_projections(cfg: RunConfig) -> dict:
         budget=cfg.budget,
     )
     return {
-        "areas": {str(e.axis): e.area for e in estimates},
-        "total": math.fsum(e.area for e in estimates),
+        "areas": {str(axis): area for axis, area in areas.items()},
+        "total": math.fsum(areas.values()),
         "target": float(spec.n),
     }
 
@@ -291,7 +291,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         given["point"] = tuple(float(tok) for tok in given["point"].split(","))
     budget_override = os.environ.get(BUDGET_ENV_VAR)
     if budget_override is not None:
-        given["budget"] = int(budget_override)
+        try:
+            given["budget"] = int(budget_override)
+        except ValueError:
+            raise ConfigurationError(
+                f"{BUDGET_ENV_VAR} must be an integer, got {budget_override!r}"
+            ) from None
     if given["command"] in _GRID_DEFAULTS:
         table, fields, what = _GRID_DEFAULTS[given["command"]]
         if not all(name in given for name in fields):

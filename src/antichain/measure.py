@@ -7,8 +7,8 @@ Everything here reduces to counting occupied half-open dyadic cells:
 * ``box_dimension``   -- log2 N(k) against k regression (box-counting slope);
   its counts and fitted trend feed ``cover_sum`` without a second sweep,
 * ``graph_length_n2`` -- inscribed polyline length of the planar graph,
-* ``projection_measure`` / ``projection_measures`` -- area of coordinate
-  projections of the graph pieces classified by the slope probe; the
+* ``projection_measures`` -- ``{axis: area}`` of the n coordinate projections
+  of the graph pieces classified by the slope probe, from one sweep; the
   ``math.fsum`` of the n areas is the sampled projection total.
 
 Counts are exact integers; length/area accumulations keep float error far
@@ -69,14 +69,6 @@ class DimensionEstimate:
     def fitted_count(self, k: int) -> float:
         """N(k) read off the fitted trend: 2^(intercept + slope k)."""
         return 2.0 ** (self.intercept + self.slope * k)
-
-
-@dataclass(frozen=True)
-class ProjectionEstimate:
-    """Occupied-cell area of one coordinate projection of a graph piece."""
-
-    axis: int
-    area: float
 
 
 def alpha(s: float) -> float:
@@ -225,25 +217,21 @@ def _block_jitter(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _projection_sweep(
+def projection_measures(
     spec: SurfaceSpec,
     probe: SingularSetProbe,
-    axes: list[int],
     domain_depth: int,
     image_depth: int,
     samples_per_cell: int,
-    seed: int,
-    budget: int,
+    seed: int = 0,
+    budget: int = DEFAULT_EVAL_BUDGET,
 ) -> dict[int, float]:
-    """Classify jittered domain samples into the B-pieces and mark their
-    projected graph images; one pass serves every requested axis.  Returns
-    the occupied image area per axis."""
+    """Occupied image area of each coordinate projection, axis 1..n, from one
+    sweep: jittered domain samples are classified into the B-pieces and the
+    projected graph image of piece i is marked for axis i."""
     d, n = spec.domain_dim, spec.n
     if probe.depth > spec.f.depth:
         raise PrecisionError(f"probe depth {probe.depth} exceeds spec depth {spec.f.depth}")
-    for axis in axes:
-        if not 1 <= axis <= n:
-            raise DomainError(f"projection axis must lie in 1..{n}, got {axis}")
     if domain_depth < 1 or image_depth < 1 or samples_per_cell < 1:
         raise DomainError("depths and samples_per_cell must be >= 1")
     img_dim = n - 1
@@ -255,6 +243,7 @@ def _projection_sweep(
     chunk = 1 << (min(_CHUNK_ROWS, JITTER_BLOCK).bit_length() - 1)
     block_rows = JITTER_BLOCK * per_cell
     blocks = _grid_walk(1 << domain_depth, d, per_cell, chunk, budget)
+    axes = range(1, n + 1)
     occupancy = {axis: np.zeros(1 << (image_depth * img_dim), dtype=bool) for axis in axes}
     for first, corners in blocks:
         if first % block_rows == 0:
@@ -293,38 +282,3 @@ def classify_regions(
     for i, out in enumerate(outside, start=1):
         labels[only_one & out] = i
     return labels
-
-
-def projection_measure(
-    spec: SurfaceSpec,
-    axis: int,
-    probe: SingularSetProbe,
-    domain_depth: int,
-    image_depth: int,
-    samples_per_cell: int,
-    seed: int = 0,
-    budget: int = DEFAULT_EVAL_BUDGET,
-) -> ProjectionEstimate:
-    """Area estimate of one coordinate projection of its graph piece."""
-    areas = _projection_sweep(
-        spec, probe, [axis], domain_depth, image_depth, samples_per_cell, seed, budget
-    )
-    return ProjectionEstimate(axis=axis, area=areas[axis])
-
-
-def projection_measures(
-    spec: SurfaceSpec,
-    probe: SingularSetProbe,
-    domain_depth: int,
-    image_depth: int,
-    samples_per_cell: int,
-    seed: int = 0,
-    budget: int = DEFAULT_EVAL_BUDGET,
-) -> list[ProjectionEstimate]:
-    """All n axis projections from a single shared sample sweep."""
-    axes = list(range(1, spec.n + 1))
-    areas = _projection_sweep(
-        spec, probe, axes, domain_depth, image_depth, samples_per_cell, seed, budget
-    )
-    return [ProjectionEstimate(axis=a, area=areas[a]) for a in axes]
-

@@ -89,7 +89,8 @@ class SingularFunctionSpec:
         if self.kind == SALEM:
             return max(self.lam, 1.0 - self.lam) ** self.depth
         if self.kind == MINKOWSKI:
-            return 2.0 ** (1 - self.depth)
+            # quotients clamped at _MAX_CF_QUOTIENT leave up to 2**-61
+            return 2.0 ** (1 - min(self.depth, _MAX_CF_QUOTIENT))
         return 2.0 ** (-self.depth)
 
     @property
@@ -294,4 +295,6 @@ def in_singular_set(spec: SingularFunctionSpec, probe: SingularSetProbe, x: floa
 def in_singular_set_many(
     spec: SingularFunctionSpec, probe: SingularSetProbe, xs: np.ndarray
 ) -> np.ndarray:
+    """Boolean mask of the xs in the probed set: the dyadic slope of f over the
+    depth-``probe.depth`` cell holding x is below ``probe.eps``."""
     return dyadic_slopes_many(spec, xs, probe.depth) < probe.eps

@@ -32,7 +32,6 @@ from antichain import (
     occupied_cell_count,
     p_eval,
     p_projective_crosscheck,
-    projection_measure,
     projection_measures,
 )
 from antichain.measure import classify_regions, cover_sum
@@ -136,9 +135,8 @@ def test_criterion_4_box_dimension(n):
 def test_criterion_5_projection_lower_bound(n):
     spec = _surface(n)
     kd, ki, samples, axis_floor, total_floor = PROJECTION_PARAMS[n]
-    estimates = projection_measures(spec, PROBE, kd, ki, samples, seed=0)
-    total = math.fsum(e.area for e in estimates)
-    areas = {e.axis: e.area for e in estimates}
+    areas = projection_measures(spec, PROBE, kd, ki, samples, seed=0)
+    total = math.fsum(areas.values())
     ok = total >= total_floor and all(a > axis_floor for a in areas.values())
     _line(5, ok, f"n={n} areas={ {a: round(v, 4) for a, v in areas.items()} } "
                  f"total={total:.4f} floors=({axis_floor}, {total_floor})")
@@ -191,8 +189,8 @@ def test_criterion_8_property_suites():
     refinement = counts == sorted(counts)
 
     # determinism of the seeded estimators
-    a = projection_measure(_surface(2), 1, PROBE, 9, 6, 2, seed=0)
-    b = projection_measure(_surface(2), 1, PROBE, 9, 6, 2, seed=0)
+    a = projection_measures(_surface(2), PROBE, 9, 6, 2, seed=0)[1]
+    b = projection_measures(_surface(2), PROBE, 9, 6, 2, seed=0)[1]
     deterministic = a == b and antichain_scan(spec3, 2_000, seed=0) == antichain_scan(
         spec3, 2_000, seed=0
     )

@@ -100,6 +100,15 @@ def test_huge_sample_count_reports_the_budget_error(capsys):
     assert len(err) < 300
 
 
+@pytest.mark.parametrize("budget", ["abc", "1e9"])
+def test_malformed_budget_env_names_the_variable(capsys, monkeypatch, budget):
+    monkeypatch.setenv("ANTICHAIN_BUDGET", budget)
+    code, out, err = run_cli(capsys, "eval", "--n", "2", "--point", "0.5")
+    assert code == 2
+    assert out == ""
+    assert "ANTICHAIN_BUDGET" in err
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_eval_over_budget(capsys, monkeypatch, budget):
     # one evaluation, charged against the budget like every other command

@@ -17,7 +17,6 @@ from antichain import (
     box_dimension,
     graph_length_n2,
     occupied_cell_count,
-    projection_measure,
     projection_measures,
 )
 from antichain.errors import check_budget
@@ -302,25 +301,26 @@ def test_projection_degenerate_probe(identity_n2):
     # huge eps accepts everything: the last-axis piece is the whole domain,
     # all other pieces are empty
     probe = SingularSetProbe(depth=10, eps=1e9)
-    top = projection_measure(identity_n2, 2, probe, 8, 6, 2, seed=0)
-    side = projection_measure(identity_n2, 1, probe, 8, 6, 2, seed=0)
-    assert top.area == 1.0
-    assert side.area == 0.0
-    total = math.fsum(e.area for e in projection_measures(identity_n2, probe, 8, 6, 2, seed=0))
-    assert total == 1.0
+    areas = projection_measures(identity_n2, probe, 8, 6, 2, seed=0)
+    assert areas[2] == 1.0
+    assert areas[1] == 0.0
+    assert math.fsum(areas.values()) == 1.0
 
 
-def test_projection_areas_in_unit_interval(surface_n2):
+def test_projection_areas_in_unit_interval(salem_default):
+    # one area per axis 1..n, in axis order
     probe = SingularSetProbe(depth=40, eps=0.01)
-    for est in projection_measures(surface_n2, probe, 10, 7, 3, seed=0):
-        assert 0.0 <= est.area <= 1.0
+    for n, kd, ki, m in ((2, 10, 7, 3), (3, 6, 5, 2), (4, 4, 4, 2)):
+        areas = projection_measures(SurfaceSpec(n=n, f=salem_default), probe, kd, ki, m, seed=0)
+        assert list(areas) == list(range(1, n + 1))
+        assert all(0.0 <= area <= 1.0 for area in areas.values())
 
 
 def test_projection_axis_n_monotone_in_eps(surface_n2):
     # larger eps accepts a superset into the last piece; same seed, same jitter
     kwargs = dict(domain_depth=10, image_depth=7, samples_per_cell=3, seed=0)
     areas = [
-        projection_measure(surface_n2, 2, SingularSetProbe(40, eps), **kwargs).area
+        projection_measures(surface_n2, SingularSetProbe(40, eps), **kwargs)[2]
         for eps in (0.002, 0.01, 0.05)
     ]
     assert areas == sorted(areas)
@@ -331,33 +331,23 @@ def test_projection_count_monotone_in_image_depth(surface_n2):
     # occupied count cannot drop
     probe = SingularSetProbe(depth=40, eps=0.01)
     kwargs = dict(domain_depth=10, samples_per_cell=3, seed=0)
-    coarse = projection_measure(surface_n2, 1, probe, image_depth=6, **kwargs)
-    fine = projection_measure(surface_n2, 1, probe, image_depth=7, **kwargs)
-    assert round(fine.area * 2**7) >= round(coarse.area * 2**6)
-
-
-def test_projection_measures_consistent_with_single_axis(surface_n2):
-    probe = SingularSetProbe(depth=40, eps=0.01)
-    sweep = projection_measures(surface_n2, probe, 9, 6, 2, seed=4)
-    for est in sweep:
-        single = projection_measure(surface_n2, est.axis, probe, 9, 6, 2, seed=4)
-        assert single.area == est.area
+    coarse = projection_measures(surface_n2, probe, image_depth=6, **kwargs)[1]
+    fine = projection_measures(surface_n2, probe, image_depth=7, **kwargs)[1]
+    assert round(fine * 2**7) >= round(coarse * 2**6)
 
 
 def test_projection_validation(surface_n3):
     probe = SingularSetProbe(depth=40, eps=0.01)
-    with pytest.raises(DomainError):
-        projection_measure(surface_n3, 5, probe, 6, 5, 2)
     with pytest.raises(PrecisionError):
-        projection_measure(surface_n3, 1, SingularSetProbe(depth=60), 6, 5, 2)
+        projection_measures(surface_n3, SingularSetProbe(depth=60), 6, 5, 2)
     with pytest.raises(BudgetError):
-        projection_measure(surface_n3, 1, probe, 10, 5, 3, budget=100)
+        projection_measures(surface_n3, probe, 10, 5, 3, budget=100)
     with pytest.raises(BudgetError):
-        projection_measure(surface_n3, 1, probe, 6, 15, 2)  # image array guard
+        projection_measures(surface_n3, probe, 6, 15, 2)  # image array guard
     with pytest.raises(BudgetError, match="64-bit"):
-        projection_measure(surface_n3, 1, probe, 32, 5, 1, budget=2**70)
+        projection_measures(surface_n3, probe, 32, 5, 1, budget=2**70)
     with pytest.raises(BudgetError, match="64-bit"):  # before 1 << 10**9 is built
-        projection_measure(surface_n3, 1, probe, 10**9, 5, 1)
+        projection_measures(surface_n3, probe, 10**9, 5, 1)
 
 
 # ---------------------------------------------------------------- jitter
@@ -410,6 +400,6 @@ def test_projection_memory_does_not_grow_with_samples(surface_n3, monkeypatch):
 
 def test_projection_deterministic(surface_n2):
     probe = SingularSetProbe(depth=40, eps=0.01)
-    a = projection_measure(surface_n2, 1, probe, 9, 6, 2, seed=11)
-    b = projection_measure(surface_n2, 1, probe, 9, 6, 2, seed=11)
+    a = projection_measures(surface_n2, probe, 9, 6, 2, seed=11)[1]
+    b = projection_measures(surface_n2, probe, 9, 6, 2, seed=11)[1]
     assert a == b

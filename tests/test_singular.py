@@ -218,6 +218,14 @@ def test_minkowski_known_values():
     assert abs(v - 0.4) <= 1e-9
 
 
+@pytest.mark.parametrize("depth", [61, 62, 63])
+def test_minkowski_clamped_quotient_within_error_bound(depth):
+    # 2^-70 has the single partial quotient 2^70, clamped at 62, which leaves
+    # a reported bound of 2^-61 at every depth
+    spec = SingularFunctionSpec(kind=MINKOWSKI, depth=depth)
+    assert evaluate(spec, 2.0**-70)[1] <= spec.error_bound
+
+
 def _minkowski_sum(quotients) -> Fraction:
     """Exact alternating dyadic series of ? over the given partial quotients."""
     value, exponent, sign = Fraction(0), 1, 1
