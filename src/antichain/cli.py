@@ -288,7 +288,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     grid defaults for n where a grid option is missing, then ``RunConfig``'s."""
     given = dict(vars(args))
     if "point" in given:
-        given["point"] = tuple(float(tok) for tok in given["point"].split(","))
+        try:
+            given["point"] = tuple(float(tok) for tok in given["point"].split(","))
+        except ValueError:
+            raise ConfigurationError(
+                f"--point must be comma-separated numbers such as 0.5,0.25, "
+                f"got {given['point']!r}"
+            ) from None
     budget_override = os.environ.get(BUDGET_ENV_VAR)
     if budget_override is not None:
         try:

@@ -60,6 +60,13 @@ def test_eval_wrong_arity(capsys):
     assert "error:" in err
 
 
+def test_eval_malformed_point_names_the_option(capsys):
+    for point in ("abc", "0.5,"):
+        code, out, err = run_cli(capsys, "eval", "--n", "2", "--point", point)
+        assert code == 2 and not out
+        assert "--point" in err and "comma-separated" in err
+
+
 def test_check_antichain_small(capsys):
     code, out, _ = run_cli(
         capsys, "check-antichain", "--n", "3", "--pairs", "5000", "--seed", "42"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 import warnings
@@ -10,6 +11,8 @@ from hypothesis import given, strategies as st
 import antichain.surface as surface_module
 from antichain import (
     CANTOR,
+    MINKOWSKI,
+    SALEM,
     BudgetError,
     ConfigurationError,
     DomainError,
@@ -300,11 +303,13 @@ def test_scan_deterministic(surface_n3):
 
 def scan_pairs(monkeypatch, spec, pairs, seed, block):
     """Scan with ``block`` pairs per block; returns the result and the
-    (lower, upper) points it drew, recorded from the rows it encloses."""
+    (lower, upper) points it drew, recorded from the rows of each block's
+    first enclosure pass (the second pass re-encloses some of them)."""
     seen = []
 
     def recording_enclosure(spec_, rows):
-        seen.append(rows.copy())
+        if spec_.f.depth == surface_module._SCAN_FIRST_DEPTH:
+            seen.append(rows.copy())
         return surface_enclosure(spec_, rows)
 
     monkeypatch.setattr(surface_module, "_SCAN_BLOCK", block)
@@ -411,6 +416,67 @@ def test_scalar_verdicts_reproduce_scan_counts(monkeypatch, surface_n3):
     assert (counts["ordered_ok"], counts["within_tolerance"], counts["violation"]) == (
         result.ordered_ok, result.within_tolerance, result.violations)
     assert result.pairs == len(lower) == 1_500
+
+
+def _at_depth(spec, depth):
+    return SurfaceSpec(spec.n, dataclasses.replace(spec.f, depth=depth))
+
+
+@pytest.mark.parametrize(
+    "kind, lam, n, seed, pairs",
+    [(SALEM, lam, n, 0, 20_000) for lam in (0.1, 0.25, 0.9) for n in (2, 3, 5)]
+    + [(MINKOWSKI, 0.25, n, 0, 2_000) for n in (2, 3, 5)]
+    + [(SALEM, 0.1, 5, 1, 200_000)],
+)
+def test_two_pass_scan_matches_full_depth(monkeypatch, kind, lam, n, seed, pairs):
+    # a depth-8 verdict is one the full-depth enclosure confirms, and the
+    # scan counts are those of one full-depth pass over the same rows
+    spec = SurfaceSpec(n, SingularFunctionSpec(kind=kind, lam=lam))
+    result, lower, upper = scan_pairs(monkeypatch, spec, pairs, seed, 2**14)
+    rows = np.concatenate([lower, upper])
+    ok, bad = surface_module._pair_verdicts(*surface_enclosure(spec, rows))
+    ok8, bad8 = surface_module._pair_verdicts(*surface_enclosure(_at_depth(spec, 8), rows))
+    assert ok[ok8].all() and bad[bad8].all()
+    assert (~(ok8 | bad8)).any()  # the second pass has pairs to decide
+    tol = pairs - int(ok.sum()) - int(bad.sum())
+    assert (result.ordered_ok, result.within_tolerance, result.violations) == (
+        pairs - int(bad.sum()), tol, int(bad.sum()))
+    if kind == MINKOWSKI or pairs == 200_000:  # pairs no depth certifies
+        assert result.within_tolerance > 0
+
+
+def test_full_depth_pass_encloses_only_undecided_pairs(monkeypatch):
+    spec = SurfaceSpec(n=3, f=SingularFunctionSpec(lam=0.1))
+    calls = []
+
+    def recording_enclosure(spec_, rows):
+        calls.append((spec_, rows.copy()))
+        return surface_enclosure(spec_, rows)
+
+    monkeypatch.setattr(surface_module, "_SCAN_BLOCK", 1000)
+    monkeypatch.setattr(surface_module, "surface_enclosure", recording_enclosure)
+    antichain_scan(spec, 4_500, seed=3)
+    first_spec, second_spec = _at_depth(spec, 8), spec
+    refined = 0
+    while calls:
+        spec_, rows = calls.pop(0)
+        assert spec_ == first_spec
+        ok, bad = surface_module._pair_verdicts(*surface_enclosure(spec_, rows))
+        undecided = np.flatnonzero(~(ok | bad))
+        if undecided.size:
+            spec_, refined_rows = calls.pop(0)
+            assert spec_ == second_spec
+            np.testing.assert_array_equal(refined_rows, np.concatenate(
+                [rows[undecided], rows[undecided + len(ok)]]))
+            refined += undecided.size
+    assert refined > 0
+    # the scalar check: a decided pair takes one pass, an equal pair two
+    check_antichain_pair(spec, Point((0.2, 0.3)), Point((0.4, 0.9)))
+    assert [spec_ for spec_, _ in calls] == [first_spec]
+    calls.clear()
+    check_antichain_pair(spec, Point((0.3, 0.7)), Point((0.3, 0.7)))
+    assert [spec_ for spec_, _ in calls] == [first_spec, second_spec]
+    np.testing.assert_array_equal(calls[1][1], [(0.3, 0.7)] * 2)
 
 
 # ------------------------------------------------- projective cross-check
