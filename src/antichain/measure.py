@@ -8,8 +8,8 @@ Everything here reduces to counting occupied half-open dyadic cells:
   its counts and fitted trend feed ``cover_sum`` without a second sweep,
 * ``graph_length_n2`` -- inscribed polyline length of the planar graph,
 * ``projection_measures`` -- ``{axis: area}`` of the n coordinate projections
-  of the graph pieces classified by the slope probe, from one sweep; the
-  ``math.fsum`` of the n areas is the sampled projection total.
+  of the slope probe's graph pieces from one sweep, F taking the place of
+  coordinate i on piece i < n; the ``math.fsum`` of the areas is the sampled total.
 
 Counts are exact integers; length/area accumulations keep float error far
 below the 1e-12 budget (per-chunk pairwise sums combined with exact fsum).
@@ -188,9 +188,9 @@ def box_dimension(
 def graph_length_n2(spec: SurfaceSpec, k: int, budget: int = DEFAULT_EVAL_BUDGET) -> float:
     """Inscribed polyline length of the planar graph over the depth-k partition.
 
-    Endpoint evaluations are exact (dyadic inputs of depth <= k terminate),
-    so the result is the exact polygonal length up to summation rounding.
-    Nondecreasing in k; converges upward to the length of the graph.
+    Exact up to summation rounding for salem, whose dyadic endpoint values are
+    exact; other kinds only within their truncation bounds (minkowski's reach
+    2^-61 at some dyadics).  Nondecreasing in k; converges upward to the graph's length.
     """
     if spec.n != 2:
         raise DomainError(f"polyline length is defined for n = 2, got n = {spec.n}")
@@ -227,15 +227,14 @@ def projection_measures(
     budget: int = DEFAULT_EVAL_BUDGET,
 ) -> dict[int, float]:
     """Occupied image area of each coordinate projection, axis 1..n, from one
-    sweep: jittered domain samples are classified into the B-pieces and the
-    projected graph image of piece i is marked for axis i."""
+    sweep: jittered samples are classified into the B-pieces, F takes the
+    place of coordinate i on piece i < n, and piece i's image is marked for axis i."""
     d, n = spec.domain_dim, spec.n
     if probe.depth > spec.f.depth:
         raise PrecisionError(f"probe depth {probe.depth} exceeds spec depth {spec.f.depth}")
     if domain_depth < 1 or image_depth < 1 or samples_per_cell < 1:
         raise DomainError("depths and samples_per_cell must be >= 1")
-    img_dim = n - 1
-    if image_depth * img_dim > 28:
+    if image_depth * d > 28:
         raise BudgetError("image occupancy array would exceed the memory guard")
     _check_code_bits(domain_depth, d)
     per_cell = samples_per_cell**d
@@ -243,22 +242,20 @@ def projection_measures(
     chunk = 1 << (min(_CHUNK_ROWS, JITTER_BLOCK).bit_length() - 1)
     block_rows = JITTER_BLOCK * per_cell
     blocks = _grid_walk(1 << domain_depth, d, per_cell, chunk, budget)
-    axes = range(1, n + 1)
-    occupancy = {axis: np.zeros(1 << (image_depth * img_dim), dtype=bool) for axis in axes}
+    occupancy = np.zeros((n, 1 << (image_depth * d)), dtype=bool)
     for first, corners in blocks:
         if first % block_rows == 0:
             jitter = _block_jitter(seed, first // block_rows)
         pts = (corners + jitter.random(corners.shape)) / float(1 << domain_depth)
         labels = classify_regions(spec, probe, pts)
-        for axis in axes:
-            image = pts[labels == axis]
-            if axis < n:  # drop coordinate axis, append F
-                image = np.column_stack([image[:, : axis - 1], image[:, axis:],
-                                         surface_values(spec, image)])
-            if len(image):
-                occupancy[axis][_mark_codes(image, image_depth)] = True
-    cell_area = (2.0**-image_depth) ** img_dim
-    return {axis: float(occupancy[axis].sum()) * cell_area for axis in axes}
+        # F in place of x_i reorders piece i's image (x_-i, F) by a fixed
+        # permutation of coordinates, which maps image cells one to one
+        lift = np.flatnonzero((labels > 0) & (labels < n))
+        pts[lift, labels[lift] - 1] = surface_values(spec, pts[lift])
+        hit = labels > 0
+        occupancy[labels[hit] - 1, _mark_codes(pts, image_depth)[hit]] = True
+    cell_area = (2.0**-image_depth) ** d
+    return {axis: float(occupancy[axis - 1].sum()) * cell_area for axis in range(1, n + 1)}
 
 
 def classify_regions(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ from antichain import (
     DomainError,
     InsufficientDataError,
     PrecisionError,
+    SingularFunctionSpec,
     SingularSetProbe,
     SurfaceSpec,
     alpha,
@@ -20,7 +22,13 @@ from antichain import (
     projection_measures,
 )
 from antichain.errors import check_budget
-from antichain.measure import _block_jitter, _mark_codes, classify_regions, cover_sum
+from antichain.measure import (
+    JITTER_BLOCK,
+    _block_jitter,
+    _mark_codes,
+    classify_regions,
+    cover_sum,
+)
 from antichain.singular import in_singular_set
 from antichain.surface import surface_values
 
@@ -403,3 +411,67 @@ def test_projection_deterministic(surface_n2):
     a = projection_measures(surface_n2, probe, 9, 6, 2, seed=11)[1]
     b = projection_measures(surface_n2, probe, 9, 6, 2, seed=11)[1]
     assert a == b
+
+
+def per_axis_reference(spec, probe, kd, ki, m, seed):
+    """Projection areas rebuilt axis by axis: the image of piece i < n drops
+    coordinate i and appends F, and its cells are counted in a set.  The
+    samples are the sweep's: cell corners in flat-id order, each repeated on
+    m^d rows, plus one draw of the first jitter block."""
+    d, n = spec.domain_dim, spec.n
+    assert (1 << (kd * d)) <= JITTER_BLOCK
+    corners = np.array(list(itertools.product(range(1 << kd), repeat=d)), dtype=np.float64)
+    corners = np.repeat(corners, m**d, axis=0)
+    pts = (corners + _block_jitter(seed, 0).random(corners.shape)) / float(1 << kd)
+    labels = classify_regions(spec, probe, pts)
+    top = (1 << ki) - 1
+    areas = {}
+    for axis in range(1, n + 1):
+        image = pts[labels == axis]
+        if axis < n:
+            image = np.column_stack([np.delete(image, axis - 1, axis=1),
+                                     surface_values(spec, image)])
+        cells = {tuple(min(math.floor(x * 2**ki), top) for x in row) for row in image}
+        areas[axis] = len(cells) * (2.0**-ki) ** d
+    return areas, labels
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.25, 0.9])
+def test_projection_matches_per_axis_reference(lam):
+    probe = SingularSetProbe(depth=40, eps=0.01)
+    for n, kd, ki, m in ((2, 10, 7, 3), (3, 6, 5, 2), (4, 4, 4, 2)):
+        spec = SurfaceSpec(n=n, f=SingularFunctionSpec(lam=lam))
+        expected, _ = per_axis_reference(spec, probe, kd, ki, m, seed=4)
+        assert projection_measures(spec, probe, kd, ki, m, seed=4) == expected
+
+
+def test_projection_matches_per_axis_reference_minkowski():
+    spec = SurfaceSpec(n=3, f=SingularFunctionSpec(kind="minkowski"))
+    probe = SingularSetProbe(depth=40, eps=0.01)
+    expected, labels = per_axis_reference(spec, probe, 6, 5, 2, seed=1)
+    assert set(np.unique(labels)) == {0, 1, 2, 3}  # every piece and the rest
+    assert projection_measures(spec, probe, 6, 5, 2, seed=1) == expected
+
+
+def test_projection_lifts_each_chunk_once(surface_n3, monkeypatch):
+    # 16384 rows in chunks of 512: one F evaluation per chunk, on exactly
+    # the rows of pieces 1..n-1
+    probe = SingularSetProbe(depth=40, eps=0.01)
+    lifted, calls = [], []
+
+    def spy_classify(spec, probe, pts):
+        labels = classify_regions(spec, probe, pts)
+        lifted.append(pts[(labels > 0) & (labels < spec.n)].copy())
+        return labels
+
+    def spy_values(spec, pts):
+        calls.append(pts.copy())
+        return surface_values(spec, pts)
+
+    monkeypatch.setattr(measure_module, "classify_regions", spy_classify)
+    monkeypatch.setattr(measure_module, "surface_values", spy_values)
+    monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 1000)
+    projection_measures(surface_n3, probe, 6, 5, 2, seed=3)
+    assert len(lifted) == 16384 // 512
+    assert len(calls) == len(lifted)
+    assert all(np.array_equal(got, want) for got, want in zip(calls, lifted))
