@@ -10,6 +10,7 @@ clock goes to stderr so it cannot perturb report bytes.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -28,6 +29,35 @@ from .surface import Point, SurfaceSpec
 BUDGET_ENV_VAR = "ANTICHAIN_BUDGET"
 
 _CLAMP = 1e-9
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep freed array memory in the process heap, on glibc only; once per process.
+
+    By default glibc raises its mmap threshold to the size of the last mapped
+    block freed and its trim threshold to twice that, and gives freed heap
+    tops back to the kernel, so each block of a scan or sweep faults its
+    MB-sized numpy temporaries in again.  Fixing both thresholds with
+    ``mallopt`` turns that adjustment off: blocks under 32 MiB, the most the
+    dynamic rule reaches on 64-bit, come from the heap and stay there when
+    freed (up to 256 MiB of free heap top is kept); larger arrays are still
+    mapped and unmapped.  ``os.confstr`` asks the C library that is running,
+    not the interpreter binary; ``ctypes`` is imported here, not at module
+    import.  Elsewhere this does nothing.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return
+    if not libc or not libc.startswith("glibc"):
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
 
 
 @dataclass
@@ -172,7 +202,8 @@ def _cmd_export_mesh(cfg: RunConfig) -> str:
         lines += [",".join(_format_float(v) for v in row) for row in rows]
         return "\n".join(lines) + "\n"
     # json floats use shortest round-trip repr, which reproduces binary64 exactly
-    return json.dumps({"n": cfg.n, "grid": grid, "values": values.tolist()}, indent=2) + "\n"
+    return json.dumps({"n": cfg.n, "grid": grid, "values": values.tolist()}, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _format_float(v: float) -> str:
@@ -195,7 +226,7 @@ def _report_text(cfg: RunConfig, results: dict) -> str:
         "results": results,
     }
     if cfg.fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     lines = [f"# command={cfg.command}"]
     for key in sorted(report["config"]):
         if key != "command":
@@ -283,6 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: float options by ``RunConfig`` field; non-finite values are refused
+_FLOAT_OPTIONS = {"lam": "--lambda", "probe_eps": "--probe-eps"}
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The run's whole configuration: the options given, then the calibrated
     grid defaults for n where a grid option is missing, then ``RunConfig``'s."""
@@ -295,6 +330,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 f"--point must be comma-separated numbers such as 0.5,0.25, "
                 f"got {given['point']!r}"
             ) from None
+        if not all(map(math.isfinite, given["point"])):
+            raise ConfigurationError(f"--point coordinates must be finite, got {args.point!r}")
+    for name, flag in _FLOAT_OPTIONS.items():
+        if name in given and not math.isfinite(given[name]):
+            raise ConfigurationError(f"{flag} must be finite, got {given[name]}")
     budget_override = os.environ.get(BUDGET_ENV_VAR)
     if budget_override is not None:
         try:
@@ -315,6 +355,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:

@@ -40,8 +40,10 @@ from .surface import SurfaceSpec, surface_values
 #: definition (jitter for a cell depends only on seed, block, in-block row)
 JITTER_BLOCK = 2**17
 
-#: sample rows processed per vectorised chunk
-_CHUNK_ROWS = 2**21
+#: sample rows processed per vectorised chunk.  Chunks of 2^15 rows keep a
+#: chunk's working set at a few MB, cache-sized and reused from chunk to
+#: chunk, while the per-call overhead of numpy stays small against the rows
+_CHUNK_ROWS = 2**15
 
 #: domain coordinates are pulled this far inside the open cube before
 #: evaluation; far below any cell width in use

@@ -43,8 +43,10 @@ from .singular import SingularFunctionSpec, evaluate_many
 _ONE_BELOW = 1.0 - 2.0**-53
 _ONE_ABOVE = 2.0**-1074
 
-#: pairs per block of ``antichain_scan``; bounds its memory, not its verdicts
-_SCAN_BLOCK = 2**14
+#: pairs per block of ``antichain_scan``; bounds its memory, not its verdicts.
+#: At n = 5 a block's temporaries take about 2 MB, which stays in cache and,
+#: with the CLI's fixed malloc thresholds, is reused from block to block
+_SCAN_BLOCK = 2**12
 
 #: depth of the first enclosure pass of the pair verdicts; only the pairs it
 #: leaves undecided are enclosed again at the spec's own depth

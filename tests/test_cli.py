@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import sys
 
 import pytest
 
 import antichain
+from antichain import cli
 from antichain.cli import RunConfig, main
 from antichain.measure import box_dimension, cover_sum
 
@@ -65,6 +68,27 @@ def test_eval_malformed_point_names_the_option(capsys):
         code, out, err = run_cli(capsys, "eval", "--n", "2", "--point", point)
         assert code == 2 and not out
         assert "--point" in err and "comma-separated" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e309"])
+@pytest.mark.parametrize("flag, argv", [
+    ("--point", ("eval", "--n", "3", "--point=0.5,{}")),
+    ("--lambda", ("eval", "--n", "2", "--point", "0.5", "--lambda={}")),
+    ("--probe-eps", ("projections", "--n", "2", "--probe-eps={}")),
+])
+def test_non_finite_option_rejected(capsys, flag, argv, value):
+    # these parsed to inf and ran: --point was clamped silently and the
+    # report echoed Infinity, which strict JSON parsers reject
+    code, out, err = run_cli(capsys, *(arg.format(value) for arg in argv))
+    assert code == 2 and not out
+    assert flag in err and "finite" in err
+
+
+def test_non_finite_result_is_an_error_not_invalid_json(capsys, monkeypatch):
+    monkeypatch.setattr(cli.surface, "F_eval", lambda spec, x: (math.nan, 0.0))
+    code, out, err = run_cli(capsys, "eval", "--n", "2", "--point", "0.5")
+    assert code == 2 and not out
+    assert "error:" in err
 
 
 def test_check_antichain_small(capsys):
@@ -443,3 +467,48 @@ def test_mesh_resolution_below_one_rejected(capsys, resolution):
     assert code == 2
     assert out == ""
     assert "--resolution must be >= 1" in err
+
+
+def _on_glibc() -> bool:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and _on_glibc()),
+                    reason="the malloc thresholds are set on glibc Linux only")
+def test_repeated_scan_does_not_refault_freed_memory(capsys):
+    # with glibc's dynamic thresholds each block's freed temporaries went back
+    # to the kernel and were faulted in again: 8k to 10k minor faults per call
+    import resource
+
+    argv = ["check-antichain", "--n", "5", "--pairs", "100000", "--seed", "3"]
+    assert main(argv) == 0  # warm-up: lazy tables, heap grown to its working size
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    capsys.readouterr()
+    assert faults < 500
+
+
+def test_main_runs_where_confstr_raises(capsys, monkeypatch):
+    # macOS has no CS_GNU_LIBC_VERSION and Windows no os.confstr: the
+    # allocator policy is skipped, and the C library is not loaded for it
+    import ctypes
+
+    def no_confstr(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    def no_cdll(*args, **kwargs):
+        raise AssertionError("ctypes.CDLL called off glibc")
+
+    monkeypatch.setattr(os, "confstr", no_confstr, raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", no_cdll)
+    cli._keep_freed_heap.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "eval", "--n", "2", "--point", "0.5")
+    finally:
+        cli._keep_freed_heap.cache_clear()
+    assert code == 0
+    assert json.loads(out)["results"]["point"] == [0.5]

@@ -131,9 +131,12 @@ def test_cover_counts_do_not_depend_on_block_size(surface_n2, surface_n3, salem_
     cases = ((surface_n3, 5, 2), (surface_n2, 9, 3), (surface_n3, 4, 3), (surface_n2, 8, 5),
              (surface_n4, 2, 3))
     counts = [occupied_cell_count(spec, k, m) for spec, k, m in cases]
+    split = occupied_cell_count(surface_n3, 7, 2)  # 257^2 lattice points, 3 chunks
     monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 50)
     assert [occupied_cell_count(spec, k, m) for spec, k, m in cases] == counts
     assert counts == [1338, 668, 363, 375, 104]
+    monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 1 << 21)
+    assert occupied_cell_count(surface_n3, 7, 2) == split
 
 
 def test_cover_evaluates_each_lattice_point_once(surface_n3, monkeypatch):
@@ -385,6 +388,24 @@ def test_projection_areas_do_not_depend_on_chunk_size(surface_n2, surface_n3, mo
             for spec, kd, ki, m in cases] == areas
     monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 50)
     assert projection_measures(surface_n3, probe, 6, 5, 3, seed=2) == areas[0]
+    # chunks as large as the jitter blocks
+    monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 1 << 21)
+    assert [projection_measures(spec, probe, kd, ki, m, seed=2)
+            for spec, kd, ki, m in cases] == areas
+
+
+def test_projection_traced_peak_is_bounded(surface_n3):
+    # 11.8 MB in chunks of one jitter block; about 3.7 MB in the default chunks;
+    # the first call fills the kernels' cached tables before tracing starts
+    probe = SingularSetProbe(depth=40, eps=0.01)
+    projection_measures(surface_n3, probe, 3, 5, 1, seed=1)
+    tracemalloc.start()
+    try:
+        projection_measures(surface_n3, probe, 8, 6, 3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_projection_memory_does_not_grow_with_samples(surface_n3, monkeypatch):

@@ -319,14 +319,26 @@ def scan_pairs(monkeypatch, spec, pairs, seed, block):
     return result, *(np.concatenate(h) for h in zip(*halves))
 
 
-def test_scan_independent_of_block_size(monkeypatch, surface_n3):
-    # 4321 pairs: five blocks of 1000 (the last one short) against one block
-    a, lower_a, upper_a = scan_pairs(monkeypatch, surface_n3, 4_321, 11, 1000)
-    b, lower_b, upper_b = scan_pairs(monkeypatch, surface_n3, 4_321, 11, 2**14)
-    assert a == b
-    assert len(lower_a) == len(upper_a) == 4_321
-    np.testing.assert_array_equal(lower_a, lower_b)
-    np.testing.assert_array_equal(upper_a, upper_b)
+@pytest.mark.parametrize("lam, n, seed, pairs", [
+    (0.25, 2, 11, 4_321),
+    (0.25, 3, 11, 4_321),
+    (0.25, 5, 11, 4_321),
+    # has within-tolerance pairs, so undecided pairs fall in several blocks
+    (0.1, 5, 1, 50_000),
+], ids=["n2", "n3", "n5", "n5-lam0.1-tolerance"])
+def test_scan_independent_of_block_size(monkeypatch, lam, n, seed, pairs):
+    # blocks of 1000 (the last one short) against the default blocks and one block
+    spec = SurfaceSpec(n=n, f=SingularFunctionSpec(lam=lam))
+    default = surface_module._SCAN_BLOCK
+    a, lower_a, upper_a = scan_pairs(monkeypatch, spec, pairs, seed, 1000)
+    assert len(lower_a) == len(upper_a) == pairs
+    for block in (default, pairs):
+        b, lower_b, upper_b = scan_pairs(monkeypatch, spec, pairs, seed, block)
+        assert a == b
+        np.testing.assert_array_equal(lower_a, lower_b)
+        np.testing.assert_array_equal(upper_a, upper_b)
+    if lam == 0.1:
+        assert a.within_tolerance > 0
 
 
 def test_scan_draws_the_conditional_law(monkeypatch, salem_default):
@@ -361,6 +373,19 @@ def test_scan_memory_does_not_grow_with_pairs(salem_default):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_scan_traced_peak_is_bounded(salem_default):
+    # 8.95 MB in blocks of 2^14 pairs; about 2.24 MB in the default blocks
+    spec = SurfaceSpec(n=5, f=salem_default)
+    antichain_scan(spec, 100, seed=1)  # builds the kernel's lazy tables
+    tracemalloc.start()
+    try:
+        antichain_scan(spec, 100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_scan_rejects_pair_counts_below_one_and_over_budget(surface_n3):
