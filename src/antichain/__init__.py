@@ -43,10 +43,8 @@ from .surface import (
     F_eval,
     antichain_scan,
     check_antichain_pair,
-    graph_point,
     p_eval,
     p_projective_crosscheck,
-    section,
 )
 
 __version__ = "0.1.0"
@@ -81,9 +79,7 @@ __all__ = [
     "F_eval",
     "antichain_scan",
     "check_antichain_pair",
-    "graph_point",
     "p_eval",
     "p_projective_crosscheck",
-    "section",
     "__version__",
 ]

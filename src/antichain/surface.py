@@ -174,18 +174,10 @@ def surface_enclosure(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray
 def F_eval(spec: SurfaceSpec, x: Point) -> tuple[float, float]:
     """F(x) = 1 - p(f(x_1), ..., f(x_{n-1})), with the half-width of its
     enclosure about the value as error bound."""
-    if x.dim != spec.domain_dim:
-        raise DomainError(f"point has dim {x.dim}, surface domain needs {spec.domain_dim}")
     fv, fe = _f_values(spec, np.array([x.coords]))
     value = float(_F_of(fv)[0])
     lo, hi = _enclose(spec.f, fv, fe)
     return value, max(value - float(lo[0]), float(hi[0]) - value)
-
-
-def graph_point(spec: SurfaceSpec, x: Point) -> Point:
-    """Lift a domain point onto the graph by appending F(x)."""
-    value = float(surface_values(spec, np.array([x.coords]))[0])
-    return Point(x.coords + (value,))
 
 
 @dataclass(frozen=True)
@@ -315,12 +307,3 @@ def p_projective_crosscheck(x: Point) -> float:
     rhs = np.array([-center[0], -center[1]])
     _, t = np.linalg.solve(a, rhs)
     return float(t)
-
-
-def section(spec: SurfaceSpec, fixed: Point, t: float) -> float:
-    """F with the last coordinate freed: the strictly decreasing section."""
-    if spec.n < 3:
-        raise DomainError("sections need ambient dimension >= 3")
-    if fixed.dim != spec.n - 2:
-        raise DomainError(f"fixed part has dim {fixed.dim}, expected {spec.n - 2}")
-    return graph_point(spec, Point(fixed.coords + (float(t),))).coords[-1]

@@ -132,7 +132,7 @@ def test_criterion_4_box_dimension(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_criterion_5_projection_lower_bound(n):
+def test_criterion_5_projection_areas(n):
     spec = _surface(n)
     kd, ki, samples, axis_floor, total_floor = PROJECTION_PARAMS[n]
     areas = projection_measures(spec, PROBE, kd, ki, samples, seed=0)

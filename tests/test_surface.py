@@ -19,14 +19,14 @@ from antichain import (
     F_eval,
     Point,
     SingularFunctionSpec,
+    SingularSetProbe,
     SurfaceSpec,
     antichain_scan,
     check_antichain_pair,
-    graph_point,
     p_eval,
     p_projective_crosscheck,
-    section,
 )
+from antichain.measure import classify_regions
 from antichain.surface import p_many, surface_enclosure, surface_values
 
 from oracles import salem_recursive, salem_truncation_exact, seeded_rng
@@ -194,15 +194,31 @@ def test_F_dimension_mismatch(surface_n3):
         F_eval(surface_n3, Point((0.5,)))
 
 
-def test_graph_point_examples(identity_n2, surface_n3, identity_f):
-    assert graph_point(identity_n2, Point((0.3,))).coords == pytest.approx((0.3, 0.7))
-    lifted = graph_point(surface_n3, Point((0.5, 0.5)))
-    assert lifted.coords[:2] == (0.5, 0.5)
-    assert lifted.coords[2] == pytest.approx(0.75, abs=1e-12)
-    spec4 = SurfaceSpec(n=4, f=identity_f)
+def test_surface_values_examples(identity_n2, surface_n3, identity_f):
+    # the last coordinate of the graph point (x, F(x)), from the array kernel
+    assert surface_values(identity_n2, np.array([[0.3]]))[0] == pytest.approx(0.7)
+    assert surface_values(surface_n3, np.array([[0.5, 0.5]]))[0] == pytest.approx(0.75, abs=1e-12)
     t = 0.6
-    lifted = graph_point(spec4, Point((t, t, t)))
-    assert lifted.coords[3] == pytest.approx(1.0 - t * t / (1.0 - t + t * t), abs=1e-12)
+    value = surface_values(SurfaceSpec(n=4, f=identity_f), np.array([[t, t, t]]))[0]
+    assert value == pytest.approx(1.0 - t * t / (1.0 - t + t * t), abs=1e-12)
+
+
+_WRONG_WIDTH = np.full((4, 1), 0.5)  # (N, n-2) rows for n = 3
+_ONE_D = np.full(2, 0.5)
+
+
+@pytest.mark.parametrize("call, points", [
+    (surface_values, _WRONG_WIDTH),
+    (surface_values, _ONE_D),
+    (surface_enclosure, _WRONG_WIDTH),
+    (surface_enclosure, _ONE_D),
+    (lambda spec, pts: classify_regions(spec, SingularSetProbe(), pts), _WRONG_WIDTH),
+    (lambda spec, pts: p_many(pts), _ONE_D),
+], ids=["values-width", "values-1d", "enclosure-width", "enclosure-1d",
+        "classify-width", "p_many-1d"])
+def test_kernels_reject_misshapen_points(surface_n3, call, points):
+    with pytest.raises(DomainError):
+        call(surface_n3, points)
 
 
 def test_surface_values_error_bound_is_conservative(surface_n3):
@@ -534,46 +550,38 @@ def test_crosscheck_needs_dim2():
 
 
 # ----------------------------------------------------------------- section
+# F along the last coordinate with the others fixed
 
 
 def test_section_identity_center(identity_n3):
-    assert section(identity_n3, Point((0.5,)), 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert surface_values(identity_n3, np.array([[0.5, 0.5]]))[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_section_identity_decreasing_pair(identity_n3):
-    v_low = section(identity_n3, Point((0.5,)), 0.1)
-    v_high = section(identity_n3, Point((0.5,)), 0.9)
+    v_low, v_high = surface_values(identity_n3, np.array([[0.5, 0.1], [0.5, 0.9]]))
     assert v_low == pytest.approx(1.0 - p_formula((0.5, 0.1)), abs=1e-12)
     assert v_high == pytest.approx(1.0 - p_formula((0.5, 0.9)), abs=1e-12)
     assert v_low > v_high
 
 
 def test_section_strictly_decreasing_bulk(surface_n3):
-    rng = seeded_rng(88)
-    for _ in range(10_000):
-        fixed = Point((float(rng.uniform(0.05, 0.95)),))
-        t1, t2 = sorted(rng.uniform(0.01, 0.99, 2))
-        if t2 - t1 < 1e-6:
-            continue
-        assert section(surface_n3, fixed, t1) > section(surface_n3, fixed, t2)
+    # 10^4 rows (fixed, t1, t2) with t1 < t2; every gap exceeds 1e-6
+    u = seeded_rng(88).uniform((0.05, 0.01, 0.01), (0.95, 0.99, 0.99), (10_000, 3))
+    u[:, 1:].sort(axis=1)
+    at_t1 = surface_values(surface_n3, u[:, [0, 1]])
+    at_t2 = surface_values(surface_n3, u[:, [0, 2]])
+    assert (at_t1 > at_t2).all()
 
 
 def test_section_range_exhaustion(surface_n3):
     # near the ends of the free coordinate the section sweeps past both
     # delta = 0.01 rails
-    fixed = Point((0.5,))
-    assert section(surface_n3, fixed, 2.0**-30) > 0.99
-    assert section(surface_n3, fixed, 1.0 - 2.0**-30) < 0.01
+    high, low = surface_values(surface_n3, np.array([[0.5, 2.0**-30], [0.5, 1.0 - 2.0**-30]]))
+    assert high > 0.99
+    assert low < 0.01
 
 
 def test_section_higher_dimension(identity_f):
     spec = SurfaceSpec(n=4, f=identity_f)
-    value = section(spec, Point((0.5, 0.5)), 0.5)
+    value = surface_values(spec, np.array([[0.5, 0.5, 0.5]]))[0]
     assert value == pytest.approx(1.0 - p_formula((0.5, 0.5, 0.5)), abs=1e-12)
-
-
-def test_section_validation(surface_n2, surface_n3):
-    with pytest.raises(DomainError):
-        section(surface_n2, Point((0.5,)), 0.5)
-    with pytest.raises(DomainError):
-        section(surface_n3, Point((0.5, 0.5)), 0.5)
