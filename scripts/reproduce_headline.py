@@ -120,6 +120,9 @@ def main() -> None:
         print(f"n={n} kd={kd} ki={ki} m={m}: {listed}  total={total:.4f}  "
               f"[{time.time() - t0:.1f}s]")
     print("frozen floors: per-axis 0.8 (n=2) / 0.85 (n=3); totals 1.8 / 2.6")
+    if args.quick:
+        print("(floors calibrated at the full depths; --quick sweeps n = 3 one domain "
+              "digit coarser and is not held to them)")
 
 
 if __name__ == "__main__":

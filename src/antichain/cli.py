@@ -88,14 +88,9 @@ class RunConfig:
     image_depth: int = 0
     resolution: int = 32
 
-    def function_spec(self) -> SingularFunctionSpec:
-        # lam = 1/2 is accepted here and flagged in the report's warnings
-        return SingularFunctionSpec(
-            kind=self.kind, lam=self.lam, depth=self.depth, allow_non_singular=True
-        )
-
     def surface_spec(self) -> SurfaceSpec:
-        return SurfaceSpec(n=self.n, f=self.function_spec())
+        f = SingularFunctionSpec(kind=self.kind, lam=self.lam, depth=self.depth)
+        return SurfaceSpec(n=self.n, f=f)
 
     def probe(self) -> SingularSetProbe:
         return SingularSetProbe(depth=self.probe_depth, eps=self.probe_eps)
@@ -110,6 +105,7 @@ _GRID_DEFAULTS = {
 
 
 def _warnings_for(cfg: RunConfig) -> list[str]:
+    # the library accepts lam = 1/2; only the CLI's reports flag it
     notes = []
     if cfg.kind == SALEM and cfg.lam == 0.5:
         notes.append("lambda = 0.5 yields the identity map, which is not singular")

@@ -22,8 +22,8 @@ per (lam, width) in exact integer arithmetic, to within 2 ulp of the exact
 truncated sum; the bound is the rise over the depth-cell of x, or exactly 0
 when x has no digit past the depth.  The slope probe is one popcount.
 Each quantity has one array kernel, and the scalar calls are one-row
-wrappers over it; ``evaluate_many`` is the one place that branches on the
-kind.
+wrappers over it; ``evaluate_many`` is the one place where the values of f
+branch on the kind.
 """
 
 from __future__ import annotations
@@ -56,28 +56,20 @@ class SingularFunctionSpec:
     """Which singular function to use and how deep to evaluate it.
 
     ``lam`` is only meaningful for the salem kind.  lam = 1/2 collapses the
-    recursion to the identity, which is not singular; it is rejected unless
-    ``allow_non_singular`` is set (test fixtures use that escape hatch).
+    recursion to the identity, which is strictly increasing but not singular.
     """
 
     kind: str = SALEM
     lam: float = 0.25
     depth: int = 52
-    allow_non_singular: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
         if not 1 <= self.depth <= 63:
             raise ConfigurationError(f"depth must be in [1, 63], got {self.depth}")
-        if self.kind == SALEM:
-            if not 0.0 < self.lam < 1.0:
-                raise ConfigurationError(f"salem ratio must lie in (0,1), got {self.lam}")
-            if self.lam == 0.5 and not self.allow_non_singular:
-                raise ConfigurationError(
-                    "lam = 1/2 gives the identity, which is not singular; "
-                    "pass allow_non_singular=True for fixture use"
-                )
+        if self.kind == SALEM and not 0.0 < self.lam < 1.0:
+            raise ConfigurationError(f"salem ratio must lie in (0,1), got {self.lam}")
 
     @property
     def strictly_increasing(self) -> bool:

@@ -19,9 +19,9 @@ def salem_default() -> SingularFunctionSpec:
 
 @pytest.fixture
 def identity_f() -> SingularFunctionSpec:
-    """lam = 1/2 collapses the recursion to the identity; explicitly allowed
-    as a non-singular fixture so surface geometry is exactly predictable."""
-    return SingularFunctionSpec(lam=0.5, allow_non_singular=True)
+    """lam = 1/2 collapses the recursion to the identity, a non-singular
+    fixture whose surface geometry is exactly predictable."""
+    return SingularFunctionSpec(lam=0.5)
 
 
 @pytest.fixture

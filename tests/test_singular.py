@@ -28,12 +28,6 @@ unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 # ---------------------------------------------------------------- validation
 
 
-def test_lambda_half_rejected_without_flag():
-    with pytest.raises(ConfigurationError):
-        SingularFunctionSpec(lam=0.5)
-    SingularFunctionSpec(lam=0.5, allow_non_singular=True)  # fixture escape hatch
-
-
 @pytest.mark.parametrize("lam", [0.0, 1.0, -0.1, 1.5])
 def test_lambda_out_of_range_rejected(lam):
     with pytest.raises(ConfigurationError):

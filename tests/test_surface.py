@@ -549,22 +549,22 @@ def test_crosscheck_needs_dim2():
         p_projective_crosscheck(Point((0.5, 0.5, 0.5)))
 
 
-# ----------------------------------------------------------------- section
+# ------------------------------------------------------------ last coordinate
 # F along the last coordinate with the others fixed
 
 
-def test_section_identity_center(identity_n3):
+def test_identity_F_center_n3(identity_n3):
     assert surface_values(identity_n3, np.array([[0.5, 0.5]]))[0] == pytest.approx(0.5, abs=1e-15)
 
 
-def test_section_identity_decreasing_pair(identity_n3):
+def test_identity_F_decreasing_pair_in_last_coordinate(identity_n3):
     v_low, v_high = surface_values(identity_n3, np.array([[0.5, 0.1], [0.5, 0.9]]))
     assert v_low == pytest.approx(1.0 - p_formula((0.5, 0.1)), abs=1e-12)
     assert v_high == pytest.approx(1.0 - p_formula((0.5, 0.9)), abs=1e-12)
     assert v_low > v_high
 
 
-def test_section_strictly_decreasing_bulk(surface_n3):
+def test_F_decreasing_in_last_coordinate_bulk(surface_n3):
     # 10^4 rows (fixed, t1, t2) with t1 < t2; every gap exceeds 1e-6
     u = seeded_rng(88).uniform((0.05, 0.01, 0.01), (0.95, 0.99, 0.99), (10_000, 3))
     u[:, 1:].sort(axis=1)
@@ -573,15 +573,15 @@ def test_section_strictly_decreasing_bulk(surface_n3):
     assert (at_t1 > at_t2).all()
 
 
-def test_section_range_exhaustion(surface_n3):
-    # near the ends of the free coordinate the section sweeps past both
-    # delta = 0.01 rails
+def test_F_range_exhaustion_in_last_coordinate(surface_n3):
+    # near the ends of the last coordinate F sweeps past both delta = 0.01
+    # rails
     high, low = surface_values(surface_n3, np.array([[0.5, 2.0**-30], [0.5, 1.0 - 2.0**-30]]))
     assert high > 0.99
     assert low < 0.01
 
 
-def test_section_higher_dimension(identity_f):
+def test_identity_F_center_n4(identity_f):
     spec = SurfaceSpec(n=4, f=identity_f)
     value = surface_values(spec, np.array([[0.5, 0.5, 0.5]]))[0]
     assert value == pytest.approx(1.0 - p_formula((0.5, 0.5, 0.5)), abs=1e-12)
