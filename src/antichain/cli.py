@@ -1,9 +1,10 @@
 """Command-line front end with reproducible, machine-readable reports.
 
 Commands: eval, check-antichain, length, dimension, projections,
-export-mesh.  Reports echo the full effective configuration (seed
-included) and are byte-identical across runs with the same config; wall
-clock goes to stderr so it cannot perturb report bytes.  Exit codes:
+export-mesh; only check-antichain and projections draw, and take ``--seed``.
+Reports echo the full effective configuration (seed included, 0 where
+nothing is drawn) and are byte-identical across runs with the same config;
+wall clock goes to stderr so it cannot perturb report bytes.  Exit codes:
 0 success, 1 detected property violation, 2 configuration/resource error.
 """
 
@@ -92,15 +93,11 @@ class RunConfig:
         f = SingularFunctionSpec(kind=self.kind, lam=self.lam, depth=self.depth)
         return SurfaceSpec(n=self.n, f=f)
 
-    def probe(self) -> SingularSetProbe:
-        return SingularSetProbe(depth=self.probe_depth, eps=self.probe_eps)
 
-
-#: per grid command: calibrated defaults by n, the fields they fill, what they are
+#: per grid command: calibrated defaults by n and the fields they fill
 _GRID_DEFAULTS = {
-    "dimension": (DIMENSION_WINDOWS, ("k_min", "k_max", "samples"), "depth window"),
-    "projections": (PROJECTION_DEFAULTS, ("domain_depth", "image_depth", "samples"),
-                    "projection depths"),
+    "dimension": (DIMENSION_WINDOWS, ("k_min", "k_max", "samples")),
+    "projections": (PROJECTION_DEFAULTS, ("domain_depth", "image_depth", "samples")),
 }
 
 
@@ -168,7 +165,7 @@ def _cmd_projections(cfg: RunConfig) -> dict:
     spec = cfg.surface_spec()
     areas = measure.projection_measures(
         spec,
-        cfg.probe(),
+        SingularSetProbe(depth=cfg.probe_depth, eps=cfg.probe_eps),
         cfg.domain_depth,
         cfg.image_depth,
         cfg.samples,
@@ -268,7 +265,6 @@ def _add_command(sub, name: str, help_text: str) -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS)
     p.add_argument("--lambda", dest="lam", type=float, help="salem contraction ratio")
     p.add_argument("--depth", type=int, help="evaluation depth in bits")
-    p.add_argument("--seed", type=int)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"))
     p.add_argument("--output", help="report path (default stdout)")
     return p
@@ -288,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "check-antichain", "seeded comparable-pair scan")
     p.add_argument("--pairs", type=int)
+    p.add_argument("--seed", type=int)
 
     p = _add_command(sub, "length", "polyline length of the planar graph")
     p.set_defaults(n=2)
@@ -299,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, help="sub-grid samples per cell and axis")
 
     p = _add_command(sub, "projections", "sampled projection areas")
+    p.add_argument("--seed", type=int)
     p.add_argument("--probe-depth", type=int)
     p.add_argument("--probe-eps", type=float)
     p.add_argument("--domain-depth", type=int)
@@ -340,13 +338,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 f"{BUDGET_ENV_VAR} must be an integer, got {budget_override!r}"
             ) from None
     if given["command"] in _GRID_DEFAULTS:
-        table, fields, what = _GRID_DEFAULTS[given["command"]]
-        if not all(name in given for name in fields):
-            n = given.get("n", RunConfig.n)
-            if n not in table:
-                flags = "/".join("--" + name.replace("_", "-") for name in fields)
-                raise AntichainError(f"no default {what} for n = {n}; pass {flags}")
-            given = {**dict(zip(fields, table[n])), **given}
+        table, fields = _GRID_DEFAULTS[given["command"]]
+        missing = [name for name in fields if name not in given]
+        n = given.get("n", RunConfig.n)
+        if missing and n not in table:
+            flags = "/".join("--" + name.replace("_", "-") for name in missing)
+            raise AntichainError(f"no calibrated {given['command']} defaults for n = {n}; "
+                                 f"pass {flags}")
+        given = {**dict(zip(fields, table.get(n, ()))), **given}
     return RunConfig(**given)
 
 

@@ -249,6 +249,7 @@ def projection_measures(
         if first % block_rows == 0:
             jitter = _block_jitter(seed, first // block_rows)
         pts = (corners + jitter.random(corners.shape)) / float(1 << domain_depth)
+        np.clip(pts, _EDGE, 1.0 - _EDGE, out=pts)  # a draw can land on 0.0 or round to 1.0
         labels = classify_regions(spec, probe, pts)
         # F in place of x_i reorders piece i's image (x_-i, F) by a fixed
         # permutation of coordinates, which maps image cells one to one

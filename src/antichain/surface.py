@@ -238,7 +238,6 @@ class ScanResult:
     ordered_ok: int
     within_tolerance: int
     violations: int
-    seed: int
 
 
 def antichain_scan(
@@ -286,8 +285,7 @@ def antichain_scan(
         ok += int(ok_k.sum())
         bad += int(bad_k.sum())
     tol = pairs - ok - bad
-    return ScanResult(pairs=pairs, ordered_ok=ok + tol, within_tolerance=tol,
-                      violations=bad, seed=seed)
+    return ScanResult(pairs=pairs, ordered_ok=ok + tol, within_tolerance=tol, violations=bad)
 
 
 def p_projective_crosscheck(x: Point) -> float:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -257,6 +258,55 @@ def test_partial_window_keeps_given_options(capsys):
     assert report["results"]["depths"] == [6, 7, 8]
 
 
+@pytest.mark.parametrize("argv, missing", [
+    ("dimension --n 4", "--k-min/--k-max/--samples"),
+    ("dimension --n 4 --k-min 2", "--k-max/--samples"),
+    ("projections --n 4", "--domain-depth/--image-depth/--samples"),
+])
+def test_no_calibrated_defaults_names_the_missing_flags(capsys, argv, missing):
+    code, out, err = run_cli(capsys, *argv.split())
+    command = argv.split()[0]
+    assert code == 2
+    assert out == ""
+    assert f"error: no calibrated {command} defaults for n = 4; pass {missing}\n" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "eval --point 0.5,0.5",
+    "length",
+    "dimension --n 2 --k-min 5 --k-max 6 --samples 1",
+    "export-mesh --n 2 --resolution 3",
+])
+def test_seed_rejected_where_nothing_is_drawn(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--seed", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "check-antichain --n 2 --pairs 100",
+    "projections --n 2 --domain-depth 5 --image-depth 4 --samples 1",
+])
+def test_seeded_commands_echo_the_seed(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split(), "--seed", "9")
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 9
+
+
+def test_readme_cli_examples_parse():
+    # the fenced block under "## CLI" in README.md, one invocation a line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert lines and all(line[0] == "antichain" for line in lines)
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(line[1:])  # exits on an option the parser does not know
+
+
 def test_projections_small(capsys):
     code, out, _ = run_cli(
         capsys, "projections", "--n", "2", "--domain-depth", "9",
@@ -403,7 +453,7 @@ def test_violation_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         cli_module.surface,
         "antichain_scan",
-        lambda spec, pairs, seed=0, budget=0: ScanResult(pairs, pairs - 1, 0, 1, seed),
+        lambda spec, pairs, seed=0, budget=0: ScanResult(pairs, pairs - 1, 0, 1),
     )
     code, out, _ = run_cli(capsys, "check-antichain", "--pairs", "100")
     assert code == 1

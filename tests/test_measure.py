@@ -434,6 +434,28 @@ def test_projection_deterministic(surface_n2):
     assert a == b
 
 
+class ConstantJitter:
+    """Stands in for a block's jitter generator: every draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, shape):
+        return np.full(shape, self.value)
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+def test_projection_survives_edge_draws(surface_n3, monkeypatch, u):
+    # at corner 0 a draw of 0.0 gives the sample 0.0; on the last cell row a
+    # draw within 2^(kd-54) of 1 rounds the sample to 1.0.  Both are clipped
+    # into the open cube instead of failing the classification
+    monkeypatch.setattr(measure_module, "_block_jitter", lambda seed, block: ConstantJitter(u))
+    probe = SingularSetProbe(depth=40, eps=0.01)
+    areas = projection_measures(surface_n3, probe, 3, 3, 1)
+    assert list(areas) == [1, 2, 3]
+    assert all(0.0 <= area <= 1.0 for area in areas.values())
+
+
 def per_axis_reference(spec, probe, kd, ki, m, seed):
     """Projection areas rebuilt axis by axis: the image of piece i < n drops
     coordinate i and appends F, and its cells are counted in a set.  The
@@ -444,6 +466,7 @@ def per_axis_reference(spec, probe, kd, ki, m, seed):
     corners = np.array(list(itertools.product(range(1 << kd), repeat=d)), dtype=np.float64)
     corners = np.repeat(corners, m**d, axis=0)
     pts = (corners + _block_jitter(seed, 0).random(corners.shape)) / float(1 << kd)
+    pts = np.clip(pts, 2.0**-50, 1.0 - 2.0**-50)
     labels = classify_regions(spec, probe, pts)
     top = (1 << ki) - 1
     areas = {}
