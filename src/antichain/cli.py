@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -30,6 +31,9 @@ from .surface import Point, SurfaceSpec
 BUDGET_ENV_VAR = "ANTICHAIN_BUDGET"
 
 _CLAMP = 1e-9
+
+#: the one CSV float format, for reports and meshes; 17 digits round-trip binary64
+_FLOAT_FORMAT = "%.17g"
 
 
 @functools.cache
@@ -190,17 +194,20 @@ def _cmd_export_mesh(cfg: RunConfig) -> str:
     points = np.stack([a.ravel() for a in axes], axis=1)
     values = surface.surface_values(cfg.surface_spec(), points)
     if cfg.fmt == "csv":
-        rows = np.column_stack([points, values]).tolist()
-        lines = ["x1,F" if cfg.n == 2 else "x1,x2,F"]
-        lines += [",".join(_format_float(v) for v in row) for row in rows]
-        return "\n".join(lines) + "\n"
+        # each grid value is formatted once; product() walks the meshgrid's
+        # row-major order, and one % fills in the F column
+        cells = [_FLOAT_FORMAT % x for x in grid]
+        template = "".join(f"{','.join(prefix)},{_FLOAT_FORMAT}\n"
+                           for prefix in itertools.product(cells, repeat=cfg.n - 1))
+        header = "x1,F\n" if cfg.n == 2 else "x1,x2,F\n"
+        return header + template % tuple(values.tolist())
     # json floats use shortest round-trip repr, which reproduces binary64 exactly
     return json.dumps({"n": cfg.n, "grid": grid, "values": values.tolist()}, indent=2,
                       allow_nan=False) + "\n"
 
 
 def _format_float(v: float) -> str:
-    return format(v, ".17g")
+    return _FLOAT_FORMAT % v
 
 
 def _flatten(prefix: str, obj, out: list[tuple[str, object]]) -> None:
@@ -270,7 +277,10 @@ def _add_command(sub, name: str, help_text: str) -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each ``parse_args`` call
+    makes a fresh namespace, so no call's options reach the next."""
     parser = argparse.ArgumentParser(
         prog="antichain",
         description="Evaluate singular-function antichain surfaces and estimate "

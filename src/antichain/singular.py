@@ -92,6 +92,13 @@ class SingularFunctionSpec:
         a power of two (minkowski partial sums stay within twice the value)."""
         return 2 if self.kind == SALEM else self.depth
 
+    @property
+    def truncates_from_below(self) -> bool:
+        """Whether the exact f lies in [value, value + bound] up to rounding:
+        salem and cantor return f at the left end of the depth cell, while
+        minkowski's alternating series truncates on either side."""
+        return self.kind != MINKOWSKI
+
 
 @dataclass(frozen=True)
 class SingularSetProbe:

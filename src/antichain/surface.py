@@ -12,7 +12,8 @@ points.
 
 The same monotonicity certifies the numbers (an interval enclosure, Moore,
 *Interval Analysis*, 1966).  Each f value is known to within its truncation
-bound plus the kernel's rounding, so ``surface_enclosure`` evaluates
+bound plus the kernel's rounding, the bound above the value only where f
+truncates from below (salem), so ``surface_enclosure`` evaluates
 ``1 - p`` at the upper and at the lower corner of that box, widened by p's
 own rounding, and gets lo <= F <= hi; it is the only bound code.
 ``surface_values`` returns values alone for the estimators.  A comparable
@@ -137,15 +138,18 @@ def _F_of(fv: np.ndarray) -> np.ndarray:
 def _enclose(f: SingularFunctionSpec, fv: np.ndarray, fe: np.ndarray) -> tuple[np.ndarray, ...]:
     """Enclosure (lo, hi) of the exact F from f values and their truncation bounds."""
     # The exact f lies within the cell rise (fe, correctly rounded) of the
-    # exact truncated sum t, and t within rounding_ulps ulp(t) <= 2 spacing(fv)
-    # of fv (the two can straddle a power of two).  The factor 1 + 2^-50 and
-    # two spare spacings absorb the roundings of fe, r and fv +- r (each under
-    # u = 2^-53 relative, and u fv < spacing(fv)): no directed rounding needed.
+    # exact truncated sum t, above t only when f truncates from below, and t
+    # within rounding_ulps ulp(t) <= 2 spacing(fv) of fv (the two can straddle
+    # a power of two).  The factor 1 + 2^-50 and two spare spacings absorb the
+    # roundings of fe, r, fe + r and fv +- r (each under u = 2^-53 relative,
+    # and u fv < spacing(fv)): no directed rounding needed.
     r = np.spacing(fv)
     r *= 2 * f.rounding_ulps + 2
-    r += fe * (1.0 + 2.0**-50)
-    f_hi = np.minimum(fv + r, 1.0)
-    f_lo = np.maximum(fv - r, 0.0, out=r)
+    up = fe * (1.0 + 2.0**-50)
+    up += r
+    f_hi = np.minimum(fv + up, 1.0)
+    down = r if f.truncates_from_below else up
+    f_lo = np.maximum(fv - down, 0.0, out=down)
     # p is nondecreasing in every coordinate: 1 - p(f_hi) <= F <= 1 - p(f_lo).
     # p's rounding (u = 2^-53, p <= 1): the m - 2 products of P, 1 - M, the
     # sum and the quotient give at most (2m - 2) u (3u if m = 2, 0 if m = 1)

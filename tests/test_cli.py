@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -296,6 +297,30 @@ def test_seeded_commands_echo_the_seed(capsys, argv):
     assert json.loads(out)["config"]["seed"] == 9
 
 
+def test_cached_parser_keeps_no_state(capsys):
+    # main parses every call with the one parser of the process; nothing a
+    # call gives, or fails on, may reach the next call's namespace
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run_cli(capsys, "projections", "--n", "2", "--domain-depth", "5",
+                           "--image-depth", "4", "--samples", "1", "--seed", "9")
+    assert code == 0 and json.loads(out)["config"]["seed"] == 9
+    code, out, _ = run_cli(capsys, "dimension", "--n", "2", "--k-min", "5", "--k-max", "7",
+                           "--samples", "1")
+    assert code == 0 and json.loads(out)["config"]["seed"] == 0
+    code, out, _ = run_cli(capsys, "dimension", "--n", "3", "--k-min", "2", "--k-max", "4",
+                           "--samples", "1")
+    assert code == 0 and json.loads(out)["config"]["n"] == 3
+    code, out, _ = run_cli(capsys, "length", "--k", "6")
+    assert code == 0 and json.loads(out)["config"]["n"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--n", "3"])  # --point is required
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "eval", "--n", "3", "--point", "0.3,0.7")
+    expected = json.loads(json.dumps(asdict(RunConfig(command="eval", n=3, point=(0.3, 0.7)))))
+    assert code == 0 and json.loads(out)["config"] == expected
+
+
 def test_readme_cli_examples_parse():
     # the fenced block under "## CLI" in README.md, one invocation a line
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -477,27 +502,30 @@ def test_mesh_17_digit_round_trip(capsys):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_mesh_bytes_match_per_point_loop(capsys, n, fmt):
-    # the vectorised export is elementwise, so it must reproduce a per-point
-    # F_eval loop byte for byte
+    # the vectorised export is elementwise and its CSV is filled from a
+    # template, so it must reproduce a per-point F_eval loop, formatted value
+    # by value, byte for byte; resolution 32 is the benchmark's
     import itertools
 
     from antichain import F_eval, Point, SingularFunctionSpec, SurfaceSpec
 
-    code, out, _ = run_cli(
-        capsys, "export-mesh", "--n", str(n), "--resolution", "5", "--format", fmt
-    )
-    spec = SurfaceSpec(n=n, f=SingularFunctionSpec())
-    grid = [(i + 1) / 6 for i in range(5)]
-    rows = [[*x, F_eval(spec, Point(x))[0]] for x in itertools.product(grid, repeat=n - 1)]
-    if fmt == "csv":
-        lines = ["x1,F" if n == 2 else "x1,x2,F"]
-        lines += [",".join(format(v, ".17g") for v in row) for row in rows]
-        expected = "\n".join(lines) + "\n"
-    else:
-        payload = {"n": n, "grid": grid, "values": [row[-1] for row in rows]}
-        expected = json.dumps(payload, indent=2) + "\n"
-    assert code == 0
-    assert out == expected
+    for resolution, lam in ((1, 0.25), (5, 0.25), (32, 0.25), (5, 0.1)):
+        code, out, _ = run_cli(
+            capsys, "export-mesh", "--n", str(n), "--resolution", str(resolution),
+            "--format", fmt, *(["--lambda", str(lam)] if lam != 0.25 else []),
+        )
+        spec = SurfaceSpec(n=n, f=SingularFunctionSpec(lam=lam))
+        grid = [(i + 1) / (resolution + 1) for i in range(resolution)]
+        rows = [[*x, F_eval(spec, Point(x))[0]] for x in itertools.product(grid, repeat=n - 1)]
+        if fmt == "csv":
+            lines = ["x1,F" if n == 2 else "x1,x2,F"]
+            lines += [",".join(format(v, ".17g") for v in row) for row in rows]
+            expected = "\n".join(lines) + "\n"
+        else:
+            payload = {"n": n, "grid": grid, "values": [row[-1] for row in rows]}
+            expected = json.dumps(payload, indent=2) + "\n"
+        assert code == 0, (resolution, lam)
+        assert out == expected, (resolution, lam)
 
 
 def test_mesh_over_budget(capsys, monkeypatch):

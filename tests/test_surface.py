@@ -242,6 +242,19 @@ def _F_exact(coords, lam: float) -> Fraction:
     return 1 - prod / (1 - fs[-1] + prod)
 
 
+def _cell_tops(rng, depth: int, shape) -> np.ndarray:
+    """Points whose binary digits past ``depth`` are all ones: the largest
+    double below the right end of a depth cell, so the exact f sits at the top
+    of the cell, a full rise above the kernel's value.  The cells hold 2^-j
+    (a lone one among zeros: a large rise when lam > 1/2) or the double below
+    it (j zeros, then ones: a large rise when lam < 1/2), j = 1..10, or
+    log-uniform draws; every point is >= 2^-11, where ``_F_exact`` is exact."""
+    powers = 2.0 ** -np.arange(1.0, 11.0)
+    u = np.concatenate([powers, np.nextafter(powers, 0.0), 2.0 ** -rng.uniform(0.0, 10.0, 40)])
+    scale = 2.0**depth
+    return np.nextafter((np.floor(rng.choice(u, shape) * scale) + 1.0) / scale, 0.0)
+
+
 @pytest.mark.parametrize("depth", [8, 52])
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("lam", [0.01, 0.25, 0.75, 0.99])
@@ -250,10 +263,32 @@ def test_enclosure_contains_exact_F(lam, n, depth):
     # rounded and p's slope near M = 1 amplifies that past a fixed floor
     spec = SurfaceSpec(n=n, f=SingularFunctionSpec(lam=lam, depth=depth))
     corner = (0.125,) * (n - 2) + (1.0 - 2.0**-27,)
-    pts = np.vstack([seeded_rng(31 + n).uniform(2.0**-11, 1.0, (40, n - 1)), corner])
+    pts = np.vstack([seeded_rng(31 + n).uniform(2.0**-11, 1.0, (40, n - 1)), corner,
+                     _cell_tops(seeded_rng(73 + n), depth, (30, n - 1))])
     lo, hi = surface_enclosure(spec, pts)
     for row, a, b in zip(pts, lo, hi):
         assert Fraction(float(a)) <= _F_exact(row, lam) <= Fraction(float(b)), row
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("lam", [0.25, 0.4])
+def test_salem_enclosure_is_one_sided(lam, n):
+    # Salem returns f at the left end of the depth cell, so the truncation
+    # bound widens only the lower side of F's enclosure.  Just past a cell's
+    # left end the exact f is the kernel's value up to rounding (the digit at
+    # 2^-53 adds about lam^45 <= 2^-59), so hi - F is only rounding slack,
+    # while lo lies below F at the top corner of the depth-8 cell box.
+    depth = 8
+    spec = SurfaceSpec(n=n, f=SingularFunctionSpec(lam=lam, depth=depth))
+    left = seeded_rng(91 + n).integers(128, 231, (20, n - 1)) / 2.0**depth
+    pts = left + 2.0**-53
+    lo, hi = surface_enclosure(spec, pts)
+    rounding_slack = 2.0**-40
+    tops = np.nextafter(left + 2.0**-depth, 0.0)
+    for row, top_row, a, b in zip(pts, tops, lo, hi):
+        F, top = _F_exact(row, lam), _F_exact(top_row, lam)
+        assert Fraction(float(b)) - rounding_slack <= F <= Fraction(float(b)), row
+        assert Fraction(float(a)) <= top < F - rounding_slack, row
 
 
 def test_F_eval_bound_is_enclosure_half_width(surface_n3):
