@@ -1,11 +1,15 @@
 """Command-line front end with reproducible, machine-readable reports.
 
-Commands: eval, check-antichain, length, dimension, projections,
-export-mesh; only check-antichain and projections draw, and take ``--seed``.
-Reports echo the full effective configuration (seed included, 0 where
-nothing is drawn) and are byte-identical across runs with the same config;
-wall clock goes to stderr so it cannot perturb report bytes.  Exit codes:
-0 success, 1 detected property violation, 2 configuration/resource error.
+Every command takes --kind, --lambda, --depth, --format and --output, and
+also: eval --n --point; check-antichain --n --pairs --seed; length --k (n is
+2); dimension --n --k-min --k-max --samples; projections --n --seed
+--probe-depth --probe-eps --domain-depth --image-depth --samples;
+export-mesh --n (2 or 3) --resolution.  Option text no command can run
+fails in the parser; a value the library rejects fails when the command
+runs.  Reports echo the full effective configuration (seed 0 where nothing
+is drawn) and are byte-identical for the same config; wall clock goes to
+stderr.  Exit codes: 0 success, 1 detected property violation,
+2 configuration/resource error.
 """
 
 from __future__ import annotations
@@ -25,15 +29,18 @@ import numpy as np
 from . import measure, surface
 from .errors import DEFAULT_EVAL_BUDGET, AntichainError, ConfigurationError, check_budget
 from .measure import DIMENSION_WINDOWS, PROJECTION_DEFAULTS
-from .singular import SALEM, KINDS, SingularFunctionSpec, SingularSetProbe
+from .singular import KINDS, SALEM, SingularFunctionSpec, SingularSetProbe
 from .surface import Point, SurfaceSpec
 
 BUDGET_ENV_VAR = "ANTICHAIN_BUDGET"
 
 _CLAMP = 1e-9
 
-#: the one CSV float format, for reports and meshes; 17 digits round-trip binary64
+#: CSV format of report floats and mesh values; 17 digits round-trip binary64
 _FLOAT_FORMAT = "%.17g"
+
+#: the kinds ``--kind`` offers: those a surface accepts
+_SURFACE_KINDS = tuple(k for k in KINDS if SingularFunctionSpec(kind=k).strictly_increasing)
 
 
 @functools.cache
@@ -134,14 +141,8 @@ def _cmd_eval(cfg: RunConfig) -> dict:
 
 
 def _cmd_check_antichain(cfg: RunConfig) -> dict:
-    result = surface.antichain_scan(cfg.surface_spec(), cfg.pairs, seed=cfg.seed,
-                                    budget=cfg.budget)
-    return {
-        "pairs": result.pairs,
-        "ordered_ok": result.ordered_ok,
-        "within_tolerance": result.within_tolerance,
-        "violations": result.violations,
-    }
+    return asdict(surface.antichain_scan(cfg.surface_spec(), cfg.pairs, seed=cfg.seed,
+                                         budget=cfg.budget))
 
 
 def _cmd_length(cfg: RunConfig) -> dict:
@@ -184,8 +185,6 @@ def _cmd_projections(cfg: RunConfig) -> dict:
 
 
 def _cmd_export_mesh(cfg: RunConfig) -> str:
-    if cfg.n not in (2, 3):
-        raise AntichainError(f"mesh export supports n in {{2, 3}}, got n = {cfg.n}")
     if cfg.resolution < 1:
         raise ConfigurationError(f"--resolution must be >= 1, got {cfg.resolution}")
     check_budget(cfg.resolution ** (cfg.n - 1), cfg.budget)
@@ -199,15 +198,11 @@ def _cmd_export_mesh(cfg: RunConfig) -> str:
         cells = [_FLOAT_FORMAT % x for x in grid]
         template = "".join(f"{','.join(prefix)},{_FLOAT_FORMAT}\n"
                            for prefix in itertools.product(cells, repeat=cfg.n - 1))
-        header = "x1,F\n" if cfg.n == 2 else "x1,x2,F\n"
+        header = "".join(f"x{i}," for i in range(1, cfg.n)) + "F\n"
         return header + template % tuple(values.tolist())
     # json floats use shortest round-trip repr, which reproduces binary64 exactly
     return json.dumps({"n": cfg.n, "grid": grid, "values": values.tolist()}, indent=2,
                       allow_nan=False) + "\n"
-
-
-def _format_float(v: float) -> str:
-    return _FLOAT_FORMAT % v
 
 
 def _flatten(prefix: str, obj, out: list[tuple[str, object]]) -> None:
@@ -228,17 +223,15 @@ def _report_text(cfg: RunConfig, results: dict) -> str:
     if cfg.fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     lines = [f"# command={cfg.command}"]
-    for key in sorted(report["config"]):
-        if key != "command":
-            lines.append(f"# {key}={report['config'][key]}")
-    for note in report["warnings"]:
-        lines.append(f"# warning={note}")
+    lines += [f"# {key}={value}" for key, value in sorted(report["config"].items())
+              if key != "command"]
+    lines += [f"# warning={note}" for note in report["warnings"]]
     lines.append("key,value")
     flat: list[tuple[str, object]] = []
     _flatten("", results, flat)
     for key, value in flat:
         if isinstance(value, float):
-            lines.append(f"{key},{_format_float(value)}")
+            lines.append(f"{key},{_FLOAT_FORMAT % value}")
         elif isinstance(value, list):
             lines.append(f'{key},"{value}"')
         else:
@@ -258,19 +251,42 @@ def run(cfg: RunConfig) -> tuple[int, str]:
         "projections": _cmd_projections,
     }
     results = handlers[cfg.command](cfg)
-    code = 0
-    if cfg.command == "check-antichain" and results["violations"] > 0:
-        code = 1
+    code = 1 if cfg.command == "check-antichain" and results["violations"] > 0 else 0
     return code, _report_text(cfg, results)
 
 
-def _add_command(sub, name: str, help_text: str) -> argparse.ArgumentParser:
-    """A subcommand parser with the common options.  Options left out stay
+def _finite(text: str) -> float:
+    """A float option's value; argparse names the option whose text fails."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # refused below, with the non-finite numbers
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _point(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(map(_finite, text.split(",")))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated finite numbers such as 0.5,0.25, got {text!r}"
+        ) from None
+
+
+def _add_command(sub, name: str, help_text: str,
+                 dims: tuple[int, ...] | None = None) -> argparse.ArgumentParser:
+    """A subcommand parser with the common options; ``dims`` are the n it runs
+    (None: any; one value is fixed, with no ``--n``).  Options left out stay
     out of the namespace, so ``_config_from_args`` sees which were given."""
     p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-    p.add_argument("--n", type=int, help="ambient dimension")
-    p.add_argument("--kind", choices=KINDS)
-    p.add_argument("--lambda", dest="lam", type=float, help="salem contraction ratio")
+    if dims is not None and len(dims) == 1:
+        p.set_defaults(n=dims[0])
+    else:
+        p.add_argument("--n", type=int, choices=dims, help="ambient dimension")
+    p.add_argument("--kind", choices=_SURFACE_KINDS)
+    p.add_argument("--lambda", dest="lam", type=_finite, help="salem contraction ratio")
     p.add_argument("--depth", type=int, help="evaluation depth in bits")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"))
     p.add_argument("--output", help="report path (default stdout)")
@@ -289,15 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_command(sub, "eval", "evaluate the surface at one point")
-    p.add_argument("--point", required=True,
+    p.add_argument("--point", type=_point, required=True,
                    help="comma-separated domain coordinates, e.g. 0.5,0.5")
 
     p = _add_command(sub, "check-antichain", "seeded comparable-pair scan")
     p.add_argument("--pairs", type=int)
     p.add_argument("--seed", type=int)
 
-    p = _add_command(sub, "length", "polyline length of the planar graph")
-    p.set_defaults(n=2)
+    p = _add_command(sub, "length", "polyline length of the planar graph", dims=(2,))
     p.add_argument("--k", type=int, help="dyadic partition depth")
 
     p = _add_command(sub, "dimension", "box-counting dimension regression")
@@ -308,37 +323,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "projections", "sampled projection areas")
     p.add_argument("--seed", type=int)
     p.add_argument("--probe-depth", type=int)
-    p.add_argument("--probe-eps", type=float)
+    p.add_argument("--probe-eps", type=_finite)
     p.add_argument("--domain-depth", type=int)
     p.add_argument("--image-depth", type=int)
     p.add_argument("--samples", type=int)
 
-    p = _add_command(sub, "export-mesh", "sample the surface on a grid")
+    p = _add_command(sub, "export-mesh", "sample the surface on a grid", dims=(2, 3))
     p.add_argument("--resolution", type=int, help="interior grid points per axis")
     return parser
-
-
-#: float options by ``RunConfig`` field; non-finite values are refused
-_FLOAT_OPTIONS = {"lam": "--lambda", "probe_eps": "--probe-eps"}
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The run's whole configuration: the options given, then the calibrated
     grid defaults for n where a grid option is missing, then ``RunConfig``'s."""
     given = dict(vars(args))
-    if "point" in given:
-        try:
-            given["point"] = tuple(float(tok) for tok in given["point"].split(","))
-        except ValueError:
-            raise ConfigurationError(
-                f"--point must be comma-separated numbers such as 0.5,0.25, "
-                f"got {given['point']!r}"
-            ) from None
-        if not all(map(math.isfinite, given["point"])):
-            raise ConfigurationError(f"--point coordinates must be finite, got {args.point!r}")
-    for name, flag in _FLOAT_OPTIONS.items():
-        if name in given and not math.isfinite(given[name]):
-            raise ConfigurationError(f"{flag} must be finite, got {given[name]}")
     budget_override = os.environ.get(BUDGET_ENV_VAR)
     if budget_override is not None:
         try:

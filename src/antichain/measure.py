@@ -236,15 +236,16 @@ def projection_measures(
         raise PrecisionError(f"probe depth {probe.depth} exceeds spec depth {spec.f.depth}")
     if domain_depth < 1 or image_depth < 1 or samples_per_cell < 1:
         raise DomainError("depths and samples_per_cell must be >= 1")
-    if image_depth * d > 28:
-        raise BudgetError("image occupancy array would exceed the memory guard")
+    bits = image_depth * d  # code bits per axis; tested alone first, so n << bits stays small
+    if bits > 28 or n << bits > 1 << 28:
+        raise BudgetError(f"image occupancy array of {n} x 2^{bits} cells exceeds the 2^28 guard")
     _check_code_bits(domain_depth, d)
     per_cell = samples_per_cell**d
     # power-of-two chunks of rows tile the jitter blocks of JITTER_BLOCK cells
     chunk = 1 << (min(_CHUNK_ROWS, JITTER_BLOCK).bit_length() - 1)
     block_rows = JITTER_BLOCK * per_cell
     blocks = _grid_walk(1 << domain_depth, d, per_cell, chunk, budget)
-    occupancy = np.zeros((n, 1 << (image_depth * d)), dtype=bool)
+    occupancy = np.zeros((n, 1 << bits), dtype=bool)
     for first, corners in blocks:
         if first % block_rows == 0:
             jitter = _block_jitter(seed, first // block_rows)

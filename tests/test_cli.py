@@ -14,7 +14,11 @@ from antichain.measure import box_dimension, cover_sum
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    # the parser refuses option text by raising SystemExit(2); its code is the exit code
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -72,18 +76,18 @@ def test_eval_malformed_point_names_the_option(capsys):
         assert "--point" in err and "comma-separated" in err
 
 
-@pytest.mark.parametrize("value", ["inf", "-inf", "1e309"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e309", "nan"])
 @pytest.mark.parametrize("flag, argv", [
     ("--point", ("eval", "--n", "3", "--point=0.5,{}")),
     ("--lambda", ("eval", "--n", "2", "--point", "0.5", "--lambda={}")),
     ("--probe-eps", ("projections", "--n", "2", "--probe-eps={}")),
 ])
 def test_non_finite_option_rejected(capsys, flag, argv, value):
-    # these parsed to inf and ran: --point was clamped silently and the
-    # report echoed Infinity, which strict JSON parsers reject
+    # the parser refuses them: a non-finite --point would be clamped silently,
+    # and a report echoing Infinity or NaN is not strict JSON
     code, out, err = run_cli(capsys, *(arg.format(value) for arg in argv))
     assert code == 2 and not out
-    assert flag in err and "finite" in err
+    assert f"argument {flag}: " in err and "finite" in err
 
 
 def test_non_finite_result_is_an_error_not_invalid_json(capsys, monkeypatch):
@@ -201,8 +205,10 @@ def test_length_report(capsys):
 
 
 def test_length_rejects_other_dimensions(capsys):
-    code, _, err = run_cli(capsys, "length", "--n", "3", "--k", "8")
-    assert code == 2
+    # length runs n = 2 only, so it takes no --n
+    code, out, err = run_cli(capsys, "length", "--n", "3", "--k", "8")
+    assert code == 2 and not out
+    assert "unrecognized arguments: --n 3" in err
 
 
 def test_dimension_small_window(capsys):
@@ -279,12 +285,9 @@ def test_no_calibrated_defaults_names_the_missing_flags(capsys, argv, missing):
     "export-mesh --n 2 --resolution 3",
 ])
 def test_seed_rejected_where_nothing_is_drawn(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv.split(), "--seed", "1"])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --seed 1" in captured.err
-    assert captured.out == ""
+    code, out, err = run_cli(capsys, *argv.split(), "--seed", "1")
+    assert code == 2 and not out
+    assert "unrecognized arguments: --seed 1" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -312,10 +315,8 @@ def test_cached_parser_keeps_no_state(capsys):
     assert code == 0 and json.loads(out)["config"]["n"] == 3
     code, out, _ = run_cli(capsys, "length", "--k", "6")
     assert code == 0 and json.loads(out)["config"]["n"] == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "--n", "3"])  # --point is required
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, _, _ = run_cli(capsys, "eval", "--n", "3")  # --point is required
+    assert code == 2
     code, out, _ = run_cli(capsys, "eval", "--n", "3", "--point", "0.3,0.7")
     expected = json.loads(json.dumps(asdict(RunConfig(command="eval", n=3, point=(0.3, 0.7)))))
     assert code == 0 and json.loads(out)["config"] == expected
@@ -409,15 +410,19 @@ def test_mesh_json_contains_salem_value(capsys):
 
 
 def test_mesh_unsupported_dimension(capsys):
-    code, _, err = run_cli(capsys, "export-mesh", "--n", "4", "--resolution", "3")
-    assert code == 2
-    assert "n in {2, 3}" in err
+    code, out, err = run_cli(capsys, "export-mesh", "--n", "4", "--resolution", "3")
+    assert code == 2 and not out
+    assert "argument --n: invalid choice: 4" in err
 
 
 def test_cantor_rejected(capsys):
-    code, _, err = run_cli(capsys, "eval", "--kind", "cantor", "--point", "0.5,0.5")
-    assert code == 2
-    assert "strictly increasing" in err
+    # --kind offers only the kinds a surface accepts, on every command; the
+    # library's own refusal is tested on SurfaceSpec
+    for command in ("eval --point 0.5,0.5", "check-antichain", "length", "dimension",
+                    "projections", "export-mesh"):
+        code, out, err = run_cli(capsys, *command.split(), "--kind", "cantor")
+        assert code == 2 and not out, command
+        assert "argument --kind: invalid choice: 'cantor'" in err, command
 
 
 def test_budget_env_override(capsys, monkeypatch):

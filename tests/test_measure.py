@@ -353,8 +353,10 @@ def test_projection_validation(surface_n3):
         projection_measures(surface_n3, SingularSetProbe(depth=60), 6, 5, 2)
     with pytest.raises(BudgetError):
         projection_measures(surface_n3, probe, 10, 5, 3, budget=100)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"occupancy array of 3 x 2\^30 cells"):
         projection_measures(surface_n3, probe, 6, 15, 2)  # image array guard
+    with pytest.raises(BudgetError, match=r"occupancy array of 3 x 2\^28 cells"):
+        projection_measures(surface_n3, probe, 6, 14, 2)  # 3 axes of 2^28 cells
     with pytest.raises(BudgetError, match="64-bit"):
         projection_measures(surface_n3, probe, 32, 5, 1, budget=2**70)
     with pytest.raises(BudgetError, match="64-bit"):  # before 1 << 10**9 is built
