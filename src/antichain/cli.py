@@ -29,7 +29,7 @@ import numpy as np
 from . import measure, surface
 from .errors import DEFAULT_EVAL_BUDGET, AntichainError, ConfigurationError, check_budget
 from .measure import DIMENSION_WINDOWS, PROJECTION_DEFAULTS
-from .singular import KINDS, SALEM, SingularFunctionSpec, SingularSetProbe
+from .singular import SALEM, KINDS, SingularFunctionSpec, SingularSetProbe
 from .surface import Point, SurfaceSpec
 
 BUDGET_ENV_VAR = "ANTICHAIN_BUDGET"
