@@ -44,7 +44,6 @@ from .surface import (
     antichain_scan,
     check_antichain_pair,
     p_eval,
-    p_projective_crosscheck,
 )
 
 __version__ = "0.1.0"
@@ -80,6 +79,5 @@ __all__ = [
     "antichain_scan",
     "check_antichain_pair",
     "p_eval",
-    "p_projective_crosscheck",
     "__version__",
 ]

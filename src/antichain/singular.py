@@ -1,6 +1,6 @@
 """Strictly increasing singular functions on [0,1] with certified error bounds.
 
-Three families are supported:
+Two families are evaluated:
 
 * ``salem``     -- the self-affine function with contraction ratio ``lam``,
                    satisfying L(x) = lam*L(2x) on [0,1/2] and
@@ -8,8 +8,9 @@ Three families are supported:
                    increasing, surjective, singular for lam != 1/2.
 * ``minkowski`` -- the question-mark function, evaluated from the continued
                    fraction of x (alternating dyadic series).
-* ``cantor``    -- the devil's staircase.  Monotone and singular but NOT
-                   strictly increasing; kept as a negative control.
+
+The kind ``cantor`` (the devil's staircase) constructs, so that callers can
+see it is not strictly increasing, but nothing evaluates it.
 
 All evaluations truncate at a finite ``depth`` and return a rigorous
 truncation bound alongside the value.  Digits come from one primitive,
@@ -80,10 +81,8 @@ class SingularFunctionSpec:
         """Worst-case truncation bound of ``evaluate`` over the whole domain."""
         if self.kind == SALEM:
             return max(self.lam, 1.0 - self.lam) ** self.depth
-        if self.kind == MINKOWSKI:
-            # quotients clamped at _MAX_CF_QUOTIENT leave up to 2**-61
-            return 2.0 ** (1 - min(self.depth, _MAX_CF_QUOTIENT))
-        return 2.0 ** (-self.depth)
+        # minkowski: quotients clamped at _MAX_CF_QUOTIENT leave up to 2**-61
+        return 2.0 ** (1 - min(self.depth, _MAX_CF_QUOTIENT))
 
     @property
     def rounding_ulps(self) -> int:
@@ -95,7 +94,7 @@ class SingularFunctionSpec:
     @property
     def truncates_from_below(self) -> bool:
         """Whether the exact f lies in [value, value + bound] up to rounding:
-        salem and cantor return f at the left end of the depth cell, while
+        salem returns f at the left end of the depth cell, while
         minkowski's alternating series truncates on either side."""
         return self.kind != MINKOWSKI
 
@@ -144,22 +143,6 @@ def _eval_minkowski(x: float, depth: int) -> tuple[float, float]:
     if clamped:
         err = max(err, 2.0**-61)
     return v, err
-
-
-def _eval_cantor(x: float, depth: int) -> tuple[float, float]:
-    p, q = x.as_integer_ratio()
-    v = 0.0
-    place = 1.0
-    for _ in range(depth):
-        p *= 3
-        digit, p = divmod(p, q)
-        place *= 0.5
-        if digit == 1:
-            # constant on the excised cylinder from here on: exact
-            return v + place, 0.0
-        if digit == 2:
-            v += place
-    return v, place
 
 
 def digit_words(xs: np.ndarray, k: int) -> np.ndarray:
@@ -225,23 +208,26 @@ def evaluate_many(spec: SingularFunctionSpec, xs: np.ndarray) -> tuple[np.ndarra
     The bound covers truncation only: the exact value lies within it of the
     exact truncated sum, from which the returned value may be up to
     ``spec.rounding_ulps`` ulp off, even when the bound is 0.  The endpoints
-    are exact for every kind: f(0) = 0 and f(1) = 1 with bound 0.
+    are exact for every kind that evaluates: f(0) = 0 and f(1) = 1 with
+    bound 0.  A kind that is not strictly increasing raises
+    ``ConfigurationError``.
     """
+    if not spec.strictly_increasing:
+        raise ConfigurationError(f"{spec.kind} is not strictly increasing and is not evaluated")
     xs = np.asarray(xs, dtype=np.float64)
     flat = xs.ravel()
     low, top = (flat.min(), flat.max()) if flat.size else (0.5, 0.5)
     if not (low >= 0.0 and top <= 1.0):
         raise DomainError("coordinates must lie in [0,1]")
     ends = None
-    if low == 0.0 or top == 1.0:  # 1 has no digit word; cantor's digits of 0 never stop
+    if low == 0.0 or top == 1.0:  # 1 has no digit word
         ends = (flat == 0.0) | (flat == 1.0)
         exact = flat[ends]
         flat = np.where(ends, 0.5, flat)
     if spec.kind == SALEM:
         v, s = _salem_many(spec.lam, spec.depth, flat)
     else:
-        scalar = _eval_minkowski if spec.kind == MINKOWSKI else _eval_cantor
-        pairs = [scalar(x, spec.depth) for x in flat.tolist()]
+        pairs = [_eval_minkowski(x, spec.depth) for x in flat.tolist()]
         v, s = np.array(pairs).reshape(-1, 2).T  # (-1, 2): an empty list stays two-column
     if ends is not None:
         v[ends], s[ends] = exact, 0.0

@@ -290,22 +290,3 @@ def antichain_scan(
         bad += int(bad_k.sum())
     tol = pairs - ok - bad
     return ScanResult(pairs=pairs, ordered_ok=ok + tol, within_tolerance=tol, violations=bad)
-
-
-def p_projective_crosscheck(x: Point) -> float:
-    """Geometric alternative route to p for planar points.
-
-    Project x onto the diagonal {(t,t)}: from (1,0) when x lies on or below
-    the diagonal, from (0,1) when above.  The intersection parameter t is
-    found by an explicit 2x2 linear solve, an arithmetic path independent of
-    ``p_eval``.
-    """
-    if x.dim != 2:
-        raise DomainError("the projective construction lives in dimension 2")
-    x1, x2 = x.coords
-    center = (1.0, 0.0) if x2 <= x1 else (0.0, 1.0)
-    # solve center + u * (x - center) = (t, t) for (u, t)
-    a = np.array([[x1 - center[0], -1.0], [x2 - center[1], -1.0]])
-    rhs = np.array([-center[0], -center[1]])
-    _, t = np.linalg.solve(a, rhs)
-    return float(t)

@@ -64,3 +64,19 @@ def length_binomial(k: int, lam: float) -> float:
         math.comb(k, o) * math.sqrt(dx2 + (lam ** (k - o) * (1.0 - lam) ** o) ** 2)
         for o in range(k + 1)
     )
+
+
+def p_projective(x1: float, x2: float) -> float:
+    """Independent route to p for a planar point (x1, x2).
+
+    Projects the point onto the diagonal {(t,t)}: from (1,0) when it lies on
+    or below the diagonal, from (0,1) when above.  The intersection
+    parameter t comes from an explicit 2x2 linear solve, an arithmetic path
+    independent of the package's p.
+    """
+    center = (1.0, 0.0) if x2 <= x1 else (0.0, 1.0)
+    # solve center + u * (x - center) = (t, t) for (u, t)
+    a = np.array([[x1 - center[0], -1.0], [x2 - center[1], -1.0]])
+    rhs = np.array([-center[0], -center[1]])
+    _, t = np.linalg.solve(a, rhs)
+    return float(t)

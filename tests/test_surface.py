@@ -24,12 +24,11 @@ from antichain import (
     antichain_scan,
     check_antichain_pair,
     p_eval,
-    p_projective_crosscheck,
 )
 from antichain.measure import classify_regions
 from antichain.surface import p_many, surface_enclosure, surface_values
 
-from oracles import salem_recursive, salem_truncation_exact, seeded_rng
+from oracles import p_projective, salem_recursive, salem_truncation_exact, seeded_rng
 
 open_floats = st.floats(min_value=1e-9, max_value=1.0 - 1e-9, allow_nan=False)
 
@@ -558,30 +557,10 @@ def test_full_depth_pass_encloses_only_undecided_pairs(monkeypatch):
 # ------------------------------------------------- projective cross-check
 
 
-def test_crosscheck_diagonal_fixed_point():
-    assert p_projective_crosscheck(Point((0.5, 0.5))) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_crosscheck_below_diagonal():
-    assert p_projective_crosscheck(Point((0.8, 0.2))) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_crosscheck_above_diagonal():
-    assert p_projective_crosscheck(Point((0.2, 0.8))) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_crosscheck_agrees_with_p(surface_n3):
-    rng = seeded_rng(77)
-    worst = 0.0
-    for _ in range(10_000):
-        x = Point(tuple(rng.uniform(1e-6, 1.0 - 1e-6, 2)))
-        worst = max(worst, abs(p_eval(x) - p_projective_crosscheck(x)))
-    assert worst <= 1e-12
-
-
-def test_crosscheck_needs_dim2():
-    with pytest.raises(DomainError):
-        p_projective_crosscheck(Point((0.5, 0.5, 0.5)))
+def test_crosscheck_fixed_points():
+    # the diagonal point is fixed; a point on either side projects to p = 1/2
+    for (x1, x2), tol in (((0.5, 0.5), 1e-15), ((0.8, 0.2), 1e-12), ((0.2, 0.8), 1e-12)):
+        assert p_projective(x1, x2) == pytest.approx(0.5, abs=tol), (x1, x2)
 
 
 # ------------------------------------------------------------ last coordinate
