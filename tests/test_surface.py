@@ -557,10 +557,16 @@ def test_full_depth_pass_encloses_only_undecided_pairs(monkeypatch):
 # ------------------------------------------------- projective cross-check
 
 
-def test_crosscheck_fixed_points():
-    # the diagonal point is fixed; a point on either side projects to p = 1/2
-    for (x1, x2), tol in (((0.5, 0.5), 1e-15), ((0.8, 0.2), 1e-12), ((0.2, 0.8), 1e-12)):
-        assert p_projective(x1, x2) == pytest.approx(0.5, abs=tol), (x1, x2)
+def test_crosscheck_diagonal_fixed_point():
+    assert p_projective(0.5, 0.5) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_crosscheck_below_diagonal():
+    assert p_projective(0.8, 0.2) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_crosscheck_above_diagonal():
+    assert p_projective(0.2, 0.8) == pytest.approx(0.5, abs=1e-12)
 
 
 # ------------------------------------------------------------ last coordinate
