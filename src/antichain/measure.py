@@ -2,7 +2,8 @@
 
 Everything here reduces to counting occupied half-open dyadic cells:
 
-* ``occupied_cell_count`` -- N(k), the occupied cells of one depth-k sweep;
+* ``occupied_cell_count`` -- N(k), the occupied cells of one depth-k sweep
+  (f once per lattice axis value, distinct cells counted by sorting);
   ``cover_sum`` turns a count into the cover sum alpha(s) * N * diam^s,
 * ``box_dimension``   -- log2 N(k) against k regression (box-counting slope);
   its counts and fitted trend feed ``cover_sum`` without a second sweep,
@@ -34,7 +35,7 @@ from .errors import (
     check_budget,
 )
 from .singular import SingularSetProbe, digit_words, evaluate_many, in_singular_set_many
-from .surface import SurfaceSpec, surface_values
+from .surface import SurfaceSpec, surface_from_f, surface_values
 
 #: cells per jitter block; a fixed constant that is part of the sampling
 #: definition (jitter for a cell depends only on seed, block, in-block row)
@@ -145,20 +146,32 @@ def occupied_cell_count(
     """Number of ambient grid cells hit by sampled graph points.
 
     Each domain cell at ``domain_depth`` is sampled at the offsets j/m,
-    corners included; the lattice they form is swept once per point and the
-    image cells of the lifted points are marked at the same depth.  The 2m
-    lattice contains the m lattice, so counts cannot drop when m doubles.
+    corners included.  The lattice they form is a product grid: f is
+    evaluated once per axis value and F once per point, which the budget
+    charges as one surface evaluation, and the image cells of the lifted
+    points are marked at the same depth.  The 2m lattice contains the m
+    lattice, so counts cannot drop when m doubles.
     """
     side = _checked_cover_side(spec, domain_depth, samples_per_cell)
     blocks = _grid_walk(side, spec.domain_dim, 1, _CHUNK_ROWS, budget)
     i, m = np.arange(side), samples_per_cell  # point i: cell i // m, offset (i % m) / m
     axis = np.clip((i // m + (i % m) / m) / float(1 << domain_depth), _EDGE, 1.0 - _EDGE)
+    del i  # frees room for f's values and bounds
+    fa = evaluate_many(spec.f, axis)[0]
     seen: list[np.ndarray] = []
     for _, ids in blocks:
-        pts = axis[ids]
-        ambient = np.column_stack([pts, surface_values(spec, pts)])
-        seen.append(np.unique(_mark_codes(ambient, domain_depth)))
-    return int(np.unique(np.concatenate(seen)).size)
+        ambient = np.column_stack([axis[ids], surface_from_f(fa[ids])])
+        seen.append(_distinct(_mark_codes(ambient, domain_depth)))
+    del axis, fa  # the final dedup needs the room
+    return int(_distinct(np.concatenate(seen)).size)
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, ascending; sorts ``codes`` in place."""
+    codes.sort()
+    keep = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
 
 
 def box_dimension(

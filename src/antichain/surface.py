@@ -128,7 +128,8 @@ def _f_values(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray, np.nda
     return evaluate_many(spec.f, points)
 
 
-def _F_of(fv: np.ndarray) -> np.ndarray:
+def surface_from_f(fv: np.ndarray) -> np.ndarray:
+    """F from an (N, n-1) array of f values: the one F kernel."""
     # at the corner M = 1, P = 0 p is 0/0; fmax turns that NaN into a value
     # inside the enclosure, which is [0, 1] there (see _enclose)
     with np.errstate(invalid="ignore"):
@@ -166,7 +167,7 @@ def _enclose(f: SingularFunctionSpec, fv: np.ndarray, fe: np.ndarray) -> tuple[n
 def surface_values(spec: SurfaceSpec, points: np.ndarray) -> np.ndarray:
     """F over an (N, n-1) array of domain points."""
     fv, _ = _f_values(spec, points)
-    return _F_of(fv)
+    return surface_from_f(fv)
 
 
 def surface_enclosure(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +180,7 @@ def F_eval(spec: SurfaceSpec, x: Point) -> tuple[float, float]:
     """F(x) = 1 - p(f(x_1), ..., f(x_{n-1})), with the half-width of its
     enclosure about the value as error bound."""
     fv, fe = _f_values(spec, np.array([x.coords]))
-    value = float(_F_of(fv)[0])
+    value = float(surface_from_f(fv)[0])
     lo, hi = _enclose(spec.f, fv, fe)
     return value, max(value - float(lo[0]), float(hi[0]) - value)
 

@@ -29,8 +29,8 @@ from antichain.measure import (
     classify_regions,
     cover_sum,
 )
-from antichain.singular import in_singular_set
-from antichain.surface import surface_values
+from antichain.singular import evaluate_many, in_singular_set
+from antichain.surface import surface_from_f, surface_values
 
 from oracles import length_binomial, seeded_rng
 
@@ -140,20 +140,69 @@ def test_cover_counts_do_not_depend_on_block_size(surface_n2, surface_n3, salem_
 
 
 def test_cover_evaluates_each_lattice_point_once(surface_n3, monkeypatch):
-    # the depth-3 lattice with 2 samples per cell has 17 points per axis;
-    # cells share their boundary points, so 289 evaluations, not 64 * 9
-    rows = []
+    # the depth-3 lattice with 2 samples per cell has 17 points per axis:
+    # f runs on the 17 axis values, not on 2 * 289 coordinates, and F on the
+    # 289 lattice points, not on 64 * 9; the budget charges the 289
+    f_sizes, F_rows = [], []
 
-    def counting(spec, pts):
-        rows.append(len(pts))
-        return surface_values(spec, pts)
+    def counting_f(spec, xs):
+        f_sizes.append(np.size(xs))
+        return evaluate_many(spec, xs)
 
-    monkeypatch.setattr(measure_module, "surface_values", counting)
+    def counting_F(fv):
+        F_rows.append(len(fv))
+        return surface_from_f(fv)
+
+    monkeypatch.setattr(measure_module, "evaluate_many", counting_f)
+    monkeypatch.setattr(measure_module, "surface_from_f", counting_F)
     count = occupied_cell_count(surface_n3, 3, 2, budget=289)
-    assert sum(rows) == 289
+    assert f_sizes == [17]
+    assert sum(F_rows) == 289
     assert count == occupied_cell_count(surface_n3, 3, 2)
-    with pytest.raises(BudgetError, match="289 evaluations exceed budget 288"):
+    with pytest.raises(BudgetError, match="^289 evaluations exceed budget 288$"):
         occupied_cell_count(surface_n3, 3, 2, budget=288)
+
+
+def lattice_cell_count(spec: SurfaceSpec, k: int, m: int) -> int:
+    """Independent cover count: F at every lattice point, floor(2^k v) cell
+    codes collected in a Python set."""
+    side = (m << k) + 1
+    axis = [min(max((i // m + (i % m) / m) / 2**k, 2.0**-50), 1.0 - 2.0**-50)
+            for i in range(side)]
+    pts = np.array(list(itertools.product(axis, repeat=spec.domain_dim)))
+    ambient = np.column_stack([pts, surface_values(spec, pts)])
+    return len({tuple(math.floor(v * 2**k) for v in row) for row in ambient.tolist()})
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 50])
+@pytest.mark.parametrize("n, kind, lam, k, m", [
+    (2, "salem", 0.25, 8, 3),
+    (3, "salem", 0.25, 4, 2),
+    (4, "salem", 0.25, 2, 3),
+    (2, "salem", 0.7, 9, 2),
+    (3, "minkowski", 0.25, 4, 2),
+    (2, "salem", 0.5, 8, 3),  # the identity
+])
+def test_cover_matches_lattice_oracle(n, kind, lam, k, m, chunk_rows, monkeypatch):
+    # 50 rows per chunk cuts the lattice mid-row and dedups across many chunks
+    spec = SurfaceSpec(n=n, f=SingularFunctionSpec(kind=kind, lam=lam))
+    if chunk_rows is not None:
+        monkeypatch.setattr(measure_module, "_CHUNK_ROWS", chunk_rows)
+    assert occupied_cell_count(spec, k, m) == lattice_cell_count(spec, k, m)
+
+
+def test_cover_traced_peak_is_bounded(surface_n3):
+    # n = 3, k = 9, m = 2: 1025^2 lattice points in 32 chunks.  7.9 MiB; 10.1
+    # MiB when each chunk evaluated f at its coordinates and np.unique made the
+    # dedup's copies; the first call fills the kernels' cached tables
+    occupied_cell_count(surface_n3, 2, 1)
+    tracemalloc.start()
+    try:
+        occupied_cell_count(surface_n3, 9, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20
 
 
 # ----------------------------------------------------------- cover values
