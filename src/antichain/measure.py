@@ -105,8 +105,9 @@ def _grid_walk(side: int, dim: int, per_point: int, block: int,
             ids = np.arange(start, min(start + block, rows), dtype=np.int64) // per_point
             out = np.empty((len(ids), dim), dtype=np.int64)
             for j in range(dim - 1, -1, -1):
-                np.remainder(ids, side, out=out[:, j])
-                ids //= side
+                rest = ids // side
+                np.subtract(ids, rest * side, out=out[:, j])  # faster than np.remainder
+                ids = rest
             yield start, out
 
     return blocks()
@@ -154,9 +155,11 @@ def occupied_cell_count(
     """
     side = _checked_cover_side(spec, domain_depth, samples_per_cell)
     blocks = _grid_walk(side, spec.domain_dim, 1, _CHUNK_ROWS, budget)
-    i, m = np.arange(side), samples_per_cell  # point i: cell i // m, offset (i % m) / m
-    axis = np.clip((i // m + (i % m) / m) / float(1 << domain_depth), _EDGE, 1.0 - _EDGE)
-    del i  # frees room for f's values and bounds
+    m = samples_per_cell  # point i: cell i // m, offset (i % m) / m
+    axis = np.add.outer(np.arange((1 << domain_depth) + 1, dtype=float),
+                        np.arange(m) / m).reshape(-1)[:side]
+    axis /= float(1 << domain_depth)
+    np.clip(axis, _EDGE, 1.0 - _EDGE, out=axis)
     fa = evaluate_many(spec.f, axis)[0]
     seen: list[np.ndarray] = []
     for _, ids in blocks:
@@ -243,7 +246,9 @@ def projection_measures(
 ) -> dict[int, float]:
     """Occupied image area of each coordinate projection, axis 1..n, from one
     sweep: jittered samples are classified into the B-pieces, F takes the
-    place of coordinate i on piece i < n, and piece i's image is marked for axis i."""
+    place of coordinate i on piece i < n, and piece i's image is marked for axis i.
+    Rows are gathered with ``take``; F is written back, and the (piece,
+    image cell) marks are set, through flat indices into C-ordered arrays."""
     d, n = spec.domain_dim, spec.n
     if probe.depth > spec.f.depth:
         raise PrecisionError(f"probe depth {probe.depth} exceeds spec depth {spec.f.depth}")
@@ -262,15 +267,19 @@ def projection_measures(
     for first, corners in blocks:
         if first % block_rows == 0:
             jitter = _block_jitter(seed, first // block_rows)
-        pts = (corners + jitter.random(corners.shape)) / float(1 << domain_depth)
+        pts = jitter.random(corners.shape)
+        pts += corners
+        pts /= float(1 << domain_depth)
         np.clip(pts, _EDGE, 1.0 - _EDGE, out=pts)  # a draw can land on 0.0 or round to 1.0
         labels = classify_regions(spec, probe, pts)
         # F in place of x_i reorders piece i's image (x_-i, F) by a fixed
         # permutation of coordinates, which maps image cells one to one
         lift = np.flatnonzero((labels > 0) & (labels < n))
-        pts[lift, labels[lift] - 1] = surface_values(spec, pts[lift])
-        hit = labels > 0
-        occupancy[labels[hit] - 1, _mark_codes(pts, image_depth)[hit]] = True
+        pts.reshape(-1)[lift * d + labels.take(lift) - 1] = surface_values(
+            spec, pts.take(lift, axis=0))
+        hit = np.flatnonzero(labels)
+        occupancy.reshape(-1)[(labels.take(hit) - 1) << bits
+                              | _mark_codes(pts, image_depth).take(hit)] = True
     cell_area = (2.0**-image_depth) ** d
     return {axis: float(occupancy[axis - 1].sum()) * cell_area for axis in range(1, n + 1)}
 
@@ -282,17 +291,17 @@ def classify_regions(
 
     A point belongs to piece i < n when exactly coordinate i falls outside
     the probed set, to piece n when no coordinate does, and to no piece
-    otherwise; the pieces partition their union by construction.
+    otherwise; the pieces partition their union by construction.  Labels
+    are sums over the outside masks, not masked writes (the masks are random,
+    so writes through them mispredict branches): with c outside coordinates
+    whose indices sum to w, the label is w if c = 1, n if c = 0, else 0.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != spec.domain_dim:
         raise DomainError(f"expected points of dimension {spec.domain_dim}")
-    outside = [
-        ~in_singular_set_many(spec.f, probe, points[:, j]) for j in range(spec.domain_dim)
-    ]
-    count = sum(o.astype(np.int8) for o in outside)
-    labels = np.where(count == 0, spec.n, 0)
-    only_one = count == 1
-    for i, out in enumerate(outside, start=1):
-        labels[only_one & out] = i
-    return labels
+    count, which = np.zeros((2, len(points)), dtype=np.int64)
+    for i in range(1, spec.domain_dim + 1):
+        out = ~in_singular_set_many(spec.f, probe, points[:, i - 1])
+        count += out
+        which += i * out
+    return which * (count == 1) + spec.n * (count == 0)

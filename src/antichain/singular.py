@@ -183,11 +183,12 @@ def _salem_many(lam: float, depth: int, xs: np.ndarray) -> tuple[np.ndarray, np.
     rises = _cylinder_lengths(lam, depth)
     scale = float(1 << depth)
     values, bounds = np.empty_like(xs), np.empty_like(xs)
+    # take, not fancy indexing: indexing with bitwise_count's uint8 counts casts first
     for lo in range(0, xs.size, _BLOCK):
         x = xs[lo : lo + _BLOCK]
         w = digit_words(x, depth)
         # no digit past depth (x * 2**depth equals its word): f(T^depth x) = 0
-        bounds[lo : lo + x.size] = rises[np.bitwise_count(w)] * (x * scale != w)
+        bounds[lo : lo + x.size] = rises.take(np.bitwise_count(w)) * (x * scale != w)
         v = values[lo : lo + x.size]
         v.fill(0.0)
         left = depth
@@ -197,7 +198,7 @@ def _salem_many(lam: float, depth: int, xs: np.ndarray) -> tuple[np.ndarray, np.
             term = _chunk_offsets(lam, width)[w & ((1 << width) - 1)]
             w >>= width
             if left:
-                term *= _cylinder_lengths(lam, left)[np.bitwise_count(w)]
+                term *= _cylinder_lengths(lam, left).take(np.bitwise_count(w))
             v += term
     return values, bounds
 
@@ -258,7 +259,7 @@ def dyadic_slopes_many(spec: SingularFunctionSpec, xs: np.ndarray, k: int) -> np
         raise DomainError("coordinates must lie in (0,1)")
     words = digit_words(xs, k)
     if spec.kind == SALEM:
-        return (_cylinder_lengths(spec.lam, k) * 2.0**k)[np.bitwise_count(words)]
+        return (_cylinder_lengths(spec.lam, k) * 2.0**k).take(np.bitwise_count(words))
     scale = float(1 << k)
     a = words / scale
     ends, _ = evaluate_many(spec, np.stack([a, a + 1.0 / scale]))

@@ -25,11 +25,12 @@ from antichain.errors import check_budget
 from antichain.measure import (
     JITTER_BLOCK,
     _block_jitter,
+    _grid_walk,
     _mark_codes,
     classify_regions,
     cover_sum,
 )
-from antichain.singular import evaluate_many, in_singular_set
+from antichain.singular import evaluate_many, in_singular_set, in_singular_set_many
 from antichain.surface import surface_from_f, surface_values
 
 from oracles import length_binomial, seeded_rng
@@ -87,6 +88,28 @@ def test_mark_codes_nest_across_depths():
             coarse_axis = (coarse >> ((2 - j) * k)) & ((1 << k) - 1)
             fine_axis = (fine >> ((2 - j) * (k + 1))) & ((1 << (k + 1)) - 1)
             assert np.array_equal(coarse_axis, fine_axis >> 1)
+
+
+# --------------------------------------------------------------- grid walk
+
+
+@pytest.mark.parametrize("side, dim, per_point, block", [
+    (17, 2, 3, 100),  # the cover's sides m 2^k + 1: m = 2, k = 3
+    (25, 3, 2, 1000),  # m = 3, k = 3
+    (41, 2, 1, 333),  # m = 5, k = 3
+    (13, 1, 5, 7),
+])
+def test_grid_walk_matches_unravel_index(side, dim, per_point, block):
+    # blocks of ``block`` rows that do not divide the row count, each point
+    # repeated on ``per_point`` rows, walked in flat-id order
+    rows = side**dim * per_point
+    assert rows % block
+    walked = list(_grid_walk(side, dim, per_point, block, budget=rows))
+    assert [first for first, _ in walked] == list(range(0, rows, block))
+    got = np.concatenate([coords for _, coords in walked])
+    expected = np.column_stack(np.unravel_index(np.arange(rows) // per_point, (side,) * dim))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
 
 
 # --------------------------------------------------------------- occupancy
@@ -203,6 +226,20 @@ def test_cover_traced_peak_is_bounded(surface_n3):
     finally:
         tracemalloc.stop()
     assert peak < 9 * 2**20
+
+
+def test_cover_axis_traced_peak_is_bounded(surface_n2):
+    # n = 2, k = 18, m = 3: the 786433-point lattice axis, f's values and
+    # bounds over it make the peak, 19.1 MiB; 24.1 MiB when the axis was
+    # built from four axis-length temporaries
+    occupied_cell_count(surface_n2, 2, 1)
+    tracemalloc.start()
+    try:
+        occupied_cell_count(surface_n2, 18, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 21 * 2**20
 
 
 # ----------------------------------------------------------- cover values
@@ -355,6 +392,26 @@ def test_classify_regions_is_partition(surface_n3):
             assert label == outside.index(True) + 1
         else:
             assert label == 0
+
+
+@pytest.mark.parametrize("n, kind", [
+    (2, "salem"), (3, "salem"), (4, "salem"), (5, "salem"), (6, "salem"), (3, "minkowski"),
+])
+def test_classify_regions_matches_scalar_membership(n, kind):
+    # every row against the scalar membership route.  At depth 20 and eps
+    # 0.5 about a quarter of the salem coordinates fall outside the probed
+    # set, so rows with none, one and several outside coordinates all occur
+    spec = SurfaceSpec(n=n, f=SingularFunctionSpec(kind=kind))
+    probe = SingularSetProbe(depth=20, eps=0.5)
+    pts = seeded_rng(n).uniform(1e-6, 1 - 1e-6, (400, n - 1))
+    labels = classify_regions(spec, probe, pts)
+    assert labels.shape == (400,)
+    outside_counts = set()
+    for row, label in zip(pts.tolist(), labels.tolist()):
+        outside = [i for i, x in enumerate(row, start=1) if not in_singular_set(spec.f, probe, x)]
+        outside_counts.add(min(len(outside), 2))
+        assert label == (n if not outside else outside[0] if len(outside) == 1 else 0)
+    assert outside_counts == ({0, 1} if n == 2 else {0, 1, 2})
 
 
 def test_projection_degenerate_probe(identity_n2):
@@ -518,7 +575,10 @@ def per_axis_reference(spec, probe, kd, ki, m, seed):
     corners = np.repeat(corners, m**d, axis=0)
     pts = (corners + _block_jitter(seed, 0).random(corners.shape)) / float(1 << kd)
     pts = np.clip(pts, 2.0**-50, 1.0 - 2.0**-50)
-    labels = classify_regions(spec, probe, pts)
+    # piece labels from the membership masks, not from classify_regions
+    outside = np.column_stack([~in_singular_set_many(spec.f, probe, pts[:, j]) for j in range(d)])
+    labels = np.where(outside.sum(axis=1) == 1, outside.argmax(axis=1) + 1, 0)
+    labels[~outside.any(axis=1)] = n
     top = (1 << ki) - 1
     areas = {}
     for axis in range(1, n + 1):
