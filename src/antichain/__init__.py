@@ -25,7 +25,6 @@ from .measure import (
     projection_measures,
 )
 from .singular import (
-    CANTOR,
     MINKOWSKI,
     SALEM,
     SingularFunctionSpec,
@@ -62,7 +61,6 @@ __all__ = [
     "graph_length_n2",
     "occupied_cell_count",
     "projection_measures",
-    "CANTOR",
     "MINKOWSKI",
     "SALEM",
     "SingularFunctionSpec",

@@ -39,9 +39,6 @@ _CLAMP = 1e-9
 #: CSV format of report floats and mesh values; 17 digits round-trip binary64
 _FLOAT_FORMAT = "%.17g"
 
-#: the kinds ``--kind`` offers: those a surface accepts
-_SURFACE_KINDS = tuple(k for k in KINDS if SingularFunctionSpec(kind=k).strictly_increasing)
-
 
 @functools.cache
 def _keep_freed_heap() -> None:
@@ -285,7 +282,7 @@ def _add_command(sub, name: str, help_text: str,
         p.set_defaults(n=dims[0])
     else:
         p.add_argument("--n", type=int, choices=dims, help="ambient dimension")
-    p.add_argument("--kind", choices=_SURFACE_KINDS)
+    p.add_argument("--kind", choices=KINDS)
     p.add_argument("--lambda", dest="lam", type=_finite, help="salem contraction ratio")
     p.add_argument("--depth", type=int, help="evaluation depth in bits")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"))

@@ -207,8 +207,8 @@ def graph_length_n2(spec: SurfaceSpec, k: int, budget: int = DEFAULT_EVAL_BUDGET
     """Inscribed polyline length of the planar graph over the depth-k partition.
 
     Exact up to summation rounding for salem, whose dyadic endpoint values are
-    exact; other kinds only within their truncation bounds (minkowski's reach
-    2^-61 at some dyadics).  Nondecreasing in k; converges upward to the graph's length.
+    exact; minkowski only within its truncation bounds, which reach 2^-61
+    at some dyadics.  Nondecreasing in k; converges upward to the graph's length.
     """
     if spec.n != 2:
         raise DomainError(f"polyline length is defined for n = 2, got n = {spec.n}")

@@ -9,9 +9,6 @@ Two families are evaluated:
 * ``minkowski`` -- the question-mark function, evaluated from the continued
                    fraction of x (alternating dyadic series).
 
-The kind ``cantor`` (the devil's staircase) constructs, so that callers can
-see it is not strictly increasing, but nothing evaluates it.
-
 All evaluations truncate at a finite ``depth`` and return a rigorous
 truncation bound alongside the value.  Digits come from one primitive,
 ``digit_words``: for x in [0,1) and k <= 63 the int64 floor(x * 2**k) is
@@ -38,8 +35,9 @@ from .errors import ConfigurationError, DomainError, PrecisionError
 
 SALEM = "salem"
 MINKOWSKI = "minkowski"
-CANTOR = "cantor"
-KINDS = (SALEM, MINKOWSKI, CANTOR)
+#: the construction needs a strictly increasing f, so the devil's staircase,
+#: constant on intervals, is no kind
+KINDS = (SALEM, MINKOWSKI)
 
 #: continued-fraction partial quotients are clamped here so every
 #: 2**(-sum a_i) term stays representable
@@ -71,10 +69,6 @@ class SingularFunctionSpec:
             raise ConfigurationError(f"depth must be in [1, 63], got {self.depth}")
         if self.kind == SALEM and not 0.0 < self.lam < 1.0:
             raise ConfigurationError(f"salem ratio must lie in (0,1), got {self.lam}")
-
-    @property
-    def strictly_increasing(self) -> bool:
-        return self.kind != CANTOR
 
     @property
     def error_bound(self) -> float:
@@ -209,12 +203,8 @@ def evaluate_many(spec: SingularFunctionSpec, xs: np.ndarray) -> tuple[np.ndarra
     The bound covers truncation only: the exact value lies within it of the
     exact truncated sum, from which the returned value may be up to
     ``spec.rounding_ulps`` ulp off, even when the bound is 0.  The endpoints
-    are exact for every kind that evaluates: f(0) = 0 and f(1) = 1 with
-    bound 0.  A kind that is not strictly increasing raises
-    ``ConfigurationError``.
+    are exact: f(0) = 0 and f(1) = 1 with bound 0.
     """
-    if not spec.strictly_increasing:
-        raise ConfigurationError(f"{spec.kind} is not strictly increasing and is not evaluated")
     xs = np.asarray(xs, dtype=np.float64)
     flat = xs.ravel()
     low, top = (flat.min(), flat.max()) if flat.size else (0.5, 0.5)
@@ -249,9 +239,11 @@ def dyadic_slopes_many(spec: SingularFunctionSpec, xs: np.ndarray, k: int) -> np
     convention.  For the salem kind the slope is the digit product of 2*lam
     per 0-digit and 2*(1-lam) per 1-digit: the cell's correctly rounded rise
     from ``_cylinder_lengths``, looked up by the count of ones, times 2**k,
-    which is exact while the rise is a normal float.  Other kinds evaluate f
-    at the cell ends.
+    which is exact while the rise is a normal float.  The minkowski kind
+    evaluates f at the cell ends.
     """
+    if k < 0:
+        raise DomainError(f"slope depth must be >= 0, got {k}")
     if k > spec.depth:
         raise PrecisionError(f"slope depth {k} exceeds spec depth {spec.depth}")
     xs = np.asarray(xs, dtype=np.float64)

@@ -84,11 +84,6 @@ class SurfaceSpec:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ConfigurationError(f"ambient dimension must be >= 2, got {self.n}")
-        if not self.f.strictly_increasing:
-            raise ConfigurationError(
-                f"{self.f.kind} is not strictly increasing; the construction "
-                "requires a strictly increasing singular function"
-            )
 
     @property
     def domain_dim(self) -> int:

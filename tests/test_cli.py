@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,6 +12,8 @@ import antichain
 from antichain import cli
 from antichain.cli import RunConfig, main
 from antichain.measure import box_dimension, cover_sum
+from antichain.singular import KINDS, SingularFunctionSpec
+from antichain.surface import F_eval, Point, SurfaceSpec
 
 
 def run_cli(capsys, *argv):
@@ -416,13 +419,29 @@ def test_mesh_unsupported_dimension(capsys):
 
 
 def test_cantor_rejected(capsys):
-    # --kind offers only the kinds a surface accepts, on every command; the
-    # library's own refusal is tested on SurfaceSpec
+    # --kind offers only the library's kinds, on every command; the library's
+    # own refusal is tested on SingularFunctionSpec
     for command in ("eval --point 0.5,0.5", "check-antichain", "length", "dimension",
                     "projections", "export-mesh"):
         code, out, err = run_cli(capsys, *command.split(), "--kind", "cantor")
         assert code == 2 and not out, command
         assert "argument --kind: invalid choice: 'cantor'" in err, command
+
+
+def test_kind_choices_are_the_library_kinds():
+    # every command offers exactly the kinds a spec admits, and each of them
+    # builds a surface that evaluates
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands) == {"eval", "check-antichain", "length", "dimension",
+                             "projections", "export-mesh"}
+    for name, command in commands.items():
+        (kind,) = [a for a in command._actions if a.dest == "kind"]
+        assert tuple(kind.choices) == KINDS, name
+    for k in KINDS:
+        value, bound = F_eval(SurfaceSpec(n=3, f=SingularFunctionSpec(kind=k)), Point((0.3, 0.6)))
+        assert 0.0 < value < 1.0 and 0.0 <= bound < 1e-9, k
 
 
 def test_budget_env_override(capsys, monkeypatch):

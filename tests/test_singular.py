@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from antichain import (
-    CANTOR,
     MINKOWSKI,
     SALEM,
     ConfigurationError,
@@ -19,7 +18,7 @@ from antichain import (
     evaluate_many,
     in_singular_set,
 )
-from antichain.singular import dyadic_slopes_many, in_singular_set_many
+from antichain.singular import KINDS, dyadic_slopes_many, in_singular_set_many
 
 from oracles import salem_recursive, salem_truncation_exact, seeded_rng
 
@@ -55,24 +54,13 @@ def test_probe_validation():
         SingularSetProbe(eps=-1.0)
 
 
-def test_strictness_flags():
-    assert SingularFunctionSpec().strictly_increasing
-    assert SingularFunctionSpec(kind=MINKOWSKI).strictly_increasing
-    assert not SingularFunctionSpec(kind=CANTOR).strictly_increasing
-
-
-def test_cantor_not_evaluated():
-    # constructs, so strictly_increasing can say no, but every entry point
-    # that would read its values refuses it
-    spec = SingularFunctionSpec(kind=CANTOR)
-    with pytest.raises(ConfigurationError, match="not strictly increasing"):
-        evaluate(spec, 0.25)
-    with pytest.raises(ConfigurationError, match="not strictly increasing"):
-        evaluate_many(spec, np.array([0.0, 0.25, 1.0]))
-    with pytest.raises(ConfigurationError, match="not strictly increasing"):
-        dyadic_slopes_many(spec, np.array([0.25, 0.5]), 10)
-    with pytest.raises(ConfigurationError, match="not strictly increasing"):
-        in_singular_set(spec, SingularSetProbe(), 0.25)
+def test_cantor_is_no_kind():
+    # the construction needs a strictly increasing f, and the devil's
+    # staircase is constant on intervals: a spec admits only the other two
+    assert KINDS == (SALEM, MINKOWSKI)
+    known = r"'cantor', expected one of \('salem', 'minkowski'\)"
+    with pytest.raises(ConfigurationError, match=known):
+        SingularFunctionSpec(kind="cantor")
 
 
 def test_eval_outside_domain():
@@ -381,6 +369,19 @@ def test_slope_depth_guard(salem_default):
         dyadic_slope(salem_default, 0.3, 53)
     with pytest.raises(DomainError):
         dyadic_slope(salem_default, 0.0, 10)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_slope_depth_zero_and_negative(kind):
+    spec = SingularFunctionSpec(kind=kind)
+    xs = np.array([2.0**-40, 0.3, 0.5, 1.0 - 2.0**-40])
+    # depth 0 is the one cell [0, 1), over which f rises by 1
+    assert dyadic_slopes_many(spec, xs, 0).tolist() == [1.0] * xs.size
+    assert dyadic_slope(spec, 0.3, 0) == 1.0
+    with pytest.raises(DomainError, match="slope depth must be >= 0, got -1"):
+        dyadic_slopes_many(spec, xs, -1)
+    with pytest.raises(DomainError, match="slope depth must be >= 0, got -1"):
+        dyadic_slope(spec, 0.3, -1)
 
 
 def test_slope_generic_path_for_minkowski():

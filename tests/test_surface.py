@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 import antichain.surface as surface_module
 from antichain import (
-    CANTOR,
     MINKOWSKI,
     SALEM,
     BudgetError,
@@ -59,7 +58,7 @@ def test_point_validation():
 
 def test_surface_spec_rejects_cantor():
     with pytest.raises(ConfigurationError):
-        SurfaceSpec(n=3, f=SingularFunctionSpec(kind=CANTOR))
+        SurfaceSpec(n=3, f=SingularFunctionSpec(kind="cantor"))
 
 
 def test_surface_spec_rejects_n1(salem_default):
