@@ -54,10 +54,19 @@ def test_probe_validation():
         SingularSetProbe(eps=-1.0)
 
 
-def test_cantor_is_no_kind():
-    # the construction needs a strictly increasing f, and the devil's
-    # staircase is constant on intervals: a spec admits only the other two
+def test_strictness_flags():
+    # the construction needs a strictly increasing f: every kind a spec
+    # admits is one, so f rises across each dyadic cell of width 1/32
     assert KINDS == (SALEM, MINKOWSKI)
+    xs = np.arange(33) / 32.0
+    for kind in KINDS:
+        values, _ = evaluate_many(SingularFunctionSpec(kind=kind), xs)
+        assert (np.diff(values) > 0).all(), kind
+
+
+def test_cantor_not_evaluated():
+    # the devil's staircase is constant on intervals, so a cantor spec does
+    # not build and nothing can evaluate it
     known = r"'cantor', expected one of \('salem', 'minkowski'\)"
     with pytest.raises(ConfigurationError, match=known):
         SingularFunctionSpec(kind="cantor")
