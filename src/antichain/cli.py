@@ -184,13 +184,15 @@ def _cmd_projections(cfg: RunConfig) -> dict:
 def _cmd_export_mesh(cfg: RunConfig) -> str:
     if cfg.resolution < 1:
         raise ConfigurationError(f"--resolution must be >= 1, got {cfg.resolution}")
-    check_budget(cfg.resolution ** (cfg.n - 1), cfg.budget)
-    grid = [(i + 1) / (cfg.resolution + 1) for i in range(cfg.resolution)]
-    axes = np.meshgrid(*[np.array(grid)] * (cfg.n - 1), indexing="ij")  # row-major order
-    points = np.stack([a.ravel() for a in axes], axis=1)
-    values = surface.surface_values(cfg.surface_spec(), points)
+
+    def grid_at(i):  # interior grid value i, for an int or an index array alike
+        return (i + 1) / (cfg.resolution + 1)
+
+    values = np.concatenate([F for _, F in measure.lattice_surface(
+        cfg.surface_spec(), cfg.resolution, grid_at, cfg.budget)])
+    grid = [grid_at(i) for i in range(cfg.resolution)]
     if cfg.fmt == "csv":
-        # each grid value is formatted once; product() walks the meshgrid's
+        # each grid value is formatted once; product() walks the lattice's
         # row-major order, and one % fills in the F column
         cells = [_FLOAT_FORMAT % x for x in grid]
         template = "".join(f"{','.join(prefix)},{_FLOAT_FORMAT}\n"

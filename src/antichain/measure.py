@@ -3,7 +3,7 @@
 Everything here reduces to counting occupied half-open dyadic cells:
 
 * ``occupied_cell_count`` -- N(k), the occupied cells of one depth-k sweep
-  (f once per lattice axis value, distinct cells counted by sorting);
+  (``lattice_surface``: f once per axis value, F once per point; sorted dedup);
   ``cover_sum`` turns a count into the cover sum alpha(s) * N * diam^s,
 * ``box_dimension``   -- log2 N(k) against k regression (box-counting slope);
   its counts and fitted trend feed ``cover_sum`` without a second sweep,
@@ -21,7 +21,7 @@ from a generator keyed by seed and cell block, so results do not depend on the c
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +113,17 @@ def _grid_walk(side: int, dim: int, per_point: int, block: int,
     return blocks()
 
 
+def lattice_surface(spec: SurfaceSpec, side: int, axis: Callable[[np.ndarray], np.ndarray],
+                    budget: int = DEFAULT_EVAL_BUDGET) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(points, F) over the product lattice of the axis values ``axis(np.arange(side))``,
+    row-major, in blocks of at most ``_CHUNK_ROWS`` points: f once per axis value, F once
+    per point; the budget charge of one evaluation per point runs before the axis is built."""
+    blocks = _grid_walk(side, spec.domain_dim, 1, _CHUNK_ROWS, budget)
+    values = axis(np.arange(side))
+    fa = evaluate_many(spec.f, values)[0]
+    return ((values[ids], surface_from_f(fa[ids])) for _, ids in blocks)
+
+
 def _check_code_bits(depth: int, dim: int) -> None:
     """Depth-``depth`` cell codes of the ``dim``-cube must fit 64-bit integers;
     checked before any ``1 << depth`` is built."""
@@ -154,18 +165,16 @@ def occupied_cell_count(
     lattice, so counts cannot drop when m doubles.
     """
     side = _checked_cover_side(spec, domain_depth, samples_per_cell)
-    blocks = _grid_walk(side, spec.domain_dim, 1, _CHUNK_ROWS, budget)
-    m = samples_per_cell  # point i: cell i // m, offset (i % m) / m
-    axis = np.add.outer(np.arange((1 << domain_depth) + 1, dtype=float),
-                        np.arange(m) / m).reshape(-1)[:side]
-    axis /= float(1 << domain_depth)
-    np.clip(axis, _EDGE, 1.0 - _EDGE, out=axis)
-    fa = evaluate_many(spec.f, axis)[0]
-    seen: list[np.ndarray] = []
-    for _, ids in blocks:
-        ambient = np.column_stack([axis[ids], surface_from_f(fa[ids])])
-        seen.append(_distinct(_mark_codes(ambient, domain_depth)))
-    del axis, fa  # the final dedup needs the room
+    m = samples_per_cell
+
+    def axis(i: np.ndarray) -> np.ndarray:  # point i: cell i // m, offset (i % m) / m
+        values = i % m / m  # in place from here: at n = 2 the axis and f make the peak
+        values += i // m
+        values /= float(1 << domain_depth)
+        return np.clip(values, _EDGE, 1.0 - _EDGE, out=values)
+
+    seen = [_distinct(_mark_codes(np.column_stack(block), domain_depth))
+            for block in lattice_surface(spec, side, axis, budget)]
     return int(_distinct(np.concatenate(seen)).size)
 
 

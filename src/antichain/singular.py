@@ -65,6 +65,8 @@ class SingularFunctionSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
+        if not isinstance(self.depth, (int, np.integer)):
+            raise ConfigurationError(f"depth must be an integer, got {self.depth!r}")
         if not 1 <= self.depth <= 63:
             raise ConfigurationError(f"depth must be in [1, 63], got {self.depth}")
         if self.kind == SALEM and not 0.0 < self.lam < 1.0:
@@ -106,6 +108,8 @@ class SingularSetProbe:
     eps: float = 0.01
 
     def __post_init__(self) -> None:
+        if not isinstance(self.depth, (int, np.integer)):
+            raise ConfigurationError(f"probe depth must be an integer, got {self.depth!r}")
         if self.depth < 1:
             raise ConfigurationError(f"probe depth must be >= 1, got {self.depth}")
         if not self.eps > 0.0:

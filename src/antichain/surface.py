@@ -82,6 +82,8 @@ class SurfaceSpec:
     f: SingularFunctionSpec
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, (int, np.integer)):
+            raise ConfigurationError(f"ambient dimension must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ConfigurationError(f"ambient dimension must be >= 2, got {self.n}")
 

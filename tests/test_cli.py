@@ -552,6 +552,36 @@ def test_mesh_bytes_match_per_point_loop(capsys, n, fmt):
         assert out == expected, (resolution, lam)
 
 
+def test_mesh_evaluates_each_grid_value_once(capsys, monkeypatch):
+    # the mesh takes F from the cover's lattice sweep: f on the 6 grid values,
+    # not on 2 * 36 coordinates, and F on the 36 grid points
+    from antichain import measure
+
+    evaluate_many, surface_from_f = measure.evaluate_many, measure.surface_from_f
+    f_sizes, F_rows = [], []
+
+    def counting_f(spec, xs):
+        f_sizes.append(len(xs))
+        return evaluate_many(spec, xs)
+
+    def counting_F(fv):
+        F_rows.append(len(fv))
+        return surface_from_f(fv)
+
+    monkeypatch.setattr(measure, "evaluate_many", counting_f)
+    monkeypatch.setattr(measure, "surface_from_f", counting_F)
+    argv = ["export-mesh", "--n", "3", "--resolution", "6", "--format"]
+    default = {fmt: run_cli(capsys, *argv, fmt) for fmt in ("csv", "json")}
+    assert f_sizes == [6, 6]  # one f call per export
+    assert F_rows == [36, 36]
+    # blocks of 7 points split the 36 rows six ways; the bytes stay the same
+    monkeypatch.setattr(measure, "_CHUNK_ROWS", 7)
+    for fmt, (code, out, _) in default.items():
+        assert code == 0
+        assert run_cli(capsys, *argv, fmt)[:2] == (0, out), fmt
+    assert F_rows[2:] == [7, 7, 7, 7, 7, 1] * 2
+
+
 def test_mesh_over_budget(capsys, monkeypatch):
     monkeypatch.setenv("ANTICHAIN_BUDGET", "24")
     code, out, err = run_cli(capsys, "export-mesh", "--n", "3", "--resolution", "5")
@@ -592,6 +622,25 @@ def test_repeated_scan_does_not_refault_freed_memory(capsys):
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     capsys.readouterr()
     assert faults < 500
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and _on_glibc()),
+                    reason="the malloc thresholds are set on glibc Linux only")
+@pytest.mark.parametrize("argv", [
+    "dimension --n 3 --k-min 2 --k-max 7 --samples 2",
+    "projections --n 3 --probe-depth 40 --domain-depth 8 --image-depth 6 --samples 3 --seed 1",
+])
+def test_repeated_sweeps_do_not_refault_freed_memory(capsys, argv):
+    # the benchmark's cover and projection sweeps: with glibc's dynamic
+    # thresholds a repeated call took 716 and 2901 minor faults, with them fixed at most 1
+    import resource
+
+    assert main(argv.split()) == 0  # warm-up: lazy tables, heap grown to its working size
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv.split()) == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    capsys.readouterr()
+    assert faults < 100
 
 
 def test_main_runs_where_confstr_raises(capsys, monkeypatch):

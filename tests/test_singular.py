@@ -40,6 +40,19 @@ def test_depth_out_of_range_rejected(depth):
         SingularFunctionSpec(depth=depth)
 
 
+@pytest.mark.parametrize("depth", [52.0, 52.5, "52"])
+def test_non_integer_depth_rejected(depth):
+    # a float depth used to construct and then fail inside numpy with a bare
+    # TypeError; numpy integers still pass
+    with pytest.raises(ConfigurationError, match="^depth must be an integer, got "):
+        SingularFunctionSpec(depth=depth)
+    with pytest.raises(ConfigurationError, match="^probe depth must be an integer, got "):
+        SingularSetProbe(depth=depth)
+    assert evaluate(SingularFunctionSpec(depth=np.int64(52)), 0.3) == evaluate(
+        SingularFunctionSpec(), 0.3)
+    assert SingularSetProbe(depth=np.int32(40)).depth == 40
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ConfigurationError):
         SingularFunctionSpec(kind="devil")

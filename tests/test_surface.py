@@ -66,6 +66,14 @@ def test_surface_spec_rejects_n1(salem_default):
         SurfaceSpec(n=1, f=salem_default)
 
 
+@pytest.mark.parametrize("n", [3.0, 2.5])
+def test_surface_spec_rejects_non_integer_n(salem_default, n):
+    # a float n used to construct and then fail inside numpy with a bare TypeError
+    with pytest.raises(ConfigurationError, match="^ambient dimension must be an integer, got "):
+        SurfaceSpec(n=n, f=salem_default)
+    assert SurfaceSpec(n=np.int64(3), f=salem_default).domain_dim == 2
+
+
 # ----------------------------------------------------------------------- p
 
 
