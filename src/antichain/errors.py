@@ -1,4 +1,7 @@
-"""Exception taxonomy and the evaluation budget shared by all modules."""
+"""Exception taxonomy, the evaluation budget and the integer-argument rule
+shared by all modules."""
+
+from numbers import Integral
 
 #: default cap on the number of surface evaluations in one estimator call
 DEFAULT_EVAL_BUDGET = 100_000_000
@@ -8,6 +11,18 @@ def check_budget(count: int, budget: int) -> None:
     """Raise ``BudgetError`` when ``count`` surface evaluations exceed ``budget``."""
     if count > budget:
         raise BudgetError(f"{_short(count)} evaluations exceed budget {_short(budget)}")
+
+
+def check_int(name: str, value, low: int | None, high: int | None = None):
+    """Return ``value`` if it is an integer in [low, high] (numpy integers
+    pass; floats, strings and bools do not); else raise ``ConfigurationError``.
+    ``low=None`` checks the type alone, for callers with their own range rule."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if low is not None and (value < low or high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigurationError(f"{name} must be {bounds}, got {value}")
+    return value
 
 
 def _short(count: int) -> str:

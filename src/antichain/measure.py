@@ -33,6 +33,7 @@ from .errors import (
     InsufficientDataError,
     PrecisionError,
     check_budget,
+    check_int,
 )
 from .singular import SingularSetProbe, digit_words, evaluate_many, in_singular_set_many
 from .surface import SurfaceSpec, surface_from_f, surface_values
@@ -134,7 +135,8 @@ def _check_code_bits(depth: int, dim: int) -> None:
 def _checked_cover_side(spec: SurfaceSpec, depth: int, samples_per_cell: int) -> int:
     """Points per axis of the cover's lattice, after the cover's argument
     checks; a sweep evaluates side**domain_dim."""
-    if depth < 1 or samples_per_cell < 1:
+    if min(check_int("domain_depth", depth, None),
+           check_int("samples_per_cell", samples_per_cell, None)) < 1:
         raise DomainError("domain_depth and samples_per_cell must be >= 1")
     _check_code_bits(depth, spec.n)
     return (samples_per_cell << depth) + 1
@@ -195,7 +197,7 @@ def box_dimension(
 ) -> DimensionEstimate:
     """Box-counting dimension estimate of the graph over a depth window; the
     budget caps the evaluations of all the window's sweeps together."""
-    if k_max - k_min + 1 < 3:
+    if check_int("k_max", k_max, None) - check_int("k_min", k_min, None) + 1 < 3:
         raise InsufficientDataError("need at least 3 grid depths for a regression")
     depths = range(k_min, k_max + 1)
     # the checks stop a deep window before its lattice sizes are summed
@@ -221,7 +223,7 @@ def graph_length_n2(spec: SurfaceSpec, k: int, budget: int = DEFAULT_EVAL_BUDGET
     """
     if spec.n != 2:
         raise DomainError(f"polyline length is defined for n = 2, got n = {spec.n}")
-    if k < 1:
+    if check_int("partition depth", k, None) < 1:
         raise DomainError("partition depth must be >= 1")
     if k > spec.f.depth:
         raise PrecisionError(f"partition depth {k} exceeds evaluation depth {spec.f.depth}")
@@ -261,7 +263,9 @@ def projection_measures(
     d, n = spec.domain_dim, spec.n
     if probe.depth > spec.f.depth:
         raise PrecisionError(f"probe depth {probe.depth} exceeds spec depth {spec.f.depth}")
-    if domain_depth < 1 or image_depth < 1 or samples_per_cell < 1:
+    if min(check_int("domain_depth", domain_depth, None),
+           check_int("image_depth", image_depth, None),
+           check_int("samples_per_cell", samples_per_cell, None)) < 1:
         raise DomainError("depths and samples_per_cell must be >= 1")
     bits = image_depth * d  # code bits per axis; tested alone first, so n << bits stays small
     if bits > 28 or n << bits > 1 << 28:

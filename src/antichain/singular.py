@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, PrecisionError
+from .errors import ConfigurationError, DomainError, PrecisionError, check_int
 
 SALEM = "salem"
 MINKOWSKI = "minkowski"
@@ -65,10 +65,7 @@ class SingularFunctionSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
-        if not isinstance(self.depth, (int, np.integer)):
-            raise ConfigurationError(f"depth must be an integer, got {self.depth!r}")
-        if not 1 <= self.depth <= 63:
-            raise ConfigurationError(f"depth must be in [1, 63], got {self.depth}")
+        check_int("depth", self.depth, 1, 63)
         if self.kind == SALEM and not 0.0 < self.lam < 1.0:
             raise ConfigurationError(f"salem ratio must lie in (0,1), got {self.lam}")
 
@@ -91,7 +88,13 @@ class SingularFunctionSpec:
     def truncates_from_below(self) -> bool:
         """Whether the exact f lies in [value, value + bound] up to rounding:
         salem returns f at the left end of the depth cell, while
-        minkowski's alternating series truncates on either side."""
+        minkowski's alternating series truncates on either side.
+
+        Salem's value is then constant on each depth cell (it reads only the
+        digit word w = floor(x 2**depth)), and its bound is the cell's rise
+        inside the cell and 0 at the left end: a pair (value, bound) depends
+        on w and on whether x 2**depth == w, never on x otherwise, so one
+        evaluation per cell and end serves as a table of them."""
         return self.kind != MINKOWSKI
 
 
@@ -108,10 +111,7 @@ class SingularSetProbe:
     eps: float = 0.01
 
     def __post_init__(self) -> None:
-        if not isinstance(self.depth, (int, np.integer)):
-            raise ConfigurationError(f"probe depth must be an integer, got {self.depth!r}")
-        if self.depth < 1:
-            raise ConfigurationError(f"probe depth must be >= 1, got {self.depth}")
+        check_int("probe depth", self.depth, 1)
         if not self.eps > 0.0:
             raise ConfigurationError(f"probe eps must be positive, got {self.eps}")
 

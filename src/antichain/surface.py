@@ -15,29 +15,37 @@ The same monotonicity certifies the numbers (an interval enclosure, Moore,
 bound plus the kernel's rounding, the bound above the value only where f
 truncates from below (salem), so ``surface_enclosure`` evaluates
 ``1 - p`` at the upper and at the lower corner of that box, widened by p's
-own rounding, and gets lo <= F <= hi; it is the only bound code.
+own rounding, and gets lo <= F <= hi.  Its two steps, the f box
+(``_f_box``) and 1 - p at its corners (``_F_sides``), are the only bound code.
 ``surface_values`` returns values alone for the estimators.  A comparable
 pair is ``ordered_ok`` when the lower point's lo exceeds the upper point's
 hi, a violation when the lower point's hi falls below the upper point's
 lo, and within tolerance when the two enclosures overlap.
 
-Pair verdicts are taken in two passes.  Every pair is first enclosed at
-depth 8 (or the spec's depth, if lower), where the salem kernel reads one
-8-bit digit table instead of the seven of depth 52; only the pairs left
-undecided, neither ``ordered_ok`` nor a violation, are enclosed again at
-the spec's own depth.  An enclosure at any depth contains the exact F, so
-a verdict certified at depth 8 is certified.  A deep cell lies inside its
-depth-8 cell, so its f box lies inside the depth-8 box up to a few ulps of
-rounding: a deep pass over every pair would confirm each depth-8 verdict.
+Pair verdicts are taken in three passes.  The first, at depth 8 (or the
+spec's depth, if lower), computes only what an ``ordered_ok`` verdict needs:
+lo of each lower point, from the upper corner of its f box, and hi of each
+upper point, from the lower corner, through one ``p_many`` over both.  For
+salem those corners are gathered from two tables per spec, indexed by a
+coordinate's depth-8 digit word and whether it is the left end of its cell;
+each entry is the double the elementwise box would hold, so the verdicts
+are bit for bit those of the full enclosures.  The pairs it leaves are
+enclosed in full at that depth, and the pairs still undecided, neither
+``ordered_ok`` nor a violation, at the spec's own depth.  An enclosure at
+any depth contains the exact F, so a verdict certified at depth 8 is
+certified.  A deep cell lies inside its depth-8 cell, so its f box lies
+inside the depth-8 box up to a few ulps of rounding: a deep pass over
+every pair would confirm each depth-8 verdict.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DEFAULT_EVAL_BUDGET, ConfigurationError, DomainError, check_budget
+from .errors import DEFAULT_EVAL_BUDGET, ConfigurationError, DomainError, check_budget, check_int
 from .singular import SingularFunctionSpec, evaluate_many
 
 #: surface values are kept strictly inside (0,1) at float resolution
@@ -49,8 +57,8 @@ _ONE_ABOVE = 2.0**-1074
 #: with the CLI's fixed malloc thresholds, is reused from block to block
 _SCAN_BLOCK = 2**12
 
-#: depth of the first enclosure pass of the pair verdicts; only the pairs it
-#: leaves undecided are enclosed again at the spec's own depth
+#: depth of the first enclosure passes of the pair verdicts; only the pairs
+#: they leave undecided are enclosed again at the spec's own depth
 _SCAN_FIRST_DEPTH = 8
 
 
@@ -82,10 +90,7 @@ class SurfaceSpec:
     f: SingularFunctionSpec
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)):
-            raise ConfigurationError(f"ambient dimension must be an integer, got {self.n!r}")
-        if self.n < 2:
-            raise ConfigurationError(f"ambient dimension must be >= 2, got {self.n}")
+        check_int("ambient dimension", self.n, 2)
 
     @property
     def domain_dim(self) -> int:
@@ -133,8 +138,8 @@ def surface_from_f(fv: np.ndarray) -> np.ndarray:
         return np.fmin(np.fmax(1.0 - p_many(fv), _ONE_ABOVE), _ONE_BELOW)
 
 
-def _enclose(f: SingularFunctionSpec, fv: np.ndarray, fe: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Enclosure (lo, hi) of the exact F from f values and their truncation bounds."""
+def _f_box(f: SingularFunctionSpec, fv: np.ndarray, fe: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Box (f_lo, f_hi) about the exact f from f values and their truncation bounds."""
     # The exact f lies within the cell rise (fe, correctly rounded) of the
     # exact truncated sum t, above t only when f truncates from below, and t
     # within rounding_ulps ulp(t) <= 2 spacing(fv) of fv (the two can straddle
@@ -147,18 +152,28 @@ def _enclose(f: SingularFunctionSpec, fv: np.ndarray, fe: np.ndarray) -> tuple[n
     up += r
     f_hi = np.minimum(fv + up, 1.0)
     down = r if f.truncates_from_below else up
-    f_lo = np.maximum(fv - down, 0.0, out=down)
+    return np.maximum(fv - down, 0.0, out=down), f_hi
+
+
+def _F_sides(corners: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of F from rows of f box corners: lo from the first k rows, each
+    an upper corner, and hi from the rest, each a lower corner."""
     # p is nondecreasing in every coordinate: 1 - p(f_hi) <= F <= 1 - p(f_lo).
     # p's rounding (u = 2^-53, p <= 1): the m - 2 products of P, 1 - M, the
     # sum and the quotient give at most (2m - 2) u (3u if m = 2, 0 if m = 1)
     # <= m 2^-52; p_many's clip and the subtraction from the exact 1 -+ slack
     # add u each.  (m + 4) 2^-52 leaves room for second-order terms and
     # underflow in P; fmax turns the 0/0 at the corner M = 1, P = 0 into lo = 0.
-    slack = (fv.shape[1] + 4) * 2.0**-52
+    slack = (corners.shape[1] + 4) * 2.0**-52
     with np.errstate(invalid="ignore"):
-        lo = np.fmax((1.0 - slack) - p_many(f_hi), 0.0)
-    hi = np.fmin((1.0 + slack) - p_many(f_lo), 1.0)
-    return lo, hi
+        p = p_many(corners)
+    return np.fmax((1.0 - slack) - p[:k], 0.0), np.fmin((1.0 + slack) - p[k:], 1.0)
+
+
+def _enclose(f: SingularFunctionSpec, fv: np.ndarray, fe: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Enclosure (lo, hi) of the exact F from f values and their truncation bounds."""
+    f_lo, f_hi = _f_box(f, fv, fe)
+    return _F_sides(np.concatenate([f_hi, f_lo]), len(fv))
 
 
 def surface_values(spec: SurfaceSpec, points: np.ndarray) -> np.ndarray:
@@ -204,16 +219,61 @@ def _pair_verdicts(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return lo[:k] > hi[k:], hi[:k] < lo[k:]
 
 
+@functools.lru_cache(maxsize=64)
+def _salem_corner_tables(f: SingularFunctionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Corners of the f box per depth cell, for a salem f of depth <= 8: entry
+    2w of the f_hi table for x at the left end of cell w, entry 2w + 1 for x
+    inside it, and entry w of the f_lo table for either.  Each entry is what
+    ``_f_box`` makes of ``evaluate_many`` at the cell's left end or midpoint,
+    so a gather returns the doubles of the elementwise path (the cell
+    constancy in ``SingularFunctionSpec.truncates_from_below``)."""
+    cells = np.arange(1 << f.depth) / float(1 << f.depth)
+    ends = np.stack([cells, cells + 0.5 / (1 << f.depth)], axis=1)  # (left end, midpoint)
+    f_lo, f_hi = _f_box(f, *evaluate_many(f, ends))
+    tables = f_hi.ravel(), f_lo[:, 1].copy()
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _first_pass_ok(spec: SurfaceSpec, rows: np.ndarray) -> np.ndarray:
+    """The ordered_ok mask of ``_pair_verdicts`` for 2k rows, from one side of
+    each enclosure: lo of the k lower rows, from the upper corners of their f
+    boxes, and hi of the k upper rows, from the lower corners; one ``p_many``
+    over the 2k stacked corners.  Salem reads the corners from per-cell
+    tables, which needs the rows inside the open cube (``take`` raises past
+    the tables, but a negative index would wrap)."""
+    f, k = spec.f, len(rows) // 2
+    if f.truncates_from_below:
+        f_hi, f_lo = _salem_corner_tables(f)
+        t = rows * float(1 << f.depth)  # exact; floor(t) is the digit word w
+        lower = np.floor(t[:k])
+        lower += np.ceil(t[:k], out=t[:k])  # 2w at the left end of cell w, 2w + 1 inside it
+        corners = np.concatenate([f_hi.take(lower.astype(np.intp)),
+                                  f_lo.take(t[k:].astype(np.intp))])
+    else:
+        f_lo, f_hi = _f_box(f, *evaluate_many(f, rows))
+        corners = np.concatenate([f_hi[:k], f_lo[k:]])
+    # An ok pair is no violation: lo <= hi on every row (the slack covers
+    # p_many's rounding, and fmax and fmin turn the 0/0 corner into [0, 1]),
+    # so hi_lower >= lo_lower > hi_upper >= lo_upper.
+    lo_lower, hi_upper = _F_sides(corners, k)
+    return lo_lower > hi_upper
+
+
 def _certified_verdicts(spec: SurfaceSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The masks (ordered_ok, violation) of ``_pair_verdicts`` for 2k rows:
-    all rows enclosed at depth ``_SCAN_FIRST_DEPTH`` (or the spec's, if
-    lower), then the rows of the pairs left undecided at the spec's depth."""
-    first = replace(spec.f, depth=min(_SCAN_FIRST_DEPTH, spec.f.depth))
-    ok, bad = _pair_verdicts(*surface_enclosure(SurfaceSpec(spec.n, first), rows))
-    undecided = np.flatnonzero(~(ok | bad))
-    if undecided.size and first != spec.f:
-        rows = rows[np.concatenate([undecided, undecided + len(ok)])]
-        ok[undecided], bad[undecided] = _pair_verdicts(*surface_enclosure(spec, rows))
+    ``_first_pass_ok`` at depth ``_SCAN_FIRST_DEPTH`` (or the spec's, if
+    lower), the full enclosures at that depth of the pairs it leaves not
+    ok, then those of the pairs still undecided at the spec's depth."""
+    first = SurfaceSpec(spec.n, replace(spec.f, depth=min(_SCAN_FIRST_DEPTH, spec.f.depth)))
+    ok = _first_pass_ok(first, rows)
+    bad = np.zeros_like(ok)
+    for at in (first,) if first == spec else (first, spec):
+        todo = np.flatnonzero(~(ok | bad))
+        if todo.size:
+            pairs = rows[np.concatenate([todo, todo + len(ok)])]
+            ok[todo], bad[todo] = _pair_verdicts(*surface_enclosure(at, pairs))
     return ok, bad
 
 
@@ -263,13 +323,13 @@ def antichain_scan(
     tolerance.
 
     Each block is enclosed first at depth ``_SCAN_FIRST_DEPTH`` and then,
-    for the pairs that pass leaves undecided, at the spec's depth (see the
-    module docstring); an enclosure at either depth contains the exact F,
-    so every verdict is certified.  ``budget`` counts full-depth surface
-    evaluations, charged up front as two per pair, the most the second pass
-    can make; the depth-8 pass is not charged.
+    for the pairs those passes leave undecided, at the spec's depth (see
+    the module docstring); an enclosure at either depth contains the exact
+    F, so every verdict is certified.  ``budget`` counts full-depth surface
+    evaluations, charged up front as two per pair, the most the full-depth
+    pass can make; the depth-8 passes are not charged.
     """
-    if pairs < 1:
+    if check_int("pairs", pairs, None) < 1:
         raise ConfigurationError(f"a scan needs at least one pair, got {pairs}")
     check_budget(2 * pairs, budget)
     d = spec.domain_dim

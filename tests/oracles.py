@@ -50,6 +50,44 @@ def salem_truncation_exact(x: float, lam: float, depth: int) -> tuple[Fraction, 
     return value, rise
 
 
+def salem_exact(x: float, lam: float) -> Fraction:
+    """Exact salem f at any double x in [0,1].
+
+    x = m 2^-e has no binary digit past e, so f(T^e x) = 0 and f(x) is the
+    depth-e truncated sum; lam = a 2^-s as a double, so over q = 2^s the sum
+    is an integer over q^e.  Built from the last digit to the first:
+    f = lam f(T x) after a 0, lam + (1 - lam) f(T x) after a 1.
+    """
+    if x >= 1.0:
+        return Fraction(1)
+    m, den = x.as_integer_ratio()
+    a, q = lam.as_integer_ratio()
+    num, q_j = 0, 1  # f of the digits read so far, over q^j
+    for j in range(den.bit_length() - 1):
+        num = a * q_j + (q - a) * num if (m >> j) & 1 else a * num
+        q_j *= q
+    return Fraction(num, q_j)
+
+
+def minkowski_exact(x: float, max_quotient: int = 2**12) -> Fraction:
+    """Exact ?(x) at a double x in [0,1]: with x = [0; a_1, ..., a_k], a
+    terminating continued fraction, ?(x) = 2 sum_i (-1)^(i+1) 2^-(a_1 + ... + a_i).
+
+    A quotient a costs a bits, so ``ValueError`` if any exceeds ``max_quotient``.
+    """
+    num, den = x.as_integer_ratio()
+    value, exponent, sign = Fraction(0), 1, 1
+    while num:
+        a, rest = divmod(den, num)
+        if a > max_quotient:
+            raise ValueError(f"partial quotient {a} of {x!r} exceeds {max_quotient}")
+        exponent -= a
+        value += sign * Fraction(2) ** exponent
+        sign = -sign
+        den, num = num, rest
+    return value
+
+
 def length_binomial(k: int, lam: float) -> float:
     """Independent length oracle: the depth-k inscribed polyline length of
     the salem graph, summed over digit classes instead of cells.

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import antichain.measure as measure_module
 from antichain import (
     BudgetError,
+    ConfigurationError,
     DomainError,
     InsufficientDataError,
     PrecisionError,
@@ -16,6 +17,7 @@ from antichain import (
     SingularSetProbe,
     SurfaceSpec,
     alpha,
+    antichain_scan,
     box_dimension,
     graph_length_n2,
     occupied_cell_count,
@@ -65,6 +67,34 @@ def test_alpha_negative_rejected():
 @given(st.floats(min_value=0.0, max_value=25.0, allow_nan=False))
 def test_alpha_positive(s):
     assert alpha(s) > 0.0
+
+
+# ------------------------------------------------------- integer sizes
+
+#: each estimator's size arguments at small valid values
+_SIZE_ARGS = {
+    occupied_cell_count: {"domain_depth": 3, "samples_per_cell": 2},
+    box_dimension: {"k_min": 2, "k_max": 4, "samples_per_cell": 1},
+    graph_length_n2: {"k": 3},
+    projection_measures: {"probe": SingularSetProbe(depth=8), "domain_depth": 3,
+                          "image_depth": 3, "samples_per_cell": 2},
+    antichain_scan: {"pairs": 10},
+}
+_SIZE_NAMES = {"k": "partition depth"}  # the name a refusal gives, where it differs
+
+
+@pytest.mark.parametrize("call, arg", [(call, arg) for call, args in _SIZE_ARGS.items()
+                                       for arg in args if arg != "probe"],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_estimators_refuse_non_integer_sizes(surface_n2, call, arg):
+    # a float size used to fail inside Python or numpy with a bare
+    # TypeError, and a bool passed as an int; numpy integers pass
+    args = _SIZE_ARGS[call]
+    name = _SIZE_NAMES.get(arg, arg)
+    for value in (3.0, 2.5, "3", True):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got "):
+            call(surface_n2, **{**args, arg: value})
+    assert call(surface_n2, **{**args, arg: np.int64(args[arg])}) == call(surface_n2, **args)
 
 
 # ------------------------------------------------------------ cell marking

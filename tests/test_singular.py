@@ -40,10 +40,10 @@ def test_depth_out_of_range_rejected(depth):
         SingularFunctionSpec(depth=depth)
 
 
-@pytest.mark.parametrize("depth", [52.0, 52.5, "52"])
+@pytest.mark.parametrize("depth", [52.0, 52.5, "52", True])
 def test_non_integer_depth_rejected(depth):
     # a float depth used to construct and then fail inside numpy with a bare
-    # TypeError; numpy integers still pass
+    # TypeError, and True constructed a depth-1 spec; numpy integers still pass
     with pytest.raises(ConfigurationError, match="^depth must be an integer, got "):
         SingularFunctionSpec(depth=depth)
     with pytest.raises(ConfigurationError, match="^probe depth must be an integer, got "):

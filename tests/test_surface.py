@@ -22,12 +22,19 @@ from antichain import (
     SurfaceSpec,
     antichain_scan,
     check_antichain_pair,
+    evaluate_many,
     p_eval,
 )
 from antichain.measure import classify_regions
 from antichain.surface import p_many, surface_enclosure, surface_values
 
-from oracles import p_projective, salem_recursive, salem_truncation_exact, seeded_rng
+from oracles import (
+    minkowski_exact,
+    p_projective,
+    salem_exact,
+    salem_recursive,
+    seeded_rng,
+)
 
 open_floats = st.floats(min_value=1e-9, max_value=1.0 - 1e-9, allow_nan=False)
 
@@ -66,7 +73,7 @@ def test_surface_spec_rejects_n1(salem_default):
         SurfaceSpec(n=1, f=salem_default)
 
 
-@pytest.mark.parametrize("n", [3.0, 2.5])
+@pytest.mark.parametrize("n", [3.0, 2.5, True])
 def test_surface_spec_rejects_non_integer_n(salem_default, n):
     # a float n used to construct and then fail inside numpy with a bare TypeError
     with pytest.raises(ConfigurationError, match="^ambient dimension must be an integer, got "):
@@ -237,9 +244,10 @@ def test_surface_values_error_bound_is_conservative(surface_n3):
     assert ((lo - 1e-15 <= v63) & (v63 <= hi + 1e-15)).all()
 
 
-def _F_exact(coords, lam: float) -> Fraction:
-    """Exact F at a point with every coordinate >= 2^-11 (f exact at depth 63)."""
-    fs = sorted(salem_truncation_exact(float(x), lam, 63)[0] for x in coords)
+def _F_exact(coords, lam: float, kind: str = SALEM) -> Fraction:
+    """Exact F at a point of doubles (minkowski: quotients within the oracle's cap)."""
+    f_exact = minkowski_exact if kind == MINKOWSKI else lambda x: salem_exact(x, lam)
+    fs = sorted(f_exact(float(x)) for x in coords)
     if len(fs) == 1:
         return 1 - fs[0]
     prod = Fraction(1)
@@ -254,26 +262,51 @@ def _cell_tops(rng, depth: int, shape) -> np.ndarray:
     of the cell, a full rise above the kernel's value.  The cells hold 2^-j
     (a lone one among zeros: a large rise when lam > 1/2) or the double below
     it (j zeros, then ones: a large rise when lam < 1/2), j = 1..10, or
-    log-uniform draws; every point is >= 2^-11, where ``_F_exact`` is exact."""
+    log-uniform draws; every point is >= 2^-11."""
     powers = 2.0 ** -np.arange(1.0, 11.0)
     u = np.concatenate([powers, np.nextafter(powers, 0.0), 2.0 ** -rng.uniform(0.0, 10.0, 40)])
     scale = 2.0**depth
     return np.nextafter((np.floor(rng.choice(u, shape) * scale) + 1.0) / scale, 0.0)
 
 
+def _bounded_quotient_points(rng, shape) -> np.ndarray:
+    """Doubles whose continued fractions have quotients within the minkowski
+    oracle's cap: uniform draws, and 1/(a + u) with a first quotient a past
+    the kernel's clamp at 62."""
+    draws = np.concatenate([rng.uniform(2.0**-12, 1.0, 400),
+                            1.0 / (rng.integers(63, 4000, 100) + rng.uniform(0.0, 1.0, 100))])
+    pool = []
+    for x in draws.tolist():
+        try:
+            minkowski_exact(x)
+        except ValueError:
+            continue
+        pool.append(x)
+    return rng.choice(pool, shape)
+
+
 @pytest.mark.parametrize("depth", [8, 52])
 @pytest.mark.parametrize("n", [2, 3, 5])
-@pytest.mark.parametrize("lam", [0.01, 0.25, 0.75, 0.99])
-def test_enclosure_contains_exact_F(lam, n, depth):
+@pytest.mark.parametrize("kind, lam", [pytest.param(SALEM, lam, id=str(lam))
+                                       for lam in (0.01, 0.25, 0.75, 0.99)]
+                         + [pytest.param(MINKOWSKI, 0.25, id=MINKOWSKI)])
+def test_enclosure_contains_exact_F(kind, lam, n, depth):
     # (0.125, 1 - 2^-27) has bound 0 at depth 52, yet f(1 - 2^-27) is
-    # rounded and p's slope near M = 1 amplifies that past a fixed floor
-    spec = SurfaceSpec(n=n, f=SingularFunctionSpec(lam=lam, depth=depth))
-    corner = (0.125,) * (n - 2) + (1.0 - 2.0**-27,)
-    pts = np.vstack([seeded_rng(31 + n).uniform(2.0**-11, 1.0, (40, n - 1)), corner,
-                     _cell_tops(seeded_rng(73 + n), depth, (30, n - 1))])
+    # rounded and p's slope near M = 1 amplifies that past a fixed floor.
+    # Salem is checked below 2^-11 too, down to the scan's clip at 2^-1074;
+    # minkowski's two-sided enclosure at points of bounded quotients
+    spec = SurfaceSpec(n=n, f=SingularFunctionSpec(kind=kind, lam=lam, depth=depth))
+    if kind == MINKOWSKI:
+        pts = _bounded_quotient_points(seeded_rng(47 + n), (60, n - 1))
+    else:
+        corner = (0.125,) * (n - 2) + (1.0 - 2.0**-27,)
+        tiny = 2.0 ** -seeded_rng(17 + n).uniform(11.0, 80.0, (10, n - 1))
+        tiny[0] = 2.0**-1074
+        pts = np.vstack([seeded_rng(31 + n).uniform(2.0**-11, 1.0, (40, n - 1)), corner,
+                         _cell_tops(seeded_rng(73 + n), depth, (30, n - 1)), tiny])
     lo, hi = surface_enclosure(spec, pts)
     for row, a, b in zip(pts, lo, hi):
-        assert Fraction(float(a)) <= _F_exact(row, lam) <= Fraction(float(b)), row
+        assert Fraction(float(a)) <= _F_exact(row, lam, kind) <= Fraction(float(b)), row
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -361,16 +394,16 @@ def test_scan_deterministic(surface_n3):
 def scan_pairs(monkeypatch, spec, pairs, seed, block):
     """Scan with ``block`` pairs per block; returns the result and the
     (lower, upper) points it drew, recorded from the rows of each block's
-    first enclosure pass (the second pass re-encloses some of them)."""
+    one-sided first pass (the later passes re-enclose some of them)."""
     seen = []
+    first_pass_ok = surface_module._first_pass_ok
 
-    def recording_enclosure(spec_, rows):
-        if spec_.f.depth == surface_module._SCAN_FIRST_DEPTH:
-            seen.append(rows.copy())
-        return surface_enclosure(spec_, rows)
+    def recording_first_pass(spec_, rows):
+        seen.append(rows.copy())
+        return first_pass_ok(spec_, rows)
 
     monkeypatch.setattr(surface_module, "_SCAN_BLOCK", block)
-    monkeypatch.setattr(surface_module, "surface_enclosure", recording_enclosure)
+    monkeypatch.setattr(surface_module, "_first_pass_ok", recording_first_pass)
     result = antichain_scan(spec, pairs, seed=seed)
     halves = [np.split(rows, 2) for rows in seen]
     return result, *(np.concatenate(h) for h in zip(*halves))
@@ -528,22 +561,34 @@ def test_two_pass_scan_matches_full_depth(monkeypatch, kind, lam, n, seed, pairs
 
 
 def test_full_depth_pass_encloses_only_undecided_pairs(monkeypatch):
+    # calls: the one-sided first pass and the full-depth enclosures, in
+    # order; two_sided: the depth-8 enclosures of the pairs not ok after the first
     spec = SurfaceSpec(n=3, f=SingularFunctionSpec(lam=0.1))
-    calls = []
+    calls, two_sided = [], []
+    first_pass_ok = surface_module._first_pass_ok
+
+    def recording_first_pass(spec_, rows):
+        calls.append((spec_, rows.copy()))
+        return first_pass_ok(spec_, rows)
 
     def recording_enclosure(spec_, rows):
-        calls.append((spec_, rows.copy()))
+        (two_sided if spec_ == first_spec else calls).append((spec_, rows.copy()))
         return surface_enclosure(spec_, rows)
 
+    first_spec, second_spec = _at_depth(spec, 8), spec
     monkeypatch.setattr(surface_module, "_SCAN_BLOCK", 1000)
+    monkeypatch.setattr(surface_module, "_first_pass_ok", recording_first_pass)
     monkeypatch.setattr(surface_module, "surface_enclosure", recording_enclosure)
     antichain_scan(spec, 4_500, seed=3)
-    first_spec, second_spec = _at_depth(spec, 8), spec
     refined = 0
     while calls:
         spec_, rows = calls.pop(0)
         assert spec_ == first_spec
         ok, bad = surface_module._pair_verdicts(*surface_enclosure(spec_, rows))
+        not_ok = np.flatnonzero(~ok)
+        if not_ok.size:
+            np.testing.assert_array_equal(two_sided.pop(0)[1], np.concatenate(
+                [rows[not_ok], rows[not_ok + len(ok)]]))
         undecided = np.flatnonzero(~(ok | bad))
         if undecided.size:
             spec_, refined_rows = calls.pop(0)
@@ -551,7 +596,7 @@ def test_full_depth_pass_encloses_only_undecided_pairs(monkeypatch):
             np.testing.assert_array_equal(refined_rows, np.concatenate(
                 [rows[undecided], rows[undecided + len(ok)]]))
             refined += undecided.size
-    assert refined > 0
+    assert refined > 0 and not two_sided
     # the scalar check: a decided pair takes one pass, an equal pair two
     check_antichain_pair(spec, Point((0.2, 0.3)), Point((0.4, 0.9)))
     assert [spec_ for spec_, _ in calls] == [first_spec]
@@ -559,6 +604,71 @@ def test_full_depth_pass_encloses_only_undecided_pairs(monkeypatch):
     check_antichain_pair(spec, Point((0.3, 0.7)), Point((0.3, 0.7)))
     assert [spec_ for spec_, _ in calls] == [first_spec, second_spec]
     np.testing.assert_array_equal(calls[1][1], [(0.3, 0.7)] * 2)
+
+
+def _first_pass_rows(rng, n: int, k: int) -> np.ndarray:
+    """6k pairs as 12k rows, lower rows first: seeded comparable pairs, the
+    same pairs swapped (violations), equal pairs, pairs of exact depth-8
+    dyadics, a depth-8 dyadic against the top double of its cell, and pairs
+    drawn from 2^-1074, 1/2 and 1 - 2^-53; clipped to the scan's range."""
+    u = rng.random((k, 2, n - 1))
+    lower, upper = u.min(axis=1), u.max(axis=1)
+    dyadic = np.sort(rng.integers(0, 256, (k, 2, n - 1)), axis=1) / 256.0
+    ends = np.sort(rng.choice([2.0**-1074, 0.5, 1.0 - 2.0**-53], (k, 2, n - 1)), axis=1)
+    lows = [lower, upper, lower, dyadic[:, 0], dyadic[:, 0], ends[:, 0]]
+    cell_tops = np.nextafter(dyadic[:, 0] + 2.0**-8, 0.0)
+    ups = [upper, lower, lower, dyadic[:, 1], cell_tops, ends[:, 1]]
+    return np.clip(np.concatenate(lows + ups), 2.0**-1074, 1.0 - 2.0**-53)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind, lam, depth",
+                         [(SALEM, lam, depth) for lam in (0.01, 0.25, 0.75, 0.99)
+                          for depth in (1, 6, 8, 52)]
+                         + [(MINKOWSKI, 0.25, 6), (MINKOWSKI, 0.25, 52)])
+def test_first_pass_matches_two_sided_enclosure(kind, lam, depth, n):
+    # the one-sided first pass (tables for salem) gives the ordered_ok mask
+    # of the full enclosures at its depth, and the three passes the masks of
+    # the full enclosures at depth 8, then at the spec's depth
+    spec = SurfaceSpec(n, SingularFunctionSpec(kind=kind, lam=lam, depth=depth))
+    first = _at_depth(spec, min(depth, surface_module._SCAN_FIRST_DEPTH))
+    rows = _first_pass_rows(seeded_rng(depth * 10 + n), n, 200 if kind == SALEM else 40)
+    ok, bad = surface_module._pair_verdicts(*surface_enclosure(first, rows))
+    np.testing.assert_array_equal(surface_module._first_pass_ok(first, rows), ok)
+    undecided = np.flatnonzero(~(ok | bad))
+    if first != spec:
+        ok[undecided], bad[undecided] = surface_module._pair_verdicts(*surface_enclosure(
+            spec, rows[np.concatenate([undecided, undecided + len(ok)])]))
+    got_ok, got_bad = surface_module._certified_verdicts(spec, rows)
+    np.testing.assert_array_equal(got_ok, ok)
+    np.testing.assert_array_equal(got_bad, bad)
+    assert undecided.size > 0  # at least the equal pairs
+    if depth >= 6:
+        assert ok.any() and bad.any()
+
+
+@pytest.mark.parametrize("depth", [1, 3, 6, 8])
+@pytest.mark.parametrize("lam", [0.01, 0.25, 0.75, 0.99])
+def test_salem_corner_tables_match_f_box(lam, depth):
+    # every entry is the f box corner of the elementwise path at random
+    # points of its cell, at the double past its left end, at its top
+    # double and at its left end
+    f = SingularFunctionSpec(lam=lam, depth=depth)
+    f_hi, f_lo = surface_module._salem_corner_tables(f)
+    cells = 1 << depth
+    assert f_hi.shape == (2 * cells,) and f_lo.shape == (cells,)
+    assert not f_hi.flags.writeable and not f_lo.flags.writeable
+    w = np.repeat(np.arange(cells), 8)
+    xs = (w + seeded_rng(depth).uniform(0.0, 1.0, w.size)) / cells
+    xs[::8] = np.nextafter(w[::8] / cells, 1.0)
+    xs[1::8] = np.nextafter((w[1::8] + 1) / cells, 0.0)
+    xs[2::8] = w[2::8] / cells
+    t = xs * cells
+    box_lo, box_hi = surface_module._f_box(f, *evaluate_many(f, xs))
+    np.testing.assert_array_equal(f_hi[2 * w + (t != w)], box_hi)
+    np.testing.assert_array_equal(f_lo[w], box_lo)
+    same_spec = SingularFunctionSpec(lam=lam, depth=depth)
+    assert surface_module._salem_corner_tables(same_spec)[0] is f_hi  # built once per spec
 
 
 # ------------------------------------------------- projective cross-check
