@@ -8,8 +8,9 @@ DEFAULT_EVAL_BUDGET = 100_000_000
 
 
 def check_budget(count: int, budget: int) -> None:
-    """Raise ``BudgetError`` when ``count`` surface evaluations exceed ``budget``."""
-    if count > budget:
+    """Raise ``BudgetError`` when ``count`` surface evaluations exceed
+    ``budget``, after ``check_int`` on the budget."""
+    if count > check_int("budget", budget, None):
         raise BudgetError(f"{_short(count)} evaluations exceed budget {_short(budget)}")
 
 

@@ -12,6 +12,13 @@ Everything here reduces to counting occupied half-open dyadic cells:
   of the slope probe's graph pieces from one sweep, F taking the place of
   coordinate i on piece i < n; the ``math.fsum`` of the areas is the sampled total.
 
+The projection sweep marks a lifted row's image cell from its depth-12
+enclosure (``shallow_enclosure``, salem corners gathered from tables) when
+that enclosure, widened by 2^-40, lies in one cell; only the other rows,
+a few percent, get F at the spec's depth.  The enclosure holds the
+full-depth F to within 2^-46, so every mark is the one the full-depth F
+makes, and the areas are those of evaluating every lifted row in full.
+
 Counts are exact integers; length/area accumulations keep float error far
 below the 1e-12 budget (per-chunk pairwise sums combined with exact fsum).
 Both sweeps walk one grid in chunks of at most ``_CHUNK_ROWS`` rows; jitter comes
@@ -36,7 +43,7 @@ from .errors import (
     check_int,
 )
 from .singular import SingularSetProbe, digit_words, evaluate_many, in_singular_set_many
-from .surface import SurfaceSpec, surface_from_f, surface_values
+from .surface import SurfaceSpec, shallow_enclosure, surface_from_f, surface_values
 
 #: cells per jitter block; a fixed constant that is part of the sampling
 #: definition (jitter for a cell depends only on seed, block, in-block row)
@@ -50,6 +57,14 @@ _CHUNK_ROWS = 2**15
 #: domain coordinates are pulled this far inside the open cube before
 #: evaluation; far below any cell width in use
 _EDGE = 2.0**-50
+
+#: margin about the shallow enclosures in the first marks' cell decision;
+#: far above the slack, under 2^-46, by which a full-depth F may lie outside one
+_MARK_MARGIN = 2.0**-40
+
+#: most domain coordinates ``classify_regions`` labels by a table lookup,
+#: as many as the projection's occupancy guard allows
+_LABEL_BITS = 23
 
 #: calibrated (k_min, k_max, samples_per_cell) box-counting window per
 #: ambient dimension, frozen by the runs in scripts/reproduce_headline.py
@@ -103,12 +118,20 @@ def _grid_walk(side: int, dim: int, per_point: int, block: int,
 
     def blocks() -> Iterator[tuple[int, np.ndarray]]:
         for start in range(0, rows, block):
-            ids = np.arange(start, min(start + block, rows), dtype=np.int64) // per_point
+            stop = min(start + block, rows)
+            first = start // per_point  # the points of the block, each divided once
+            ids = np.arange(first, (stop - 1) // per_point + 1, dtype=np.int64)
             out = np.empty((len(ids), dim), dtype=np.int64)
             for j in range(dim - 1, -1, -1):
                 rest = ids // side
                 np.subtract(ids, rest * side, out=out[:, j])  # faster than np.remainder
                 ids = rest
+            del ids, rest  # not held across the yield, while the caller works
+            if per_point > 1:  # a block may start and end inside a point's rows
+                counts = np.full(len(out), per_point)
+                counts[0] -= start - first * per_point
+                counts[-1] -= (first + len(out)) * per_point - stop
+                out = np.repeat(out, counts, axis=0)
             yield start, out
 
     return blocks()
@@ -242,8 +265,28 @@ def graph_length_n2(spec: SurfaceSpec, k: int, budget: int = DEFAULT_EVAL_BUDGET
 def _block_jitter(seed: int, block_index: int) -> np.random.Generator:
     """Jitter generator of one block of cells, keyed by (seed, block); drawn
     cell by cell in flat-id order, in one piece or several alike."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _first_marks(spec: SurfaceSpec, rows: np.ndarray,
+                 image_depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stand-ins for F at the lifted rows, and the indices of the rows whose
+    F must still be computed at the spec's depth.
+
+    ``shallow_enclosure``, at depth 12 at most, holds the full-depth F of
+    each row to within its rounding slack, far under ``_MARK_MARGIN``.  So when
+    lo - margin and hi + margin fall in one depth-``image_depth`` cell, the
+    full-depth F falls in it too, and so does lo, which stands in for F:
+    floor is monotone.  F and lo are >= 0 and the margin is under one cell
+    width, so truncation toward zero serves as floor."""
+    lo, hi = shallow_enclosure(spec, rows)
+    scale = float(1 << image_depth)
+    hi += _MARK_MARGIN
+    hi *= scale
+    cell = lo - _MARK_MARGIN
+    cell *= scale
+    return lo, np.flatnonzero(cell.astype(np.int64) != hi.astype(np.int64))
 
 
 def projection_measures(
@@ -267,6 +310,7 @@ def projection_measures(
            check_int("image_depth", image_depth, None),
            check_int("samples_per_cell", samples_per_cell, None)) < 1:
         raise DomainError("depths and samples_per_cell must be >= 1")
+    check_int("seed", seed, None)
     bits = image_depth * d  # code bits per axis; tested alone first, so n << bits stays small
     if bits > 28 or n << bits > 1 << 28:
         raise BudgetError(f"image occupancy array of {n} x 2^{bits} cells exceeds the 2^28 guard")
@@ -282,14 +326,15 @@ def projection_measures(
             jitter = _block_jitter(seed, first // block_rows)
         pts = jitter.random(corners.shape)
         pts += corners
-        pts /= float(1 << domain_depth)
+        pts *= 1.0 / (1 << domain_depth)  # scaling by a power of two is exact
         np.clip(pts, _EDGE, 1.0 - _EDGE, out=pts)  # a draw can land on 0.0 or round to 1.0
         labels = classify_regions(spec, probe, pts)
         # F in place of x_i reorders piece i's image (x_-i, F) by a fixed
         # permutation of coordinates, which maps image cells one to one
         lift = np.flatnonzero((labels > 0) & (labels < n))
-        pts.reshape(-1)[lift * d + labels.take(lift) - 1] = surface_values(
-            spec, pts.take(lift, axis=0))
+        values, todo = _first_marks(spec, pts.take(lift, axis=0), image_depth)
+        values[todo] = surface_values(spec, pts.take(lift.take(todo), axis=0))
+        pts.reshape(-1)[lift * d + labels.take(lift) - 1] = values
         hit = np.flatnonzero(labels)
         occupancy.reshape(-1)[(labels.take(hit) - 1) << bits
                               | _mark_codes(pts, image_depth).take(hit)] = True
@@ -305,16 +350,22 @@ def classify_regions(
     A point belongs to piece i < n when exactly coordinate i falls outside
     the probed set, to piece n when no coordinate does, and to no piece
     otherwise; the pieces partition their union by construction.  Labels
-    are sums over the outside masks, not masked writes (the masks are random,
-    so writes through them mispredict branches): with c outside coordinates
-    whose indices sum to w, the label is w if c = 1, n if c = 0, else 0.
+    are gathered, not written through masks (the masks are random, so masked
+    writes mispredict branches): the bit mask of the inside coordinates
+    indexes a table of 2^(n-1) labels, n at the full mask, i at the full
+    mask less bit i - 1, else 0.
     """
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != spec.domain_dim:
-        raise DomainError(f"expected points of dimension {spec.domain_dim}")
-    count, which = np.zeros((2, len(points)), dtype=np.int64)
-    for i in range(1, spec.domain_dim + 1):
-        out = ~in_singular_set_many(spec.f, probe, points[:, i - 1])
-        count += out
-        which += i * out
-    return which * (count == 1) + spec.n * (count == 0)
+    d = spec.domain_dim
+    if points.ndim != 2 or points.shape[1] != d:
+        raise DomainError(f"expected points of dimension {d}")
+    if d > _LABEL_BITS:
+        raise BudgetError(f"piece-label table of 2^{d} codes exceeds the 2^{_LABEL_BITS} guard")
+    full = (1 << d) - 1
+    label = np.zeros(1 << d, dtype=np.int64)
+    label[full] = spec.n
+    label[full ^ (1 << np.arange(d))] = np.arange(1, d + 1)
+    code = in_singular_set_many(spec.f, probe, points[:, 0]).astype(np.intp)
+    for j in range(1, d):
+        code |= in_singular_set_many(spec.f, probe, points[:, j]) << j
+    return label.take(code)

@@ -36,6 +36,12 @@ any depth contains the exact F, so a verdict certified at depth 8 is
 certified.  A deep cell lies inside its depth-8 cell, so its f box lies
 inside the depth-8 box up to a few ulps of rounding: a deep pass over
 every pair would confirm each depth-8 verdict.
+
+The projection sweep's first marks use the same gather (``_salem_corners``)
+from tables of 2^12 cells: ``shallow_enclosure`` widens the depth-12 box by
+2^-44 of each corner, hundreds of ulps, so that its bounds hold not only
+the exact F but also F as ``surface_values`` computes it at the spec's
+greater depth, to within p's rounding.
 """
 
 from __future__ import annotations
@@ -60,6 +66,13 @@ _SCAN_BLOCK = 2**12
 #: depth of the first enclosure passes of the pair verdicts; only the pairs
 #: they leave undecided are enclosed again at the spec's own depth
 _SCAN_FIRST_DEPTH = 8
+
+#: deepest salem spec whose f boxes are gathered from per-cell corner tables
+#: (2^12 cells, 96 KB of tables)
+_TABLE_DEPTH = 12
+
+#: relative widening of the f box corners in ``shallow_enclosure``
+_WIDEN = 2.0**-44
 
 
 @dataclass(frozen=True)
@@ -188,6 +201,32 @@ def surface_enclosure(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray
     return _enclose(spec.f, fv, fe)
 
 
+def shallow_enclosure(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) at an (N, n-1) array of points of the open cube that
+    hold the exact F, and F as ``surface_values`` computes it for the spec to
+    within twice ``_F_sides``' slack, from the f box at the spec's depth or
+    ``_TABLE_DEPTH``, whichever is less (salem gathers it from the corner
+    tables), widened by 2^-44 of each corner; ``_F_sides`` once per corner."""
+    # The exact truncated f at the spec's depth lies in the shallow box: for
+    # salem it is f at a point of the shallow cell, for minkowski a later
+    # partial sum, within the truncation bound.  Its computed value is at
+    # most 63 ulps off (``rounding_ulps``), inside the widening of 2^8 ulps.
+    # p is nondecreasing and computed to within the slack, so that F lies
+    # within twice the slack of [lo, hi]; at the 0/0 corner M = 1, P = 0 it
+    # is 2^-1074 and lo is 0.
+    f = replace(spec.f, depth=min(spec.f.depth, _TABLE_DEPTH))
+    if f.truncates_from_below:
+        f_lo = _salem_corners(f, points, upper=False)
+        f_hi = _salem_corners(f, points, upper=True)
+    else:
+        f_lo, f_hi = _f_box(f, *_f_values(SurfaceSpec(spec.n, f), points))
+    f_lo *= 1.0 - _WIDEN
+    f_hi *= 1.0 + _WIDEN
+    lo = _F_sides(np.minimum(f_hi, 1.0, out=f_hi), len(f_hi))[0]
+    del f_hi  # two calls over separate corners keep one p_many's temporaries live at a time
+    return lo, _F_sides(f_lo, 0)[1]
+
+
 def F_eval(spec: SurfaceSpec, x: Point) -> tuple[float, float]:
     """F(x) = 1 - p(f(x_1), ..., f(x_{n-1})), with the half-width of its
     enclosure about the value as error bound."""
@@ -221,12 +260,13 @@ def _pair_verdicts(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 @functools.lru_cache(maxsize=64)
 def _salem_corner_tables(f: SingularFunctionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Corners of the f box per depth cell, for a salem f of depth <= 8: entry
-    2w of the f_hi table for x at the left end of cell w, entry 2w + 1 for x
-    inside it, and entry w of the f_lo table for either.  Each entry is what
-    ``_f_box`` makes of ``evaluate_many`` at the cell's left end or midpoint,
-    so a gather returns the doubles of the elementwise path (the cell
-    constancy in ``SingularFunctionSpec.truncates_from_below``)."""
+    """Corners of the f box per depth cell, for a salem f of depth at most
+    ``_TABLE_DEPTH``: entry 2w of the f_hi table for x at the left end of
+    cell w, entry 2w + 1 for x inside it, and entry w of the f_lo table for
+    either.  Each entry is what ``_f_box`` makes of
+    ``evaluate_many`` at the cell's left end or midpoint, so a gather returns
+    the doubles of the elementwise path (the cell constancy in
+    ``SingularFunctionSpec.truncates_from_below``)."""
     cells = np.arange(1 << f.depth) / float(1 << f.depth)
     ends = np.stack([cells, cells + 0.5 / (1 << f.depth)], axis=1)  # (left end, midpoint)
     f_lo, f_hi = _f_box(f, *evaluate_many(f, ends))
@@ -236,21 +276,30 @@ def _salem_corner_tables(f: SingularFunctionSpec) -> tuple[np.ndarray, np.ndarra
     return tables
 
 
+def _salem_corners(f: SingularFunctionSpec, xs: np.ndarray, upper: bool) -> np.ndarray:
+    """The upper (f_hi) or the lower (f_lo) corners of the f boxes of a salem
+    f at the points ``xs`` of the open cube, gathered from
+    ``_salem_corner_tables``; ``take`` raises past the tables, but a negative
+    index would wrap."""
+    f_hi, f_lo = _salem_corner_tables(f)
+    t = xs * float(1 << f.depth)  # exact; floor(t) is the digit word w
+    if not upper:
+        return f_lo.take(t.astype(np.intp))
+    index = np.floor(t)
+    index += np.ceil(t, out=t)  # 2w at the left end of cell w, 2w + 1 inside it
+    return f_hi.take(index.astype(np.intp))
+
+
 def _first_pass_ok(spec: SurfaceSpec, rows: np.ndarray) -> np.ndarray:
     """The ordered_ok mask of ``_pair_verdicts`` for 2k rows, from one side of
     each enclosure: lo of the k lower rows, from the upper corners of their f
     boxes, and hi of the k upper rows, from the lower corners; one ``p_many``
-    over the 2k stacked corners.  Salem reads the corners from per-cell
-    tables, which needs the rows inside the open cube (``take`` raises past
-    the tables, but a negative index would wrap)."""
+    over the 2k stacked corners.  Salem gathers the corners from per-cell
+    tables (``_salem_corners``)."""
     f, k = spec.f, len(rows) // 2
     if f.truncates_from_below:
-        f_hi, f_lo = _salem_corner_tables(f)
-        t = rows * float(1 << f.depth)  # exact; floor(t) is the digit word w
-        lower = np.floor(t[:k])
-        lower += np.ceil(t[:k], out=t[:k])  # 2w at the left end of cell w, 2w + 1 inside it
-        corners = np.concatenate([f_hi.take(lower.astype(np.intp)),
-                                  f_lo.take(t[k:].astype(np.intp))])
+        corners = np.concatenate([_salem_corners(f, rows[:k], upper=True),
+                                  _salem_corners(f, rows[k:], upper=False)])
     else:
         f_lo, f_hi = _f_box(f, *evaluate_many(f, rows))
         corners = np.concatenate([f_hi[:k], f_lo[k:]])
@@ -333,7 +382,7 @@ def antichain_scan(
         raise ConfigurationError(f"a scan needs at least one pair, got {pairs}")
     check_budget(2 * pairs, budget)
     d = spec.domain_dim
-    key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)  # seeds follow 64-bit semantics
+    key = np.uint64(int(check_int("seed", seed, None)) & 0xFFFFFFFFFFFFFFFF)  # 64-bit semantics
     rng = np.random.Generator(np.random.Philox(key=key))
     ok = bad = 0
     for start in range(0, pairs, _SCAN_BLOCK):

@@ -671,6 +671,54 @@ def test_salem_corner_tables_match_f_box(lam, depth):
     assert surface_module._salem_corner_tables(same_spec)[0] is f_hi  # built once per spec
 
 
+@pytest.mark.parametrize("depth", [8, 12])
+@pytest.mark.parametrize("lam", [0.01, 0.25, 0.99])
+def test_salem_corners_gather_the_f_box(lam, depth):
+    # the one gather that the scan's first pass and the projection's first
+    # marks share gives both corners of the elementwise f box, at random
+    # points, at cell left ends and at the doubles on either side of them
+    f = SingularFunctionSpec(lam=lam, depth=depth)
+    rng = seeded_rng(depth + 1)
+    w = rng.integers(1, 1 << depth, (2000, 3))
+    xs = (w + rng.random(w.shape)) / (1 << depth)
+    xs[::4] = w[::4] / (1 << depth)
+    xs[1::4] = np.nextafter(w[1::4] / (1 << depth), 1.0)
+    xs[2::4] = np.nextafter(w[2::4] / (1 << depth), 0.0)
+    box_lo, box_hi = surface_module._f_box(f, *evaluate_many(f, xs))
+    np.testing.assert_array_equal(surface_module._salem_corners(f, xs, upper=False), box_lo)
+    np.testing.assert_array_equal(surface_module._salem_corners(f, xs, upper=True), box_hi)
+
+
+def _enclosure_rows(rng, rows: int, d: int) -> np.ndarray:
+    """Rows of the open cube: uniform, crowded towards 0 and towards 1, exact
+    depth-12 dyadics and the doubles just below them."""
+    u = rng.random((rows, d))
+    dyadic = rng.integers(1, 4096, (rows // 4, d)) / 4096.0
+    xs = np.concatenate([u, u**8, 1.0 - u**8, dyadic, np.nextafter(dyadic, 0.0)])
+    return np.clip(xs, 2.0**-1074, 1.0 - 2.0**-53)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("kind, lam", [(SALEM, 0.01), (SALEM, 0.25), (SALEM, 0.99),
+                                       (MINKOWSKI, 0.25)])
+def test_shallow_enclosure_holds_full_depth_values(kind, lam, n):
+    # bounds from the box at depth min(spec depth, 12) hold the exact F and
+    # the F that surface_values computes at the spec's depth, to within p's
+    # rounding slack, far under the projection's 2^-40 margin
+    rows = _enclosure_rows(seeded_rng(n), 1000 if kind == SALEM else 200, n - 1)
+    for depth in (6, 12, 20, 52, 63) if kind == SALEM else (6, 12, 20, 52):
+        spec = SurfaceSpec(n, SingularFunctionSpec(kind=kind, lam=lam, depth=depth))
+        lo, hi = surface_module.shallow_enclosure(spec, rows)
+        assert np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
+        values = surface_values(spec, rows)
+        assert np.all(lo - 2.0**-46 <= values), depth
+        assert np.all(values <= hi + 2.0**-46), depth
+        if depth == 52:  # the exact F at uniform rows, quotients within the oracle's cap
+            for row, row_lo, row_hi in list(zip(rows.tolist(), lo, hi))[:len(rows) // 4:20]:
+                if kind == SALEM or 2.0**-11 < min(row) <= max(row) < 1.0 - 2.0**-11:
+                    assert row_lo <= _F_exact(row, lam, kind) <= row_hi
+
+
 # ------------------------------------------------- projective cross-check
 
 
