@@ -219,7 +219,7 @@ def shallow_enclosure(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray
         f_lo = _salem_corners(f, points, upper=False)
         f_hi = _salem_corners(f, points, upper=True)
     else:
-        f_lo, f_hi = _f_box(f, *_f_values(SurfaceSpec(spec.n, f), points))
+        f_lo, f_hi = _f_box(f, *evaluate_many(f, points))
     f_lo *= 1.0 - _WIDEN
     f_hi *= 1.0 + _WIDEN
     lo = _F_sides(np.minimum(f_hi, 1.0, out=f_hi), len(f_hi))[0]
