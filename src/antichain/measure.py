@@ -12,12 +12,12 @@ Everything here reduces to counting occupied half-open dyadic cells:
   of the slope probe's graph pieces from one sweep, F taking the place of
   coordinate i on piece i < n; the ``math.fsum`` of the areas is the sampled total.
 
-The projection sweep marks a lifted row's image cell from its depth-12
-enclosure (``shallow_enclosure``, salem corners gathered from tables) when
-that enclosure, widened by 2^-40, lies in one cell; only the other rows,
-a few percent, get F at the spec's depth.  The enclosure holds the
-full-depth F to within 2^-46, so every mark is the one the full-depth F
-makes, and the areas are those of evaluating every lifted row in full.
+The projection sweep takes each coordinate's digit word once, for the slope
+probe (a ones count for salem) and the image cell.  A lifted row's image cell
+is read off its depth-12 enclosure (``shallow_enclosure``) when that, widened
+by 2^-40, lies in one cell; only the other rows, a few percent, get F at the
+spec's depth.  The enclosure holds the full-depth F to within 2^-46, so the
+marks and areas are those of evaluating every lifted row in full.
 
 Counts are exact integers; length/area accumulations keep float error far
 below the 1e-12 budget (per-chunk pairwise sums combined with exact fsum).
@@ -28,21 +28,15 @@ from a generator keyed by seed and cell block, so results do not depend on the c
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DEFAULT_EVAL_BUDGET,
-    BudgetError,
-    DomainError,
-    InsufficientDataError,
-    PrecisionError,
-    check_budget,
-    check_int,
-)
-from .singular import SingularSetProbe, digit_words, evaluate_many, in_singular_set_many
+from .errors import (DEFAULT_EVAL_BUDGET, BudgetError, DomainError, InsufficientDataError,
+                     PrecisionError, check_budget, check_int)
+from .singular import (SALEM, SingularSetProbe, digit_words, evaluate_many,
+                       in_singular_set_many, salem_slopes)
 from .surface import SurfaceSpec, shallow_enclosure, surface_from_f, surface_values
 
 #: cells per jitter block; a fixed constant that is part of the sampling
@@ -108,7 +102,7 @@ def cover_sum(s: float, n: int, k: int, count: float) -> float:
 def _grid_walk(side: int, dim: int, per_point: int, block: int,
                budget: int) -> Iterator[tuple[int, np.ndarray]]:
     """Integer coordinates of the side^dim grid in flat-id order, each point
-    repeated on ``per_point`` consecutive rows, as (first row, (rows, dim))
+    repeated on ``per_point`` consecutive rows, as (first row, (dim, rows))
     blocks of ``block`` rows.  The budget charge of one evaluation per row and
     the 64-bit row-id guard run at the call, not lazily."""
     rows = side**dim * per_point
@@ -116,36 +110,34 @@ def _grid_walk(side: int, dim: int, per_point: int, block: int,
     if rows > 2**62:
         raise BudgetError("domain grid overflows 64-bit row ids")
 
-    def blocks() -> Iterator[tuple[int, np.ndarray]]:
-        for start in range(0, rows, block):
-            stop = min(start + block, rows)
-            first = start // per_point  # the points of the block, each divided once
-            ids = np.arange(first, (stop - 1) // per_point + 1, dtype=np.int64)
-            out = np.empty((len(ids), dim), dtype=np.int64)
-            for j in range(dim - 1, -1, -1):
-                rest = ids // side
-                np.subtract(ids, rest * side, out=out[:, j])  # faster than np.remainder
-                ids = rest
-            del ids, rest  # not held across the yield, while the caller works
-            if per_point > 1:  # a block may start and end inside a point's rows
-                counts = np.full(len(out), per_point)
-                counts[0] -= start - first * per_point
-                counts[-1] -= (first + len(out)) * per_point - stop
-                out = np.repeat(out, counts, axis=0)
-            yield start, out
+    def coords(start: int) -> np.ndarray:
+        stop = min(start + block, rows)
+        first = start // per_point  # the points of the block, each divided once
+        ids = np.arange(first, (stop - 1) // per_point + 1, dtype=np.int64)
+        out = np.empty((dim, len(ids)), dtype=np.int64)
+        for j in range(dim - 1, -1, -1):
+            rest = ids // side
+            np.subtract(ids, rest * side, out=out[j])  # faster than np.remainder
+            ids = rest
+        if per_point > 1:  # a block may start and end inside a point's rows
+            counts = np.full(out.shape[1], per_point)
+            counts[0] -= start - first * per_point
+            counts[-1] -= (first + out.shape[1]) * per_point - stop
+            out = np.repeat(out, counts, axis=1)
+        return out
 
-    return blocks()
+    # no array is held across the yield: the caller's reference is the only one
+    return ((start, coords(start)) for start in range(0, rows, block))
 
 
 def lattice_surface(spec: SurfaceSpec, side: int, axis: Callable[[np.ndarray], np.ndarray],
                     budget: int = DEFAULT_EVAL_BUDGET) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(points, F) over the product lattice of the axis values ``axis(np.arange(side))``,
+    """((n-1, N) indices, F) over the lattice of axis values ``axis(np.arange(side))``,
     row-major, in blocks of at most ``_CHUNK_ROWS`` points: f once per axis value, F once
     per point; the budget charge of one evaluation per point runs before the axis is built."""
     blocks = _grid_walk(side, spec.domain_dim, 1, _CHUNK_ROWS, budget)
-    values = axis(np.arange(side))
-    fa = evaluate_many(spec.f, values)[0]
-    return ((values[ids], surface_from_f(fa[ids])) for _, ids in blocks)
+    fa = evaluate_many(spec.f, axis(np.arange(side)))[0]
+    return ((ids, surface_from_f(fa.take(ids).T)) for _, ids in blocks)
 
 
 def _check_code_bits(depth: int, dim: int) -> None:
@@ -165,13 +157,14 @@ def _checked_cover_side(spec: SurfaceSpec, depth: int, samples_per_cell: int) ->
     return (samples_per_cell << depth) + 1
 
 
-def _mark_codes(points: np.ndarray, depth: int) -> np.ndarray:
-    """Linear half-open cell codes of ambient points in [0,1]^dim, one axis at a time."""
-    lin = np.zeros(len(points), dtype=np.int64)
-    for j in range(points.shape[1]):
-        lin <<= depth
-        lin |= np.minimum(digit_words(points[:, j], depth), (1 << depth) - 1)  # 1 -> last cell
-    return lin
+def _cell_codes(axes: Sequence[np.ndarray], depth: int) -> np.ndarray:
+    """Linear half-open cell codes from each axis's depth-``depth`` digit words,
+    first axis first."""
+    codes = axes[0].copy()
+    for cells in axes[1:]:
+        codes <<= depth
+        codes |= cells
+    return codes
 
 
 def occupied_cell_count(
@@ -198,8 +191,13 @@ def occupied_cell_count(
         values /= float(1 << domain_depth)
         return np.clip(values, _EDGE, 1.0 - _EDGE, out=values)
 
-    seen = [_distinct(_mark_codes(np.column_stack(block), domain_depth))
-            for block in lattice_surface(spec, side, axis, budget)]
+    sweep = lattice_surface(spec, side, axis, budget)
+    # axis value i lies in cell i // m, the last (1, clipped) in the last cell: the
+    # float q + r/m stays below q + 1 while m q < 2^52, as in any lattice in memory
+    cells = np.arange(side) // m
+    np.minimum(cells, (1 << domain_depth) - 1, out=cells)
+    seen = [_distinct(_cell_codes([*cells.take(ids), digit_words(F, domain_depth)],
+                                  domain_depth)) for ids, F in sweep]
     return int(_distinct(np.concatenate(seen)).size)
 
 
@@ -269,24 +267,19 @@ def _block_jitter(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _first_marks(spec: SurfaceSpec, rows: np.ndarray,
-                 image_depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stand-ins for F at the lifted rows, and the indices of the rows whose
-    F must still be computed at the spec's depth.
-
-    ``shallow_enclosure``, at depth 12 at most, holds the full-depth F of
-    each row to within its rounding slack, far under ``_MARK_MARGIN``.  So when
-    lo - margin and hi + margin fall in one depth-``image_depth`` cell, the
-    full-depth F falls in it too, and so does lo, which stands in for F:
-    floor is monotone.  F and lo are >= 0 and the margin is under one cell
-    width, so truncation toward zero serves as floor."""
-    lo, hi = shallow_enclosure(spec, rows)
-    scale = float(1 << image_depth)
-    hi += _MARK_MARGIN
-    hi *= scale
-    cell = lo - _MARK_MARGIN
-    cell *= scale
-    return lo, np.flatnonzero(cell.astype(np.int64) != hi.astype(np.int64))
+def _F_codes(spec: SurfaceSpec, cols: np.ndarray, rows: np.ndarray, depth: int) -> np.ndarray:
+    """Depth-``depth`` cell codes of F at the points ``rows`` of the (d, N)
+    coordinates ``cols``.  ``shallow_enclosure`` holds the full-depth F far inside
+    ``_MARK_MARGIN``: where lo - margin and hi + margin share a cell, so does F (floor
+    is monotone; lo, F >= 0 and the margin is under a cell, so truncation serves as
+    floor).  Only the other rows get F at the spec's depth."""
+    lo, hi = shallow_enclosure(spec, cols.take(rows, axis=1).T)
+    scale = float(1 << depth)
+    codes = ((hi + _MARK_MARGIN) * scale).astype(np.int64)
+    todo = np.flatnonzero(((lo - _MARK_MARGIN) * scale).astype(np.int64) != codes)
+    values = surface_values(spec, cols.take(rows.take(todo), axis=1).T)
+    codes[todo] = digit_words(values, depth)
+    return codes
 
 
 def projection_measures(
@@ -301,8 +294,7 @@ def projection_measures(
     """Occupied image area of each coordinate projection, axis 1..n, from one
     sweep: jittered samples are classified into the B-pieces, F takes the
     place of coordinate i on piece i < n, and piece i's image is marked for axis i.
-    Rows are gathered with ``take``; F is written back, and the (piece,
-    image cell) marks are set, through flat indices into C-ordered arrays."""
+    Marks are set through flat indices into a C-ordered array."""
     d, n = spec.domain_dim, spec.n
     if probe.depth > spec.f.depth:
         raise PrecisionError(f"probe depth {probe.depth} exceeds spec depth {spec.f.depth}")
@@ -315,57 +307,79 @@ def projection_measures(
     if bits > 28 or n << bits > 1 << 28:
         raise BudgetError(f"image occupancy array of {n} x 2^{bits} cells exceeds the 2^28 guard")
     _check_code_bits(domain_depth, d)
+    width = max(probe.depth, image_depth)  # at most 63: the spec's depth bounds the probe's
     per_cell = samples_per_cell**d
     # power-of-two chunks of rows tile the jitter blocks of JITTER_BLOCK cells
     chunk = 1 << (min(_CHUNK_ROWS, JITTER_BLOCK).bit_length() - 1)
     block_rows = JITTER_BLOCK * per_cell
     blocks = _grid_walk(1 << domain_depth, d, per_cell, chunk, budget)
+    # F in place of x_i permutes piece i's image coordinates: image cells map one to
+    # one.  By piece i < n: the offset of x_i's bits in an image code, a mask clearing them
+    place = np.r_[0, (d - np.arange(1, n)) * image_depth]
+    keep = ~(((1 << image_depth) - 1) << place)
+    row_start = (np.arange(n + 1) - 1) << bits  # by piece, where its occupancy row starts
     occupancy = np.zeros((n, 1 << bits), dtype=bool)
     for first, corners in blocks:
         if first % block_rows == 0:
             jitter = _block_jitter(seed, first // block_rows)
-        pts = jitter.random(corners.shape)
-        pts += corners
-        pts *= 1.0 / (1 << domain_depth)  # scaling by a power of two is exact
-        np.clip(pts, _EDGE, 1.0 - _EDGE, out=pts)  # a draw can land on 0.0 or round to 1.0
-        labels = classify_regions(spec, probe, pts)
-        # F in place of x_i reorders piece i's image (x_-i, F) by a fixed
-        # permutation of coordinates, which maps image cells one to one
+        cols = np.empty(corners.shape)  # (d, rows): each coordinate contiguous
+        np.add(jitter.random(corners.shape[::-1]).T, corners, out=cols)
+        del corners  # its last use: freed while the chunk works
+        cols *= 1.0 / (1 << domain_depth)  # scaling by a power of two is exact
+        np.clip(cols, _EDGE, 1.0 - _EDGE, out=cols)  # a draw can land on 0.0 or round to 1.0
+        words = digit_words(cols, width)
+        labels = _piece_labels(spec, probe, cols, words, width)
         lift = np.flatnonzero((labels > 0) & (labels < n))
-        values, todo = _first_marks(spec, pts.take(lift, axis=0), image_depth)
-        values[todo] = surface_values(spec, pts.take(lift.take(todo), axis=0))
-        pts.reshape(-1)[lift * d + labels.take(lift) - 1] = values
-        hit = np.flatnonzero(labels)
-        occupancy.reshape(-1)[(labels.take(hit) - 1) << bits
-                              | _mark_codes(pts, image_depth).take(hit)] = True
+        piece = labels.take(lift)
+        field = _F_codes(spec, cols, lift, image_depth)
+        words >>= width - image_depth  # now each coordinate's image cell
+        codes = _cell_codes(words, image_depth)
+        codes[lift] = field << place.take(piece) | codes.take(lift) & keep.take(piece)
+        hit = np.flatnonzero(labels != 0)  # a bool mask takes nonzero's branch-free path
+        occupancy.reshape(-1)[row_start.take(labels.take(hit)) | codes.take(hit)] = True
     cell_area = (2.0**-image_depth) ** d
     return {axis: float(occupancy[axis - 1].sum()) * cell_area for axis in range(1, n + 1)}
 
 
-def classify_regions(
-    spec: SurfaceSpec, probe: SingularSetProbe, points: np.ndarray
-) -> np.ndarray:
+def _piece_labels(spec: SurfaceSpec, probe: SingularSetProbe, cols: np.ndarray,
+                  words: np.ndarray, width: int) -> np.ndarray:
+    """``classify_regions`` at (d, N) coordinates ``cols`` with digit words ``words`` at
+    a depth ``width`` >= the probe's (salem's probe reads their ones counts).  The bit
+    mask of the inside coordinates indexes a table of labels, n at the full mask, i at
+    the full mask less bit i - 1, else 0 (masked writes would mispredict branches)."""
+    d = spec.domain_dim
+    if d > _LABEL_BITS:
+        raise BudgetError(f"piece-label table of 2^{d} codes exceeds the 2^{_LABEL_BITS} guard")
+    full = (1 << d) - 1
+    label = np.zeros(1 << d, dtype=np.uint8)  # n <= _LABEL_BITS + 1
+    label[full] = spec.n
+    label[full ^ (1 << np.arange(d))] = np.arange(1, d + 1)
+    if spec.f.kind == SALEM:
+        inside = (salem_slopes(spec.f.lam, probe.depth) < probe.eps).astype(np.int32)
+        shift = width - probe.depth
+        # take, not fancy indexing: indexing with bitwise_count's uint8 counts casts first
+        masks = ((inside << j).take(np.bitwise_count(w >> shift if shift else w))
+                 for j, w in enumerate(words))
+    else:
+        masks = (in_singular_set_many(spec.f, probe, x).astype(np.int32) << j
+                 for j, x in enumerate(cols))
+    code = next(masks)
+    for mask in masks:
+        code |= mask
+    return label.take(code)
+
+
+def classify_regions(spec: SurfaceSpec, probe: SingularSetProbe, points: np.ndarray) -> np.ndarray:
     """B-piece label per domain point: 1..n-1, n, or 0 for none.
 
     A point belongs to piece i < n when exactly coordinate i falls outside
     the probed set, to piece n when no coordinate does, and to no piece
-    otherwise; the pieces partition their union by construction.  Labels
-    are gathered, not written through masks (the masks are random, so masked
-    writes mispredict branches): the bit mask of the inside coordinates
-    indexes a table of 2^(n-1) labels, n at the full mask, i at the full
-    mask less bit i - 1, else 0.
-    """
+    otherwise; the pieces partition their union by construction (``_piece_labels``)."""
     points = np.asarray(points, dtype=np.float64)
-    d = spec.domain_dim
-    if points.ndim != 2 or points.shape[1] != d:
-        raise DomainError(f"expected points of dimension {d}")
-    if d > _LABEL_BITS:
-        raise BudgetError(f"piece-label table of 2^{d} codes exceeds the 2^{_LABEL_BITS} guard")
-    full = (1 << d) - 1
-    label = np.zeros(1 << d, dtype=np.int64)
-    label[full] = spec.n
-    label[full ^ (1 << np.arange(d))] = np.arange(1, d + 1)
-    code = in_singular_set_many(spec.f, probe, points[:, 0]).astype(np.intp)
-    for j in range(1, d):
-        code |= in_singular_set_many(spec.f, probe, points[:, j]) << j
-    return label.take(code)
+    if points.ndim != 2 or points.shape[1] != spec.domain_dim:
+        raise DomainError(f"expected points of dimension {spec.domain_dim}")
+    if probe.depth > spec.f.depth:
+        raise PrecisionError(f"slope depth {probe.depth} exceeds spec depth {spec.f.depth}")
+    if points.size and not (points.min() > 0.0 and points.max() < 1.0):
+        raise DomainError("coordinates must lie in (0,1)")
+    return _piece_labels(spec, probe, points.T, digit_words(points.T, probe.depth), probe.depth)

@@ -235,16 +235,23 @@ def evaluate(spec: SingularFunctionSpec, x: float) -> tuple[float, float]:
     return float(values[0]), float(bounds[0])
 
 
+@functools.lru_cache(maxsize=256)
+def salem_slopes(lam: float, k: int) -> np.ndarray:
+    """Entry o: the salem slope over a depth-k cell whose digits hold o ones, its
+    correctly rounded rise times 2**k (exact while the rise is a normal float)."""
+    table = _cylinder_lengths(lam, k) * 2.0**k
+    table.setflags(write=False)
+    return table
+
+
 def dyadic_slopes_many(spec: SingularFunctionSpec, xs: np.ndarray, k: int) -> np.ndarray:
     """Difference quotient of f over the depth-k dyadic cell containing each x.
 
     Dyadic rationals sit on a cell boundary and are assigned to the
     right-closed cell [x, x + 2**-k), matching the half-open grid
     convention.  For the salem kind the slope is the digit product of 2*lam
-    per 0-digit and 2*(1-lam) per 1-digit: the cell's correctly rounded rise
-    from ``_cylinder_lengths``, looked up by the count of ones, times 2**k,
-    which is exact while the rise is a normal float.  The minkowski kind
-    evaluates f at the cell ends.
+    per 0-digit and 2*(1-lam) per 1-digit, looked up in ``salem_slopes`` by
+    the count of ones.  The minkowski kind evaluates f at the cell ends.
     """
     if k < 0:
         raise DomainError(f"slope depth must be >= 0, got {k}")
@@ -255,7 +262,7 @@ def dyadic_slopes_many(spec: SingularFunctionSpec, xs: np.ndarray, k: int) -> np
         raise DomainError("coordinates must lie in (0,1)")
     words = digit_words(xs, k)
     if spec.kind == SALEM:
-        return (_cylinder_lengths(spec.lam, k) * 2.0**k).take(np.bitwise_count(words))
+        return salem_slopes(spec.lam, k).take(np.bitwise_count(words))
     scale = float(1 << k)
     a = words / scale
     ends, _ = evaluate_many(spec, np.stack([a, a + 1.0 / scale]))

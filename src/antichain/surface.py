@@ -37,11 +37,10 @@ certified.  A deep cell lies inside its depth-8 cell, so its f box lies
 inside the depth-8 box up to a few ulps of rounding: a deep pass over
 every pair would confirm each depth-8 verdict.
 
-The projection sweep's first marks use the same gather (``_salem_corners``)
-from tables of 2^12 cells: ``shallow_enclosure`` widens the depth-12 box by
-2^-44 of each corner, hundreds of ulps, so that its bounds hold not only
-the exact F but also F as ``surface_values`` computes it at the spec's
-greater depth, to within p's rounding.
+The projection sweep's first marks read f_lo and the inside f_hi entry of the
+tables at 2^12 cells by digit word (``shallow_enclosure``), widened by 2^-44 of
+each corner, hundreds of ulps: its bounds hold the exact F and F as
+``surface_values`` computes it at the spec's greater depth, to within p's rounding.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DEFAULT_EVAL_BUDGET, ConfigurationError, DomainError, check_budget, check_int
-from .singular import SingularFunctionSpec, evaluate_many
+from .singular import SingularFunctionSpec, digit_words, evaluate_many
 
 #: surface values are kept strictly inside (0,1) at float resolution
 _ONE_BELOW = 1.0 - 2.0**-53
@@ -204,20 +203,20 @@ def surface_enclosure(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray
 def shallow_enclosure(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds (lo, hi) at an (N, n-1) array of points of the open cube that
     hold the exact F, and F as ``surface_values`` computes it for the spec to
-    within twice ``_F_sides``' slack, from the f box at the spec's depth or
-    ``_TABLE_DEPTH``, whichever is less (salem gathers it from the corner
-    tables), widened by 2^-44 of each corner; ``_F_sides`` once per corner."""
-    # The exact truncated f at the spec's depth lies in the shallow box: for
-    # salem it is f at a point of the shallow cell, for minkowski a later
-    # partial sum, within the truncation bound.  Its computed value is at
-    # most 63 ulps off (``rounding_ulps``), inside the widening of 2^8 ulps.
-    # p is nondecreasing and computed to within the slack, so that F lies
-    # within twice the slack of [lo, hi]; at the 0/0 corner M = 1, P = 0 it
-    # is 2^-1074 and lo is 0.
+    within twice ``_F_sides``' slack, from the f box at depth T = min(spec
+    depth, ``_TABLE_DEPTH``) widened by 2^-44 of each corner; salem gathers
+    it from the corner tables by the coordinates' depth-T digit words."""
+    # The exact truncated f at a depth above T lies in the unwidened box: for
+    # salem it is f at a point of the depth-T cell, for minkowski a later
+    # partial sum, within the truncation bound.  Its computed value is at most
+    # 63 ulps off (``rounding_ulps``), inside the widening of 2^8 ulps.  p is
+    # nondecreasing and computed to within the slack, so that F lies within
+    # twice the slack of [lo, hi]; at the 0/0 corner M = 1, P = 0 it is 2^-1074.
     f = replace(spec.f, depth=min(spec.f.depth, _TABLE_DEPTH))
     if f.truncates_from_below:
-        f_lo = _salem_corners(f, points, upper=False)
-        f_hi = _salem_corners(f, points, upper=True)
+        f_hi, f_lo = _salem_corner_tables(f)
+        w = digit_words(points.T, f.depth)  # (n-1, N): each coordinate contiguous
+        f_lo, f_hi = f_lo.take(w).T, f_hi[1::2].take(w).T  # entry 2w + 1 holds f on cell w
     else:
         f_lo, f_hi = _f_box(f, *evaluate_many(f, points))
     f_lo *= 1.0 - _WIDEN

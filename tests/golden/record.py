@@ -1,0 +1,76 @@
+"""Record the golden reports of the two grid sweeps.
+
+Each invocation below runs through ``antichain.cli.main``; its exit code and
+the exact text it writes to stdout are stored in ``reports.json`` beside
+this file, which ``tests/test_golden.py`` compares byte for byte.  Record
+from the code whose reports are to be frozen, from the repository root:
+
+    PYTHONPATH=src python tests/golden/record.py
+
+stderr is not recorded: it carries the wall time.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from antichain import cli
+
+REPORTS = Path(__file__).with_name("reports.json")
+
+_SMALL = ["--domain-depth", "6", "--image-depth", "5", "--samples", "2"]
+
+#: name -> argv; each runs in well under half a second
+INVOCATIONS = {
+    "projections-n2": ["projections", "--n", "2", "--domain-depth", "10", "--seed", "3"],
+    "projections-n3": ["projections", "--n", "3", *_SMALL, "--seed", "1"],
+    "projections-n4": ["projections", "--n", "4", "--domain-depth", "4", "--image-depth", "4",
+                       "--samples", "2", "--seed", "2"],
+    "projections-n5": ["projections", "--n", "5", "--domain-depth", "3", "--image-depth", "3",
+                       "--samples", "2", "--seed", "5"],
+    "projections-lam0.01": ["projections", "--n", "3", "--lambda", "0.01", "--probe-depth", "8",
+                            "--probe-eps", "0.001", *_SMALL],
+    "projections-lam0.25": ["projections", "--n", "2", "--lambda", "0.25", "--probe-depth", "12",
+                            "--probe-eps", "0.5", "--domain-depth", "10", "--image-depth", "8"],
+    "projections-lam0.99": ["projections", "--n", "3", "--lambda", "0.99", "--probe-depth", "8",
+                            "--probe-eps", "0.001", *_SMALL],
+    "projections-minkowski": ["projections", "--n", "3", "--kind", "minkowski",
+                              "--domain-depth", "4", "--image-depth", "4", "--samples", "2"],
+    "projections-image14": ["projections", "--n", "2", "--domain-depth", "10",
+                            "--image-depth", "14", "--samples", "2"],
+    "projections-image14-probe6": ["projections", "--n", "2", "--probe-depth", "6",
+                                   "--probe-eps", "0.5", "--domain-depth", "8",
+                                   "--image-depth", "14", "--samples", "2"],
+    "projections-depth10": ["projections", "--n", "3", "--depth", "10", "--probe-depth", "8",
+                            "--probe-eps", "0.5", *_SMALL],
+    "dimension-n2": ["dimension", "--n", "2"],
+    "dimension-n3": ["dimension", "--n", "3", "--k-min", "3", "--k-max", "7"],
+    "dimension-minkowski": ["dimension", "--n", "3", "--kind", "minkowski", "--k-min", "2",
+                            "--k-max", "5", "--samples", "2"],
+}
+
+
+def report(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one invocation through ``cli.main``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def main() -> int:
+    reports = {}
+    for name, argv in INVOCATIONS.items():
+        code, stdout = report(argv)
+        reports[name] = {"argv": argv, "exit_code": code, "stdout": stdout}
+        print(f"{name}: exit {code}", file=sys.stderr)
+    REPORTS.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,12 +27,17 @@ from antichain.errors import check_budget
 from antichain.measure import (
     JITTER_BLOCK,
     _block_jitter,
+    _cell_codes,
     _grid_walk,
-    _mark_codes,
     classify_regions,
     cover_sum,
 )
-from antichain.singular import evaluate_many, in_singular_set, in_singular_set_many
+from antichain.singular import (
+    digit_words,
+    evaluate_many,
+    in_singular_set,
+    in_singular_set_many,
+)
 from antichain.surface import surface_from_f, surface_values
 
 from oracles import length_binomial, seeded_rng
@@ -126,20 +131,28 @@ def test_seeded_estimators_refuse_non_integer_seeds(surface_n2, call):
 # ------------------------------------------------------------ cell marking
 
 
+def mark_codes(points: np.ndarray, depth: int) -> np.ndarray:
+    """Cell codes of an (N, dim) array of points, as the sweeps build them:
+    each axis's digit words, here taken at depth + 3 and shifted down."""
+    return _cell_codes(digit_words(points.T, depth + 3) >> 3, depth)
+
+
 def test_mark_codes_half_open():
-    # a point on a cell boundary belongs to the upper cell; 1.0 to the last
-    pts = np.array([[0.5, 0.25], [0.0, 0.999], [0.25, 1.0], [1.0, 1.0]])
-    codes = _mark_codes(pts, 2)
+    # a point on a cell boundary belongs to the upper cell; the largest
+    # coordinate a sweep makes, 1 - 2^-53, to the last
+    top = 1.0 - 2.0**-53
+    pts = np.array([[0.5, 0.25], [0.0, 0.999], [0.25, top], [top, top]])
+    codes = mark_codes(pts, 2)
     assert [divmod(int(c), 4) for c in codes] == [(2, 1), (0, 3), (1, 3), (3, 3)]
-    assert _mark_codes(np.array([[0.375]]), 3)[0] == 3
-    assert _mark_codes(np.array([[0.375 - 2.0**-54]]), 3)[0] == 2
+    assert mark_codes(np.array([[0.375]]), 3)[0] == 3
+    assert mark_codes(np.array([[0.375 - 2.0**-54]]), 3)[0] == 2
 
 
 def test_mark_codes_nest_across_depths():
     # a depth-k code is the depth-(k+1) code with each axis's last digit dropped
     pts = seeded_rng(17).random((2000, 3))
     for k in (1, 4, 9):
-        coarse, fine = _mark_codes(pts, k), _mark_codes(pts, k + 1)
+        coarse, fine = mark_codes(pts, k), mark_codes(pts, k + 1)
         for j in range(3):
             coarse_axis = (coarse >> ((2 - j) * k)) & ((1 << k) - 1)
             fine_axis = (fine >> ((2 - j) * (k + 1))) & ((1 << (k + 1)) - 1)
@@ -162,8 +175,8 @@ def test_grid_walk_matches_unravel_index(side, dim, per_point, block):
     assert rows % block
     walked = list(_grid_walk(side, dim, per_point, block, budget=rows))
     assert [first for first, _ in walked] == list(range(0, rows, block))
-    got = np.concatenate([coords for _, coords in walked])
-    expected = np.column_stack(np.unravel_index(np.arange(rows) // per_point, (side,) * dim))
+    got = np.concatenate([coords for _, coords in walked], axis=1)
+    expected = np.stack(np.unravel_index(np.arange(rows) // per_point, (side,) * dim))
     assert got.dtype == np.int64
     assert np.array_equal(got, expected)
 
@@ -470,6 +483,22 @@ def test_classify_regions_matches_scalar_membership(n, kind):
     assert outside_counts == ({0, 1} if n == 2 else {0, 1, 2})
 
 
+@pytest.mark.parametrize("kind", ["salem", "minkowski"])
+def test_sweep_labels_read_deeper_digit_words(kind):
+    # the sweep labels from one word per coordinate at the deepest depth it
+    # needs; shifted down to the probe's depth, its labels are classify_regions'
+    spec = SurfaceSpec(n=4, f=SingularFunctionSpec(kind=kind))
+    probe = SingularSetProbe(depth=20, eps=0.5)
+    pts = seeded_rng(29).uniform(1e-6, 1 - 1e-6, (2000 if kind == "salem" else 200, 3))
+    labels = classify_regions(spec, probe, pts)
+    assert set(np.unique(labels)) == {0, 1, 2, 3, 4}
+    cols = np.ascontiguousarray(pts.T)
+    for width in (20, 21, 40, 63):
+        np.testing.assert_array_equal(
+            measure_module._piece_labels(spec, probe, cols, digit_words(cols, width), width),
+            labels)
+
+
 def test_classify_regions_refuses_wide_domains(salem_default):
     # the label table has 2^(n-1) entries; past 2^23, where the projection's
     # own occupancy guard stops, it is refused before any is built
@@ -679,16 +708,17 @@ def test_projection_evaluates_only_undecided_lifted_rows(surface_n3, monkeypatch
     probe = SingularSetProbe(depth=40, eps=0.01)
     lifted, calls = [], []
 
-    def spy_classify(spec, probe, pts):
-        labels = classify_regions(spec, probe, pts)
-        lifted.append(pts[(labels > 0) & (labels < spec.n)].copy())
+    def spy_labels(spec, probe, cols, words, width):
+        labels = piece_labels(spec, probe, cols, words, width)
+        lifted.append(cols.T[(labels > 0) & (labels < spec.n)].copy())
         return labels
 
     def spy_values(spec, pts):
         calls.append(pts.copy())
         return surface_values(spec, pts)
 
-    monkeypatch.setattr(measure_module, "classify_regions", spy_classify)
+    piece_labels = measure_module._piece_labels
+    monkeypatch.setattr(measure_module, "_piece_labels", spy_labels)
     monkeypatch.setattr(measure_module, "surface_values", spy_values)
     monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 1000)
     projection_measures(surface_n3, probe, 6, 5, 2, seed=3)

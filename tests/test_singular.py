@@ -18,7 +18,13 @@ from antichain import (
     evaluate_many,
     in_singular_set,
 )
-from antichain.singular import KINDS, dyadic_slopes_many, in_singular_set_many
+from antichain.singular import (
+    KINDS,
+    digit_words,
+    dyadic_slopes_many,
+    in_singular_set_many,
+    salem_slopes,
+)
 
 from oracles import salem_recursive, salem_truncation_exact, seeded_rng
 
@@ -352,6 +358,61 @@ def test_self_affine_identity(salem_default):
     v_full, e_full = evaluate_many(salem_default, xs)
     gap = np.abs(v_half - 0.25 * v_full)
     assert (gap <= 2.0 * np.maximum(e_half, e_full) + 1e-15).all()
+
+
+# ------------------------------------------------------------ digit words
+
+#: x = 0, exact dyadics, the largest double below 1, and subnormals
+_WORD_EDGES = [0.0, 0.5, 0.375, 2.0**-12, 1.0 - 2.0**-12, 2.0**-40 * 3, 1.0 - 2.0**-53,
+               2.0**-1074, 2.0**-1022 - 2.0**-1074, 2.0**-1030]
+
+dyadics = st.builds(lambda m, e: m / 2.0**e, st.integers(0, 2**20 - 1), st.integers(20, 80))
+word_inputs = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    dyadics,
+    st.floats(min_value=0.0, max_value=2.0**-1022, exclude_max=True),  # subnormals
+    st.sampled_from(_WORD_EDGES),
+)
+
+
+def _floor_digits(x: float, k: int) -> int:
+    return math.floor(Fraction(x) * 2**k)
+
+
+def test_digit_words_are_the_leading_digits():
+    # the exact floor(x 2^k) at every depth a sweep may use
+    xs = np.array(_WORD_EDGES)
+    for k in range(64):
+        assert digit_words(xs, k).tolist() == [_floor_digits(x, k) for x in _WORD_EDGES]
+
+
+@given(x=word_inputs, width=st.integers(0, 63), k=st.integers(0, 63))
+def test_digit_words_shift_down_to_any_shallower_depth(x, width, k):
+    # the projection sweep takes one word per coordinate, at the deepest
+    # depth it needs, and shifts it down for every shallower use
+    k = min(k, width)
+    assert digit_words(np.array([x]), width)[0] >> (width - k) == digit_words(np.array([x]), k)[0]
+
+
+def test_digit_words_shift_down_at_the_edges():
+    xs = np.array(_WORD_EDGES)
+    for width in range(64):
+        for k in range(width + 1):
+            np.testing.assert_array_equal(digit_words(xs, width) >> (width - k),
+                                          digit_words(xs, k))
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.25, 0.75, 0.99])
+@pytest.mark.parametrize("k", [1, 12, 40, 52])
+def test_salem_slopes_are_the_probe_doubles(lam, k):
+    # the probe's table by ones count compares the doubles dyadic_slopes_many
+    # returns: the depth-k word with o leading ones has o ones
+    spec = SingularFunctionSpec(lam=lam)
+    table = salem_slopes(lam, k)
+    assert not table.flags.writeable and table.shape == (k + 1,)
+    xs = np.array([((1 << o) - 1 + 0.5) / 2**k for o in range(k + 1)])
+    np.testing.assert_array_equal(dyadic_slopes_many(spec, xs, k), table)
+    assert salem_slopes(lam, k) is table  # built once per (lam, k)
 
 
 # --------------------------------------------------------------- slopes

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -26,7 +27,7 @@ from antichain import (
     p_eval,
 )
 from antichain.measure import classify_regions
-from antichain.surface import p_many, surface_enclosure, surface_values
+from antichain.surface import p_many, surface_enclosure, surface_from_f, surface_values
 
 from oracles import (
     minkowski_exact,
@@ -338,6 +339,67 @@ def test_F_eval_bound_is_enclosure_half_width(surface_n3):
         assert bound == max(value - lo, hi - value)
     value, bound = F_eval(surface_n3, Point((0.125, 1.0 - 2.0**-27)))
     assert abs(Fraction(value) - _F_exact((0.125, 1.0 - 2.0**-27), 0.25)) <= bound
+
+
+def _ulp(t: Fraction) -> Fraction:
+    """The spacing of the doubles at a real t > 0: 2^(e - 52) on [2^e, 2^(e+1))."""
+    v = float(t)
+    if Fraction(v) > t:
+        v = math.nextafter(v, 0.0)
+    return Fraction(math.ulp(v))
+
+
+def _extreme_doubles(t: Fraction, radius: Fraction) -> tuple[float, float]:
+    """The lowest and the highest double within ``radius`` of t, kept in [0, 1]."""
+    lo, hi = float(t - radius), float(t + radius)
+    if Fraction(lo) < t - radius:
+        lo = math.nextafter(lo, 1.0)
+    if Fraction(hi) > t + radius:
+        hi = math.nextafter(hi, 0.0)
+    return max(lo, 0.0), min(hi, 1.0)
+
+
+def _bound_free_dyadics(f: SingularFunctionSpec) -> np.ndarray:
+    """Depth-12 dyadics at which f has truncation bound 0 (for minkowski: a
+    continued fraction within the depth and the quotient cap)."""
+    xs = np.unique(seeded_rng(61).integers(1, 1 << 12, 400)) / 4096.0
+    return xs[evaluate_many(f, xs)[1] == 0.0]
+
+
+@pytest.mark.parametrize("kind, lam", [(SALEM, 0.01), (SALEM, 0.25), (SALEM, 0.99),
+                                       (MINKOWSKI, 0.25)])
+def test_f_box_holds_the_stated_rounding_allowance(kind, lam):
+    # where the truncation bound is 0 the exact truncated sum t is the exact
+    # f, and evaluate_many may return any double within rounding_ulps ulp(t)
+    # of t: the box about each of them, the farthest included, must hold t
+    f = SingularFunctionSpec(kind=kind, lam=lam)
+    xs = _bound_free_dyadics(f)
+    assert xs.size > 150
+    exact = [salem_exact(x, lam) if kind == SALEM else minkowski_exact(x) for x in xs.tolist()]
+    values = [v for t in exact for v in _extreme_doubles(t, f.rounding_ulps * _ulp(t))]
+    f_lo, f_hi = surface_module._f_box(f, np.array(values), np.zeros(len(values)))
+    truths = [t for t in exact for _ in range(2)]
+    for t, v, lo, hi in zip(truths, values, f_lo.tolist(), f_hi.tolist()):
+        assert Fraction(lo) <= t <= Fraction(hi), (t, v)
+
+
+def test_shallow_enclosure_holds_values_63_ulps_off():
+    # the widening of shallow_enclosure's box: at n = 2 (p the identity) and
+    # points whose minkowski sums end by depth 12, the exact f is the depth-12
+    # sum, and a depth-63 spec may compute any double within its
+    # rounding_ulps, 63 ulps, of it.  F of each lies within twice _F_sides'
+    # slack, (1 + 4) 2^-52 at m = 1, of the bounds; the box's own rounding
+    # allowance at depth 12 is 26 ulps
+    spec = SurfaceSpec(2, SingularFunctionSpec(kind=MINKOWSKI, depth=63))
+    xs = _bound_free_dyadics(SingularFunctionSpec(kind=MINKOWSKI, depth=12))
+    assert xs.size > 150
+    lo, hi = surface_module.shallow_enclosure(spec, xs[:, None])
+    slack = 2 * 5 * 2.0**-52
+    for x, a, b in zip(xs.tolist(), lo, hi):
+        t = minkowski_exact(x)
+        for f in _extreme_doubles(t, spec.f.rounding_ulps * _ulp(t)):
+            F = surface_from_f(np.array([[f]]))[0]
+            assert a - slack <= F <= b + slack, (x, f)
 
 
 # ------------------------------------------------------------ antichain
@@ -674,9 +736,8 @@ def test_salem_corner_tables_match_f_box(lam, depth):
 @pytest.mark.parametrize("depth", [8, 12])
 @pytest.mark.parametrize("lam", [0.01, 0.25, 0.99])
 def test_salem_corners_gather_the_f_box(lam, depth):
-    # the one gather that the scan's first pass and the projection's first
-    # marks share gives both corners of the elementwise f box, at random
-    # points, at cell left ends and at the doubles on either side of them
+    # the scan's first pass gathers both corners of the elementwise f box,
+    # at random points, at cell left ends and at the doubles on either side
     f = SingularFunctionSpec(lam=lam, depth=depth)
     rng = seeded_rng(depth + 1)
     w = rng.integers(1, 1 << depth, (2000, 3))
