@@ -1,4 +1,4 @@
-"""Record the golden reports of the two grid sweeps.
+"""Record the golden reports of the grid sweeps, the pair scan and ``eval``.
 
 Each invocation below runs through ``antichain.cli.main``; its exit code and
 the exact text it writes to stdout are stored in ``reports.json`` beside
@@ -23,6 +23,7 @@ from antichain import cli
 REPORTS = Path(__file__).with_name("reports.json")
 
 _SMALL = ["--domain-depth", "6", "--image-depth", "5", "--samples", "2"]
+_SCAN = ["--seed", "42", "--pairs", "20000"]
 
 #: name -> argv; each runs in well under half a second
 INVOCATIONS = {
@@ -51,6 +52,18 @@ INVOCATIONS = {
     "dimension-n3": ["dimension", "--n", "3", "--k-min", "3", "--k-max", "7"],
     "dimension-minkowski": ["dimension", "--n", "3", "--kind", "minkowski", "--k-min", "2",
                             "--k-max", "5", "--samples", "2"],
+    **{f"check-antichain-n{n}": ["check-antichain", "--n", str(n), *_SCAN] for n in (2, 3, 4, 5)},
+    # these two leave pairs within tolerance at the default pair count
+    "check-antichain-lam0.01": ["check-antichain", "--lambda", "0.01", "--n", "5"],
+    "check-antichain-lam0.1": ["check-antichain", "--lambda", "0.1", "--n", "5", "--seed", "1"],
+    **{f"check-antichain-depth{d}": ["check-antichain", "--n", "3", "--depth", str(d), *_SCAN]
+       for d in (1, 6, 10)},
+    **{f"check-antichain-minkowski-n{n}": ["check-antichain", "--n", str(n), "--kind", "minkowski",
+                                           "--seed", "42", "--pairs", "2000"] for n in (2, 3)},
+    # the 0/0 corner M = 1, P = 0 of p
+    "eval-corner": ["eval", "--n", "3", "--depth", "8", "--lambda", "0.999",
+                    "--point", "0.00048828125,0.984375"],
+    "eval-minkowski": ["eval", "--n", "3", "--kind", "minkowski", "--point", "0.3,0.6"],
 }
 
 

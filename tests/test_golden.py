@@ -1,5 +1,5 @@
-"""Golden reports: stdout and exit code of the projection and cover sweeps
-through ``cli.main``, byte for byte as recorded by ``golden/record.py``."""
+"""Golden reports: stdout and exit code of the projection and cover sweeps,
+the pair scan and ``eval`` through ``cli.main``, byte for byte as recorded by ``golden/record.py``."""
 
 import json
 from pathlib import Path
