@@ -92,9 +92,9 @@ class SingularFunctionSpec:
 
         Salem's value is then constant on each depth cell (it reads only the
         digit word w = floor(x 2**depth)), and its bound is the cell's rise
-        inside the cell and 0 at the left end: a pair (value, bound) depends
-        on w and on whether x 2**depth == w, never on x otherwise, so one
-        evaluation per cell and end serves as a table of them."""
+        inside the cell and 0 at the left end: the pair (value, bound) at a
+        cell's midpoint serves every point of the cell, and bounds f at its
+        left end too."""
         return self.kind != MINKOWSKI
 
 

@@ -22,25 +22,27 @@ pair is ``ordered_ok`` when the lower point's lo exceeds the upper point's
 hi, a violation when the lower point's hi falls below the upper point's
 lo, and within tolerance when the two enclosures overlap.
 
-Pair verdicts are taken in three passes.  The first, at depth 8 (or the
-spec's depth, if lower), computes only what an ``ordered_ok`` verdict needs:
-lo of each lower point, from the upper corner of its f box, and hi of each
-upper point, from the lower corner, through one ``p_many`` over both.  For
-salem those corners are gathered from two tables per spec, indexed by a
-coordinate's depth-8 digit word and whether it is the left end of its cell;
-each entry is the double the elementwise box would hold, so the verdicts
-are bit for bit those of the full enclosures.  The pairs it leaves are
-enclosed in full at that depth, and the pairs still undecided, neither
-``ordered_ok`` nor a violation, at the spec's own depth.  An enclosure at
-any depth contains the exact F, so a verdict certified at depth 8 is
-certified.  A deep cell lies inside its depth-8 cell, so its f box lies
-inside the depth-8 box up to a few ulps of rounding: a deep pass over
-every pair would confirm each depth-8 verdict.
+The scan's first pass and the projection sweep's first marks read one
+shallow f box (``_shallow_f_box``): the box at depth min(spec depth, 12),
+widened by 2^-44 of each corner, hundreds of ulps, so it holds the exact f
+and f as computed at the spec's greater depth.  Salem gathers it by each
+coordinate's digit word from per-cell tables built once per spec at the
+cell midpoints; at a cell's left end, where the elementwise box is
+narrower, the table's box holds it.
 
-The projection sweep's first marks read f_lo and the inside f_hi entry of the
-tables at 2^12 cells by digit word (``shallow_enclosure``), widened by 2^-44 of
-each corner, hundreds of ulps: its bounds hold the exact F and F as
-``surface_values`` computes it at the spec's greater depth, to within p's rounding.
+Pair verdicts are taken in two passes.  The first computes only what an
+``ordered_ok`` verdict needs: lo of each lower point, from the upper corner
+of its shallow box, and hi of each upper point, from the lower corner,
+through one ``p_many`` over both.  The pairs it leaves not ok are enclosed
+in full at the spec's depth.  Every enclosure contains the exact F, so a
+first-pass verdict is certified, and a deep box lies inside the shallow one
+up to a few ulps of rounding: the full-depth pass would confirm it.  A
+two-sided shallow pass could add only violations, which no sound enclosure
+certifies for a comparable pair (F is strictly decreasing).
+
+The projection sweep's first marks read F's bounds off the same box
+(``shallow_enclosure``): they hold the exact F and F as ``surface_values``
+computes it, to within p's rounding.
 """
 
 from __future__ import annotations
@@ -62,15 +64,11 @@ _ONE_ABOVE = 2.0**-1074
 #: with the CLI's fixed malloc thresholds, is reused from block to block
 _SCAN_BLOCK = 2**12
 
-#: depth of the first enclosure passes of the pair verdicts; only the pairs
-#: they leave undecided are enclosed again at the spec's own depth
-_SCAN_FIRST_DEPTH = 8
-
-#: deepest salem spec whose f boxes are gathered from per-cell corner tables
-#: (2^12 cells, 96 KB of tables)
+#: depth of the shallow f boxes (the spec's own, if lower); salem gathers them
+#: from per-cell tables (2^12 cells, 64 KB of tables)
 _TABLE_DEPTH = 12
 
-#: relative widening of the f box corners in ``shallow_enclosure``
+#: relative widening of the shallow f box corners
 _WIDEN = 2.0**-44
 
 
@@ -134,12 +132,17 @@ def p_many(vals: np.ndarray) -> np.ndarray:
     return np.clip(p, _ONE_ABOVE, _ONE_BELOW)
 
 
-def _f_values(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f and its truncation bounds at an (N, n-1) array of domain points."""
+def _domain_points(spec: SurfaceSpec, points: np.ndarray) -> np.ndarray:
+    """``points`` as an (N, n-1) float array of domain points."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != spec.domain_dim:
         raise DomainError(f"expected points of dimension {spec.domain_dim}")
-    return evaluate_many(spec.f, points)
+    return points
+
+
+def _f_values(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f and its truncation bounds at an (N, n-1) array of domain points."""
+    return evaluate_many(spec.f, _domain_points(spec, points))
 
 
 def surface_from_f(fv: np.ndarray) -> np.ndarray:
@@ -200,28 +203,58 @@ def surface_enclosure(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray
     return _enclose(spec.f, fv, fe)
 
 
-def shallow_enclosure(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds (lo, hi) at an (N, n-1) array of points of the open cube that
-    hold the exact F, and F as ``surface_values`` computes it for the spec to
-    within twice ``_F_sides``' slack, from the f box at depth T = min(spec
-    depth, ``_TABLE_DEPTH``) widened by 2^-44 of each corner; salem gathers
-    it from the corner tables by the coordinates' depth-T digit words."""
+def _widened_f_box(f: SingularFunctionSpec, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The f box at each x, each corner widened by ``_WIDEN`` of itself."""
+    f_lo, f_hi = _f_box(f, *evaluate_many(f, xs))
+    f_lo *= 1.0 - _WIDEN
+    f_hi *= 1.0 + _WIDEN
+    return f_lo, np.minimum(f_hi, 1.0, out=f_hi)
+
+
+@functools.lru_cache(maxsize=64)
+def _cell_boxes(f: SingularFunctionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Tables (f_lo, f_hi) of a salem f of depth at most ``_TABLE_DEPTH``:
+    entry w is the widened f box at the midpoint of cell w."""
+    tables = _widened_f_box(f, (np.arange(1 << f.depth) + 0.5) / (1 << f.depth))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _shallow_f_box(
+    f: SingularFunctionSpec, points: np.ndarray, corners: tuple[int, ...] = (0, 1)
+) -> tuple[np.ndarray, ...]:
+    """The ``corners`` (0: f_lo, 1: f_hi) of a box about the exact f, and f as
+    computed at the spec's depth, at points of the open cube: the f box at
+    depth T = min(spec depth, ``_TABLE_DEPTH``) widened by 2^-44 of each
+    corner.  Salem gathers each corner from ``_cell_boxes`` by the depth-T
+    digit words, in the points' memory layout."""
     # The exact truncated f at a depth above T lies in the unwidened box: for
     # salem it is f at a point of the depth-T cell, for minkowski a later
     # partial sum, within the truncation bound.  Its computed value is at most
-    # 63 ulps off (``rounding_ulps``), inside the widening of 2^8 ulps.  p is
-    # nondecreasing and computed to within the slack, so that F lies within
-    # twice the slack of [lo, hi]; at the 0/0 corner M = 1, P = 0 it is 2^-1074.
-    f = replace(spec.f, depth=min(spec.f.depth, _TABLE_DEPTH))
-    if f.truncates_from_below:
-        f_hi, f_lo = _salem_corner_tables(f)
-        w = digit_words(points.T, f.depth)  # (n-1, N): each coordinate contiguous
-        f_lo, f_hi = f_lo.take(w).T, f_hi[1::2].take(w).T  # entry 2w + 1 holds f on cell w
-    else:
-        f_lo, f_hi = _f_box(f, *evaluate_many(f, points))
-    f_lo *= 1.0 - _WIDEN
-    f_hi *= 1.0 + _WIDEN
-    lo = _F_sides(np.minimum(f_hi, 1.0, out=f_hi), len(f_hi))[0]
+    # 63 ulps off (``rounding_ulps``), inside the widening of 2^8 ulps.  Salem's
+    # box is the same at every point inside a cell and holds the narrower box
+    # at its left end (``SingularFunctionSpec.truncates_from_below``).
+    f = replace(f, depth=min(f.depth, _TABLE_DEPTH))
+    if not f.truncates_from_below:
+        box = _widened_f_box(f, points)
+        return tuple(box[c] for c in corners)
+    w, tables = digit_words(points, f.depth), _cell_boxes(f)
+    return tuple(tables[c][w] for c in corners)
+
+
+def shallow_enclosure(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) at an (N, n-1) array of points of the open cube that
+    hold the exact F, and F as ``surface_values`` computes it for the spec to
+    within twice ``_F_sides``' slack, from ``_shallow_f_box``."""
+    # p is nondecreasing and computed to within the slack, so the computed F
+    # lies within twice the slack of [lo, hi]; at the 0/0 corner M = 1, P = 0
+    # it is 2^-1074.
+    points = _domain_points(spec, points)
+    if points.size and not (points.min() > 0.0 and points.max() < 1.0):
+        raise DomainError("coordinates must lie in the open interval (0,1)")
+    f_lo, f_hi = _shallow_f_box(spec.f, points)
+    lo = _F_sides(f_hi, len(f_hi))[0]
     del f_hi  # two calls over separate corners keep one p_many's temporaries live at a time
     return lo, _F_sides(f_lo, 0)[1]
 
@@ -257,71 +290,31 @@ def _pair_verdicts(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return lo[:k] > hi[k:], hi[:k] < lo[k:]
 
 
-@functools.lru_cache(maxsize=64)
-def _salem_corner_tables(f: SingularFunctionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Corners of the f box per depth cell, for a salem f of depth at most
-    ``_TABLE_DEPTH``: entry 2w of the f_hi table for x at the left end of
-    cell w, entry 2w + 1 for x inside it, and entry w of the f_lo table for
-    either.  Each entry is what ``_f_box`` makes of
-    ``evaluate_many`` at the cell's left end or midpoint, so a gather returns
-    the doubles of the elementwise path (the cell constancy in
-    ``SingularFunctionSpec.truncates_from_below``)."""
-    cells = np.arange(1 << f.depth) / float(1 << f.depth)
-    ends = np.stack([cells, cells + 0.5 / (1 << f.depth)], axis=1)  # (left end, midpoint)
-    f_lo, f_hi = _f_box(f, *evaluate_many(f, ends))
-    tables = f_hi.ravel(), f_lo[:, 1].copy()
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def _salem_corners(f: SingularFunctionSpec, xs: np.ndarray, upper: bool) -> np.ndarray:
-    """The upper (f_hi) or the lower (f_lo) corners of the f boxes of a salem
-    f at the points ``xs`` of the open cube, gathered from
-    ``_salem_corner_tables``; ``take`` raises past the tables, but a negative
-    index would wrap."""
-    f_hi, f_lo = _salem_corner_tables(f)
-    t = xs * float(1 << f.depth)  # exact; floor(t) is the digit word w
-    if not upper:
-        return f_lo.take(t.astype(np.intp))
-    index = np.floor(t)
-    index += np.ceil(t, out=t)  # 2w at the left end of cell w, 2w + 1 inside it
-    return f_hi.take(index.astype(np.intp))
-
-
 def _first_pass_ok(spec: SurfaceSpec, rows: np.ndarray) -> np.ndarray:
-    """The ordered_ok mask of ``_pair_verdicts`` for 2k rows, from one side of
-    each enclosure: lo of the k lower rows, from the upper corners of their f
-    boxes, and hi of the k upper rows, from the lower corners; one ``p_many``
-    over the 2k stacked corners.  Salem gathers the corners from per-cell
-    tables (``_salem_corners``)."""
-    f, k = spec.f, len(rows) // 2
-    if f.truncates_from_below:
-        corners = np.concatenate([_salem_corners(f, rows[:k], upper=True),
-                                  _salem_corners(f, rows[k:], upper=False)])
-    else:
-        f_lo, f_hi = _f_box(f, *evaluate_many(f, rows))
-        corners = np.concatenate([f_hi[:k], f_lo[k:]])
-    # An ok pair is no violation: lo <= hi on every row (the slack covers
-    # p_many's rounding, and fmax and fmin turn the 0/0 corner into [0, 1]),
-    # so hi_lower >= lo_lower > hi_upper >= lo_upper.
-    lo_lower, hi_upper = _F_sides(corners, k)
+    """An ordered_ok mask for 2k rows of the open cube, k lower points then
+    their k upper partners, from one side of each shallow enclosure: lo of
+    the lower rows, from the upper corners of their ``_shallow_f_box``, and
+    hi of the upper rows, from the lower corners; one ``p_many`` over the 2k
+    stacked corners."""
+    # Both are bounds on the exact F, so an ok pair is certified ordered_ok
+    # and is no violation.
+    k = len(rows) // 2
+    (f_hi,) = _shallow_f_box(spec.f, rows[:k], corners=(1,))
+    (f_lo,) = _shallow_f_box(spec.f, rows[k:], corners=(0,))
+    lo_lower, hi_upper = _F_sides(np.concatenate([f_hi, f_lo]), k)
     return lo_lower > hi_upper
 
 
 def _certified_verdicts(spec: SurfaceSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The masks (ordered_ok, violation) of ``_pair_verdicts`` for 2k rows:
-    ``_first_pass_ok`` at depth ``_SCAN_FIRST_DEPTH`` (or the spec's, if
-    lower), the full enclosures at that depth of the pairs it leaves not
-    ok, then those of the pairs still undecided at the spec's depth."""
-    first = SurfaceSpec(spec.n, replace(spec.f, depth=min(_SCAN_FIRST_DEPTH, spec.f.depth)))
-    ok = _first_pass_ok(first, rows)
+    ``_first_pass_ok``, then the full enclosures at the spec's depth of the
+    pairs it leaves not ok."""
+    ok = _first_pass_ok(spec, rows)
     bad = np.zeros_like(ok)
-    for at in (first,) if first == spec else (first, spec):
-        todo = np.flatnonzero(~(ok | bad))
-        if todo.size:
-            pairs = rows[np.concatenate([todo, todo + len(ok)])]
-            ok[todo], bad[todo] = _pair_verdicts(*surface_enclosure(at, pairs))
+    todo = np.flatnonzero(~ok)
+    if todo.size:
+        pairs = rows[np.concatenate([todo, todo + len(ok)])]
+        ok[todo], bad[todo] = _pair_verdicts(*surface_enclosure(spec, pairs))
     return ok, bad
 
 
@@ -370,12 +363,12 @@ def antichain_scan(
     2^(-53d); such a pair has overlapping enclosures and counts as within
     tolerance.
 
-    Each block is enclosed first at depth ``_SCAN_FIRST_DEPTH`` and then,
-    for the pairs those passes leave undecided, at the spec's depth (see
-    the module docstring); an enclosure at either depth contains the exact
-    F, so every verdict is certified.  ``budget`` counts full-depth surface
-    evaluations, charged up front as two per pair, the most the full-depth
-    pass can make; the depth-8 passes are not charged.
+    Each block takes the shallow first pass and then, for the pairs it
+    leaves not ok, the full enclosures at the spec's depth (see the module
+    docstring); both bound the exact F, so every verdict is certified.
+    ``budget`` counts full-depth surface evaluations, charged up front as
+    two per pair, the most the full-depth pass can make; the shallow pass
+    is not charged.
     """
     if check_int("pairs", pairs, None) < 1:
         raise ConfigurationError(f"a scan needs at least one pair, got {pairs}")

@@ -27,7 +27,13 @@ from antichain import (
     p_eval,
 )
 from antichain.measure import classify_regions
-from antichain.surface import p_many, surface_enclosure, surface_from_f, surface_values
+from antichain.surface import (
+    p_many,
+    shallow_enclosure,
+    surface_enclosure,
+    surface_from_f,
+    surface_values,
+)
 
 from oracles import (
     minkowski_exact,
@@ -228,8 +234,17 @@ _ONE_D = np.full(2, 0.5)
     (surface_enclosure, _ONE_D),
     (lambda spec, pts: classify_regions(spec, SingularSetProbe(), pts), _WRONG_WIDTH),
     (lambda spec, pts: p_many(pts), _ONE_D),
+    (shallow_enclosure, _WRONG_WIDTH),
+    (shallow_enclosure, np.full((4, 5), 0.5)),
+    (shallow_enclosure, _ONE_D),
+    # shallow_enclosure takes points of the open cube only
+    (shallow_enclosure, np.array([[0.5, 0.5], [-0.25, 0.5]])),
+    (shallow_enclosure, np.array([[0.5, 1.0]])),
+    (shallow_enclosure, np.array([[0.0, 0.5]])),
+    (shallow_enclosure, np.array([[0.5, np.nan]])),
 ], ids=["values-width", "values-1d", "enclosure-width", "enclosure-1d",
-        "classify-width", "p_many-1d"])
+        "classify-width", "p_many-1d", "shallow-width", "shallow-wide", "shallow-1d",
+        "shallow-negative", "shallow-one", "shallow-zero", "shallow-nan"])
 def test_kernels_reject_misshapen_points(surface_n3, call, points):
     with pytest.raises(DomainError):
         call(surface_n3, points)
@@ -393,7 +408,7 @@ def test_shallow_enclosure_holds_values_63_ulps_off():
     spec = SurfaceSpec(2, SingularFunctionSpec(kind=MINKOWSKI, depth=63))
     xs = _bound_free_dyadics(SingularFunctionSpec(kind=MINKOWSKI, depth=12))
     assert xs.size > 150
-    lo, hi = surface_module.shallow_enclosure(spec, xs[:, None])
+    lo, hi = shallow_enclosure(spec, xs[:, None])
     slack = 2 * 5 * 2.0**-52
     for x, a, b in zip(xs.tolist(), lo, hi):
         t = minkowski_exact(x)
@@ -456,7 +471,7 @@ def test_scan_deterministic(surface_n3):
 def scan_pairs(monkeypatch, spec, pairs, seed, block):
     """Scan with ``block`` pairs per block; returns the result and the
     (lower, upper) points it drew, recorded from the rows of each block's
-    one-sided first pass (the later passes re-enclose some of them)."""
+    one-sided first pass (the full-depth pass re-encloses some of them)."""
     seen = []
     first_pass_ok = surface_module._first_pass_ok
 
@@ -599,73 +614,93 @@ def _at_depth(spec, depth):
     return SurfaceSpec(spec.n, dataclasses.replace(spec.f, depth=depth))
 
 
-@pytest.mark.parametrize(
-    "kind, lam, n, seed, pairs",
-    [(SALEM, lam, n, 0, 20_000) for lam in (0.1, 0.25, 0.9) for n in (2, 3, 5)]
-    + [(MINKOWSKI, 0.25, n, 0, 2_000) for n in (2, 3, 5)]
-    + [(SALEM, 0.1, 5, 1, 200_000)],
+def _widened(f_lo, f_hi):
+    """An f box widened as the shallow boxes are, by 2^-44 of each corner."""
+    widen = surface_module._WIDEN
+    return f_lo * (1.0 - widen), np.minimum(f_hi * (1.0 + widen), 1.0)
+
+
+def _widened_ok(spec, rows):
+    """The ordered_ok mask of the two-sided enclosures, at depth min(spec
+    depth, 12), of the widened elementwise f box at 2k rows."""
+    f = dataclasses.replace(spec.f, depth=min(spec.f.depth, surface_module._TABLE_DEPTH))
+    f_lo, f_hi = _widened(*surface_module._f_box(f, *evaluate_many(f, rows)))
+    sides = surface_module._F_sides(np.concatenate([f_hi, f_lo]), len(rows))
+    return surface_module._pair_verdicts(*sides)[0]
+
+
+_TWO_PASS_CASES = (
+    [(SALEM, lam, n, 0, 20_000, 52) for lam in (0.01, 0.1, 0.25, 0.9) for n in (2, 3, 5)]
+    + [(MINKOWSKI, 0.25, n, 0, 2_000, 52) for n in (2, 3, 5)]
+    + [(SALEM, 0.1, 5, 1, 200_000, 52), (SALEM, 0.25, 3, 0, 20_000, 10)]
 )
-def test_two_pass_scan_matches_full_depth(monkeypatch, kind, lam, n, seed, pairs):
-    # a depth-8 verdict is one the full-depth enclosure confirms, and the
-    # scan counts are those of one full-depth pass over the same rows
-    spec = SurfaceSpec(n, SingularFunctionSpec(kind=kind, lam=lam))
+
+
+@pytest.mark.parametrize(
+    "kind, lam, n, seed, pairs, depth", _TWO_PASS_CASES,
+    ids=["-".join(map(str, case[:5])) + ("" if case[5] == 52 else f"-depth{case[5]}")
+         for case in _TWO_PASS_CASES],
+)
+def test_two_pass_scan_matches_full_depth(monkeypatch, kind, lam, n, seed, pairs, depth):
+    # a verdict of the full enclosures at the table depth (or the spec's, if
+    # lower) is one the spec-depth enclosure confirms, and the scan counts
+    # are those of one spec-depth pass over the same rows
+    spec = SurfaceSpec(n, SingularFunctionSpec(kind=kind, lam=lam, depth=depth))
     result, lower, upper = scan_pairs(monkeypatch, spec, pairs, seed, 2**14)
     rows = np.concatenate([lower, upper])
     ok, bad = surface_module._pair_verdicts(*surface_enclosure(spec, rows))
-    ok8, bad8 = surface_module._pair_verdicts(*surface_enclosure(_at_depth(spec, 8), rows))
-    assert ok[ok8].all() and bad[bad8].all()
-    assert (~(ok8 | bad8)).any()  # the second pass has pairs to decide
+    shallow = _at_depth(spec, min(depth, surface_module._TABLE_DEPTH))
+    ok_t, bad_t = surface_module._pair_verdicts(*surface_enclosure(shallow, rows))
+    assert ok_t.any() and ok[ok_t].all() and bad[bad_t].all()
     tol = pairs - int(ok.sum()) - int(bad.sum())
     assert (result.ordered_ok, result.within_tolerance, result.violations) == (
         pairs - int(bad.sum()), tol, int(bad.sum()))
-    if kind == MINKOWSKI or pairs == 200_000:  # pairs no depth certifies
-        assert result.within_tolerance > 0
+    # pairs no depth certifies, so the spec-depth pass has pairs to decide; at
+    # depth 12 the other salem cases leave it none or next to none
+    if kind == MINKOWSKI or pairs == 200_000 or lam == 0.01:
+        assert result.within_tolerance > 0 and (~(ok_t | bad_t)).any()
 
 
 def test_full_depth_pass_encloses_only_undecided_pairs(monkeypatch):
-    # calls: the one-sided first pass and the full-depth enclosures, in
-    # order; two_sided: the depth-8 enclosures of the pairs not ok after the first
-    spec = SurfaceSpec(n=3, f=SingularFunctionSpec(lam=0.1))
-    calls, two_sided = [], []
+    # calls: the one-sided first pass and the spec-depth enclosures, in
+    # order; each enclosure takes exactly the pairs that the widened depth-12
+    # box leaves not ok (uniform rows hold no exact cell left end); lam =
+    # 0.01 leaves such pairs in most blocks
+    spec = SurfaceSpec(n=3, f=SingularFunctionSpec(lam=0.01))
+    calls = []
     first_pass_ok = surface_module._first_pass_ok
 
     def recording_first_pass(spec_, rows):
-        calls.append((spec_, rows.copy()))
+        calls.append(("first", spec_, rows.copy()))
         return first_pass_ok(spec_, rows)
 
     def recording_enclosure(spec_, rows):
-        (two_sided if spec_ == first_spec else calls).append((spec_, rows.copy()))
+        calls.append(("full", spec_, rows.copy()))
         return surface_enclosure(spec_, rows)
 
-    first_spec, second_spec = _at_depth(spec, 8), spec
     monkeypatch.setattr(surface_module, "_SCAN_BLOCK", 1000)
     monkeypatch.setattr(surface_module, "_first_pass_ok", recording_first_pass)
     monkeypatch.setattr(surface_module, "surface_enclosure", recording_enclosure)
     antichain_scan(spec, 4_500, seed=3)
     refined = 0
     while calls:
-        spec_, rows = calls.pop(0)
-        assert spec_ == first_spec
-        ok, bad = surface_module._pair_verdicts(*surface_enclosure(spec_, rows))
+        assert calls[0][:2] == ("first", spec)
+        rows = calls.pop(0)[2]
+        ok = _widened_ok(spec, rows)
         not_ok = np.flatnonzero(~ok)
         if not_ok.size:
-            np.testing.assert_array_equal(two_sided.pop(0)[1], np.concatenate(
+            assert calls[0][:2] == ("full", spec)
+            np.testing.assert_array_equal(calls.pop(0)[2], np.concatenate(
                 [rows[not_ok], rows[not_ok + len(ok)]]))
-        undecided = np.flatnonzero(~(ok | bad))
-        if undecided.size:
-            spec_, refined_rows = calls.pop(0)
-            assert spec_ == second_spec
-            np.testing.assert_array_equal(refined_rows, np.concatenate(
-                [rows[undecided], rows[undecided + len(ok)]]))
-            refined += undecided.size
-    assert refined > 0 and not two_sided
+            refined += not_ok.size
+    assert refined > 0
     # the scalar check: a decided pair takes one pass, an equal pair two
     check_antichain_pair(spec, Point((0.2, 0.3)), Point((0.4, 0.9)))
-    assert [spec_ for spec_, _ in calls] == [first_spec]
+    assert [call[:2] for call in calls] == [("first", spec)]
     calls.clear()
     check_antichain_pair(spec, Point((0.3, 0.7)), Point((0.3, 0.7)))
-    assert [spec_ for spec_, _ in calls] == [first_spec, second_spec]
-    np.testing.assert_array_equal(calls[1][1], [(0.3, 0.7)] * 2)
+    assert [call[:2] for call in calls] == [("first", spec), ("full", spec)]
+    np.testing.assert_array_equal(calls[1][2], [(0.3, 0.7)] * 2)
 
 
 def _first_pass_rows(rng, n: int, k: int) -> np.ndarray:
@@ -689,22 +724,36 @@ def _first_pass_rows(rng, n: int, k: int) -> np.ndarray:
                           for depth in (1, 6, 8, 52)]
                          + [(MINKOWSKI, 0.25, 6), (MINKOWSKI, 0.25, 52)])
 def test_first_pass_matches_two_sided_enclosure(kind, lam, depth, n):
-    # the one-sided first pass (tables for salem) gives the ordered_ok mask
-    # of the full enclosures at its depth, and the three passes the masks of
-    # the full enclosures at depth 8, then at the spec's depth
+    # the one-sided first pass's ok mask lies inside that of the full
+    # enclosures at depth min(depth, 12), and equals that of the two-sided
+    # enclosures of the widened elementwise box on pairs with no coordinate at
+    # an exact cell left end (where salem's table box is wider); the verdicts
+    # are its ok, then the full enclosures at the spec's depth of the pairs
+    # it leaves not ok
     spec = SurfaceSpec(n, SingularFunctionSpec(kind=kind, lam=lam, depth=depth))
-    first = _at_depth(spec, min(depth, surface_module._SCAN_FIRST_DEPTH))
+    shallow = _at_depth(spec, min(depth, surface_module._TABLE_DEPTH))
     rows = _first_pass_rows(seeded_rng(depth * 10 + n), n, 200 if kind == SALEM else 40)
-    ok, bad = surface_module._pair_verdicts(*surface_enclosure(first, rows))
-    np.testing.assert_array_equal(surface_module._first_pass_ok(first, rows), ok)
-    undecided = np.flatnonzero(~(ok | bad))
-    if first != spec:
-        ok[undecided], bad[undecided] = surface_module._pair_verdicts(*surface_enclosure(
-            spec, rows[np.concatenate([undecided, undecided + len(ok)])]))
+    k = len(rows) // 2
+    first = surface_module._first_pass_ok(spec, rows)
+    ok_t, _ = surface_module._pair_verdicts(*surface_enclosure(shallow, rows))
+    assert not (first & ~ok_t).any()
+    ok_w = _widened_ok(spec, rows)
+    scaled = rows * float(1 << shallow.f.depth)
+    at_left_end = (scaled == np.floor(scaled)).any(axis=1)
+    off = ~(at_left_end[:k] | at_left_end[k:])
+    assert off.sum() >= k // 2
+    np.testing.assert_array_equal(first[off], ok_w[off])
+    ok, bad = first.copy(), np.zeros_like(first)
+    todo = np.flatnonzero(~first)
+    ok[todo], bad[todo] = surface_module._pair_verdicts(*surface_enclosure(
+        spec, rows[np.concatenate([todo, todo + k])]))
     got_ok, got_bad = surface_module._certified_verdicts(spec, rows)
     np.testing.assert_array_equal(got_ok, ok)
     np.testing.assert_array_equal(got_bad, bad)
-    assert undecided.size > 0  # at least the equal pairs
+    # sound enclosures: no pair the first pass certifies is a spec-depth violation
+    np.testing.assert_array_equal(
+        got_bad, surface_module._pair_verdicts(*surface_enclosure(spec, rows))[1])
+    assert not ok.all()  # at least the equal pairs
     if depth >= 6:
         assert ok.any() and bad.any()
 
@@ -712,42 +761,54 @@ def test_first_pass_matches_two_sided_enclosure(kind, lam, depth, n):
 @pytest.mark.parametrize("depth", [1, 3, 6, 8])
 @pytest.mark.parametrize("lam", [0.01, 0.25, 0.75, 0.99])
 def test_salem_corner_tables_match_f_box(lam, depth):
-    # every entry is the f box corner of the elementwise path at random
-    # points of its cell, at the double past its left end, at its top
-    # double and at its left end
+    # each cell's box is the widened elementwise f box at random points of
+    # the cell, at the double past its left end and at its top double, and
+    # holds the unwidened box there and at the left end
     f = SingularFunctionSpec(lam=lam, depth=depth)
-    f_hi, f_lo = surface_module._salem_corner_tables(f)
+    f_lo, f_hi = surface_module._cell_boxes(f)
     cells = 1 << depth
-    assert f_hi.shape == (2 * cells,) and f_lo.shape == (cells,)
+    assert f_lo.shape == f_hi.shape == (cells,)
     assert not f_hi.flags.writeable and not f_lo.flags.writeable
     w = np.repeat(np.arange(cells), 8)
     xs = (w + seeded_rng(depth).uniform(0.0, 1.0, w.size)) / cells
     xs[::8] = np.nextafter(w[::8] / cells, 1.0)
     xs[1::8] = np.nextafter((w[1::8] + 1) / cells, 0.0)
     xs[2::8] = w[2::8] / cells
-    t = xs * cells
     box_lo, box_hi = surface_module._f_box(f, *evaluate_many(f, xs))
-    np.testing.assert_array_equal(f_hi[2 * w + (t != w)], box_hi)
-    np.testing.assert_array_equal(f_lo[w], box_lo)
+    inside = xs * cells != w
+    assert inside.sum() == 7 * cells
+    for table, box in zip((f_lo, f_hi), _widened(box_lo, box_hi)):
+        np.testing.assert_array_equal(table[w][inside], box[inside])
+    assert np.all(f_lo[w] <= box_lo) and np.all(box_hi <= f_hi[w])
     same_spec = SingularFunctionSpec(lam=lam, depth=depth)
-    assert surface_module._salem_corner_tables(same_spec)[0] is f_hi  # built once per spec
+    assert surface_module._cell_boxes(same_spec)[1] is f_hi  # built once per spec
 
 
-@pytest.mark.parametrize("depth", [8, 12])
+@pytest.mark.parametrize("depth", [8, 12, 52])
 @pytest.mark.parametrize("lam", [0.01, 0.25, 0.99])
 def test_salem_corners_gather_the_f_box(lam, depth):
-    # the scan's first pass gathers both corners of the elementwise f box,
-    # at random points, at cell left ends and at the doubles on either side
+    # _shallow_f_box is the widened elementwise f box at depth min(depth,
+    # 12), at random points and at the doubles on either side of cell left
+    # ends, in the points' memory layout, and holds it at the left ends
     f = SingularFunctionSpec(lam=lam, depth=depth)
+    t = min(depth, surface_module._TABLE_DEPTH)
     rng = seeded_rng(depth + 1)
-    w = rng.integers(1, 1 << depth, (2000, 3))
-    xs = (w + rng.random(w.shape)) / (1 << depth)
-    xs[::4] = w[::4] / (1 << depth)
-    xs[1::4] = np.nextafter(w[1::4] / (1 << depth), 1.0)
-    xs[2::4] = np.nextafter(w[2::4] / (1 << depth), 0.0)
-    box_lo, box_hi = surface_module._f_box(f, *evaluate_many(f, xs))
-    np.testing.assert_array_equal(surface_module._salem_corners(f, xs, upper=False), box_lo)
-    np.testing.assert_array_equal(surface_module._salem_corners(f, xs, upper=True), box_hi)
+    w = rng.integers(1, 1 << t, (2000, 3))
+    xs = (w + rng.random(w.shape)) / (1 << t)
+    xs[::4] = w[::4] / (1 << t)
+    xs[1::4] = np.nextafter(w[1::4] / (1 << t), 1.0)
+    xs[2::4] = np.nextafter(w[2::4] / (1 << t), 0.0)
+    shallow = dataclasses.replace(f, depth=t)
+    box_lo, box_hi = _widened(*surface_module._f_box(shallow, *evaluate_many(shallow, xs)))
+    inside = np.ones(len(xs), dtype=bool)
+    inside[::4] = False
+    for points in (xs, np.asfortranarray(xs)):
+        f_lo, f_hi = surface_module._shallow_f_box(f, points)
+        assert f_lo.flags.f_contiguous == f_hi.flags.f_contiguous == points.flags.f_contiguous
+        np.testing.assert_array_equal(f_lo[inside], box_lo[inside])
+        np.testing.assert_array_equal(f_hi[inside], box_hi[inside])
+        assert np.all(f_lo <= box_lo) and np.all(box_hi <= f_hi)
+        np.testing.assert_array_equal(surface_module._shallow_f_box(f, points, (1,))[0], f_hi)
 
 
 def _enclosure_rows(rng, rows: int, d: int) -> np.ndarray:
