@@ -45,6 +45,7 @@ from antichain import (
     graph_length_n2,
     projection_measures,
 )
+from antichain.cli import keep_freed_heap
 from antichain.measure import DIMENSION_WINDOWS, PROJECTION_DEFAULTS, cover_sum
 from antichain.singular import dyadic_slopes_many
 
@@ -63,6 +64,7 @@ def main() -> None:
                         help="10^5 pairs, ladder to depth 16, n = 3 domain depth one less")
     parser.add_argument("--seed", type=int, default=12345)
     args = parser.parse_args()
+    keep_freed_heap()  # the allocator policy of the command line, as in ``cli.main``
 
     f, probe = SingularFunctionSpec(), SingularSetProbe()
     lam = f.lam

@@ -41,7 +41,7 @@ _FLOAT_FORMAT = "%.17g"
 
 
 @functools.cache
-def _keep_freed_heap() -> None:
+def keep_freed_heap() -> None:
     """Keep freed array memory in the process heap, on glibc only; once per process.
 
     By default glibc raises its mmap threshold to the size of the last mapped
@@ -357,7 +357,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _keep_freed_heap()
+    keep_freed_heap()
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:

@@ -304,8 +304,9 @@ def projection_measures(
         raise DomainError("depths and samples_per_cell must be >= 1")
     check_int("seed", seed, None)
     bits = image_depth * d  # code bits per axis; tested alone first, so n << bits stays small
-    if bits > 28 or n << bits > 1 << 28:
-        raise BudgetError(f"image occupancy array of {n} x 2^{bits} cells exceeds the 2^28 guard")
+    if bits > 28 or (n + 1) << bits > 1 << 28:
+        raise BudgetError(f"image occupancy array of {n} x 2^{bits} cells and a discard row "
+                          "exceeds the 2^28 guard")
     _check_code_bits(domain_depth, d)
     width = max(probe.depth, image_depth)  # at most 63: the spec's depth bounds the probe's
     per_cell = samples_per_cell**d
@@ -317,8 +318,8 @@ def projection_measures(
     # one.  By piece i < n: the offset of x_i's bits in an image code, a mask clearing them
     place = np.r_[0, (d - np.arange(1, n)) * image_depth]
     keep = ~(((1 << image_depth) - 1) << place)
-    row_start = (np.arange(n + 1) - 1) << bits  # by piece, where its occupancy row starts
-    occupancy = np.zeros((n, 1 << bits), dtype=bool)
+    row_start = np.r_[n, :n] << bits  # by label: piece i's row i - 1; label 0's discard row n
+    occupancy = np.zeros((n + 1, 1 << bits), dtype=bool)
     for first, corners in blocks:
         if first % block_rows == 0:
             jitter = _block_jitter(seed, first // block_rows)
@@ -335,8 +336,7 @@ def projection_measures(
         words >>= width - image_depth  # now each coordinate's image cell
         codes = _cell_codes(words, image_depth)
         codes[lift] = field << place.take(piece) | codes.take(lift) & keep.take(piece)
-        hit = np.flatnonzero(labels != 0)  # a bool mask takes nonzero's branch-free path
-        occupancy.reshape(-1)[row_start.take(labels.take(hit)) | codes.take(hit)] = True
+        occupancy.reshape(-1)[row_start.take(labels) | codes] = True
     cell_area = (2.0**-image_depth) ** d
     return {axis: float(occupancy[axis - 1].sum()) * cell_area for axis in range(1, n + 1)}
 

@@ -33,12 +33,15 @@ narrower, the table's box holds it.
 Pair verdicts are taken in two passes.  The first computes only what an
 ``ordered_ok`` verdict needs: lo of each lower point, from the upper corner
 of its shallow box, and hi of each upper point, from the lower corner,
-through one ``p_many`` over both.  The pairs it leaves not ok are enclosed
-in full at the spec's depth.  Every enclosure contains the exact F, so a
-first-pass verdict is certified, and a deep box lies inside the shallow one
-up to a few ulps of rounding: the full-depth pass would confirm it.  A
-two-sided shallow pass could add only violations, which no sound enclosure
-certifies for a comparable pair (F is strictly decreasing).
+gathered by coordinate into one corner array that one ``p_many`` reads as
+contiguous columns.  The pairs it leaves not ok are enclosed in full at
+the spec's depth.  Every enclosure contains the exact F, so a first-pass
+verdict is certified, and a deep box lies inside the shallow one up to a
+few ulps of rounding: the full-depth pass would confirm it.  A two-sided
+shallow pass could add only violations, which no sound enclosure
+certifies for a comparable pair (F is strictly decreasing).  The scan
+holds each block by coordinate too: lower points in the first half of
+each coordinate's row, upper points in the second.
 
 The projection sweep's first marks read F's bounds off the same box
 (``shallow_enclosure``): they hold the exact F and F as ``surface_values``
@@ -294,14 +297,16 @@ def _first_pass_ok(spec: SurfaceSpec, rows: np.ndarray) -> np.ndarray:
     """An ordered_ok mask for 2k rows of the open cube, k lower points then
     their k upper partners, from one side of each shallow enclosure: lo of
     the lower rows, from the upper corners of their ``_shallow_f_box``, and
-    hi of the upper rows, from the lower corners; one ``p_many`` over the 2k
-    stacked corners."""
+    hi of the upper rows, from the lower corners.  Both corners are gathered
+    by coordinate into one (d, 2k) array, whose transpose one ``p_many``
+    reads as contiguous columns."""
     # Both are bounds on the exact F, so an ok pair is certified ordered_ok
     # and is no violation.
-    k = len(rows) // 2
-    (f_hi,) = _shallow_f_box(spec.f, rows[:k], corners=(1,))
-    (f_lo,) = _shallow_f_box(spec.f, rows[k:], corners=(0,))
-    lo_lower, hi_upper = _F_sides(np.concatenate([f_hi, f_lo]), k)
+    k, cols = len(rows) // 2, rows.T
+    corners = np.empty(cols.shape)
+    corners[:, :k] = _shallow_f_box(spec.f, cols[:, :k], (1,))[0]
+    corners[:, k:] = _shallow_f_box(spec.f, cols[:, k:], (0,))[0]
+    lo_lower, hi_upper = _F_sides(corners.T, k)
     return lo_lower > hi_upper
 
 
@@ -359,9 +364,10 @@ def antichain_scan(
     Pairs are walked in blocks of ``_SCAN_BLOCK``, so memory does not grow
     with ``pairs``.  Pair i reads the 2d uniforms at positions [2di, 2d(i+1))
     of the Philox stream keyed by the seed, so the verdicts do not depend
-    on the block size.  Equal points come up with probability about
-    2^(-53d); such a pair has overlapping enclosures and counts as within
-    tolerance.
+    on the block size.  A block is held by coordinate, as one (d, 2k)
+    array: lower points in columns [0, k), upper points in [k, 2k).  Equal
+    points come up with probability about 2^(-53d); such a pair has
+    overlapping enclosures and counts as within tolerance.
 
     Each block takes the shallow first pass and then, for the pairs it
     leaves not ok, the full enclosures at the spec's depth (see the module
@@ -379,13 +385,13 @@ def antichain_scan(
     ok = bad = 0
     for start in range(0, pairs, _SCAN_BLOCK):
         k = min(_SCAN_BLOCK, pairs - start)
-        u = rng.random((k, 2, d))
-        rows = np.empty((2 * k, d))
-        np.minimum(u[:, 0], u[:, 1], out=rows[:k])
-        np.maximum(u[:, 0], u[:, 1], out=rows[k:])
-        np.clip(rows, _ONE_ABOVE, _ONE_BELOW, out=rows)
-        ok_k, bad_k = _certified_verdicts(spec, rows)
-        ok += int(ok_k.sum())
-        bad += int(bad_k.sum())
+        u = rng.random((k, 2, d)).transpose(1, 2, 0)  # (2, d, k): the two draws by coordinate
+        cols = np.empty((d, 2 * k))
+        np.minimum(u[0], u[1], out=cols[:, :k])
+        np.maximum(u[0], u[1], out=cols[:, k:])
+        np.maximum(cols, _ONE_ABOVE, out=cols)  # random() < 1, so no max exceeds _ONE_BELOW
+        ok_k, bad_k = _certified_verdicts(spec, cols.T)
+        ok += int(np.count_nonzero(ok_k))
+        bad += int(np.count_nonzero(bad_k))
     tol = pairs - ok - bad
     return ScanResult(pairs=pairs, ordered_ok=ok + tol, within_tolerance=tol, violations=bad)

@@ -656,10 +656,10 @@ def test_main_runs_where_confstr_raises(capsys, monkeypatch):
 
     monkeypatch.setattr(os, "confstr", no_confstr, raising=False)
     monkeypatch.setattr(ctypes, "CDLL", no_cdll)
-    cli._keep_freed_heap.cache_clear()
+    cli.keep_freed_heap.cache_clear()
     try:
         code, out, _ = run_cli(capsys, "eval", "--n", "2", "--point", "0.5")
     finally:
-        cli._keep_freed_heap.cache_clear()
+        cli.keep_freed_heap.cache_clear()
     assert code == 0
     assert json.loads(out)["results"]["point"] == [0.5]

@@ -517,6 +517,15 @@ def test_projection_degenerate_probe(identity_n2):
     assert math.fsum(areas.values()) == 1.0
 
 
+def test_projection_with_every_row_at_label_0_has_zero_areas(surface_n3):
+    # eps below every depth-8 salem slope (the least is 2^-8 at lam 1/4): no
+    # coordinate lies in the probed set, so every row has label 0 and no
+    # area reads its marks
+    probe = SingularSetProbe(depth=8, eps=1e-6)
+    assert not classify_regions(surface_n3, probe, seeded_rng(3).random((1000, 2))).any()
+    assert projection_measures(surface_n3, probe, 6, 5, 2, seed=0) == {1: 0.0, 2: 0.0, 3: 0.0}
+
+
 def test_projection_areas_in_unit_interval(salem_default):
     # one area per axis 1..n, in axis order
     probe = SingularSetProbe(depth=40, eps=0.01)
@@ -556,6 +565,8 @@ def test_projection_validation(surface_n3):
         projection_measures(surface_n3, probe, 6, 15, 2)  # image array guard
     with pytest.raises(BudgetError, match=r"occupancy array of 3 x 2\^28 cells"):
         projection_measures(surface_n3, probe, 6, 14, 2)  # 3 axes of 2^28 cells
+    with pytest.raises(BudgetError, match=r"2 x 2\^27 cells and a discard row"):
+        projection_measures(SurfaceSpec(n=2, f=surface_n3.f), probe, 6, 27, 2)  # 2^28 + 2^27
     with pytest.raises(BudgetError, match="64-bit"):
         projection_measures(surface_n3, probe, 32, 5, 1, budget=2**70)
     with pytest.raises(BudgetError, match="64-bit"):  # before 1 << 10**9 is built

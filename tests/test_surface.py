@@ -528,6 +528,19 @@ def test_scan_draws_the_conditional_law(monkeypatch, salem_default):
         assert np.all(np.abs((lower <= t).mean(axis=0) - cdf) <= 4 * se_t)
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_scan_draw_order_is_pinned(monkeypatch, salem_default, n):
+    # pair i is (min, max) of the two points at rows (i, 0) and (i, 1) of the
+    # seeded (pairs, 2, d) draw, bit for bit, in every block (the last one
+    # short); a layout that mixed coordinates across pairs could still draw
+    # the conditional law
+    spec, pairs, seed = SurfaceSpec(n=n, f=salem_default), 2 * surface_module._SCAN_BLOCK + 7, 17
+    _, lower, upper = scan_pairs(monkeypatch, spec, pairs, seed, surface_module._SCAN_BLOCK)
+    u = np.random.Generator(np.random.Philox(key=seed)).random((pairs, 2, n - 1))
+    np.testing.assert_array_equal(lower, u.min(axis=1))
+    np.testing.assert_array_equal(upper, u.max(axis=1))
+
+
 def test_scan_memory_does_not_grow_with_pairs(salem_default):
     spec = SurfaceSpec(n=5, f=salem_default)
     antichain_scan(spec, 100, seed=1)  # builds the kernel's lazy tables
@@ -756,6 +769,24 @@ def test_first_pass_matches_two_sided_enclosure(kind, lam, depth, n):
     assert not ok.all()  # at least the equal pairs
     if depth >= 6:
         assert ok.any() and bad.any()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind, lam, depth",
+                         [(SALEM, lam, depth) for lam in (0.01, 0.25, 0.99) for depth in (6, 12, 52)]
+                         + [(MINKOWSKI, 0.25, 52)])
+def test_first_pass_is_independent_of_the_row_layout(kind, lam, depth, n):
+    # the scan hands the passes the transpose of a (d, 2k) block; C-ordered
+    # rows give the same masks
+    spec = SurfaceSpec(n, SingularFunctionSpec(kind=kind, lam=lam, depth=depth))
+    rows = _first_pass_rows(seeded_rng(depth * 10 + n), n, 200 if kind == SALEM else 40)
+    by_coordinate = np.ascontiguousarray(rows.T).T
+    assert rows.flags.c_contiguous and by_coordinate.flags.f_contiguous
+    np.testing.assert_array_equal(surface_module._first_pass_ok(spec, rows),
+                                  surface_module._first_pass_ok(spec, by_coordinate))
+    for got, want in zip(surface_module._certified_verdicts(spec, by_coordinate),
+                         surface_module._certified_verdicts(spec, rows)):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("depth", [1, 3, 6, 8])
