@@ -21,10 +21,12 @@ seed 0, the seed its frozen floors were taken at.  The length oracle is
 imported from tests/oracles.py, which needs only numpy, so the test extras
 are not needed.
 
+Timings go to stderr, so stdout is the same on every run of one seed.
+
 Usage (times measured on 2 cores):
-    python scripts/reproduce_headline.py           # full run (about 11 s)
+    python scripts/reproduce_headline.py           # full run (about 4 s)
     python scripts/reproduce_headline.py --quick   # 10^5 pairs, ladder to 16,
-                                                   # coarser n = 3 sweep (about 3.5 s)
+                                                   # coarser n = 3 sweep (about 1 s)
 """
 
 import argparse
@@ -58,6 +60,12 @@ def banner(title: str) -> None:
     print(f"\n== {title} " + "=" * max(0, 60 - len(title)))
 
 
+def took(what: str, t0: float) -> None:
+    """The wall time of ``what`` since ``t0``, on stderr."""
+    sys.stdout.flush()  # keeps the time after the line it belongs to on a terminal
+    print(f"({what} took {time.time() - t0:.1f}s)", file=sys.stderr)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -88,7 +96,7 @@ def main() -> None:
         direct, agg = graph_length_n2(SurfaceSpec(n=2, f=f), k), length_binomial(k, lam)
         print(f"k={k:2d}: direct={direct:.10f}  binomial={agg:.10f}  "
               f"diff={abs(direct - agg):.2e}")
-    print(f"(direct ladder took {time.time() - t0:.1f}s)")
+    took("direct ladder", t0)
     print("binomial aggregation beyond direct reach:")
     for k in (30, 40, 52, 60, 80):
         print(f"k={k:2d}: length={length_binomial(k, lam):.10f}")
@@ -98,7 +106,8 @@ def main() -> None:
     for n in (2, 3, 4, 5):
         t0 = time.time()
         scan = antichain_scan(SurfaceSpec(n=n, f=f), pairs, seed=args.seed)
-        print(f"n={n}: violations={scan.violations}/{scan.pairs}  [{time.time() - t0:.1f}s]")
+        print(f"n={n}: violations={scan.violations}/{scan.pairs}")
+        took(f"scan n={n}", t0)
 
     banner("4. box-count scaling windows (slope target n - 1)")
     for n, (k_min, k_max, m) in DIMENSION_WINDOWS.items():
@@ -107,8 +116,8 @@ def main() -> None:
         trend = cover_sum(n - 1, n, k_max, est.fitted_count(k_max))
         print(f"n={n} window=[{k_min},{k_max}] samples={m}: "
               f"slope={est.slope:.4f} r2={est.r2:.5f} "
-              f"trend value={trend:.4f} (vs 1.25*n={1.25 * n:.2f})  "
-              f"[{time.time() - t0:.1f}s]")
+              f"trend value={trend:.4f} (vs 1.25*n={1.25 * n:.2f})")
+        took(f"box count n={n}", t0)
     print(f"alpha check: a(1)={alpha(1.0):.12f} a(2)={alpha(2.0):.12f}")
 
     banner("5. sampled projection areas/total (target n, seed 0)")
@@ -119,8 +128,8 @@ def main() -> None:
         areas = projection_measures(SurfaceSpec(n=n, f=f), probe, kd, ki, m, seed=0)
         listed = " ".join(f"axis{axis}={area:.4f}" for axis, area in areas.items())
         total = math.fsum(areas.values())
-        print(f"n={n} kd={kd} ki={ki} m={m}: {listed}  total={total:.4f}  "
-              f"[{time.time() - t0:.1f}s]")
+        print(f"n={n} kd={kd} ki={ki} m={m}: {listed}  total={total:.4f}")
+        took(f"projections n={n}", t0)
     print("frozen floors: per-axis 0.8 (n=2) / 0.85 (n=3); totals 1.8 / 2.6")
     if args.quick:
         print("(floors calibrated at the full depths; --quick sweeps n = 3 one domain "

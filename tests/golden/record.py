@@ -1,8 +1,10 @@
-"""Record the golden reports of the grid sweeps, the pair scan and ``eval``.
+"""Record the golden reports of every command, and the headline script's stdout.
 
 Each invocation below runs through ``antichain.cli.main``; its exit code and
 the exact text it writes to stdout are stored in ``reports.json`` beside
-this file, which ``tests/test_golden.py`` compares byte for byte.  Record
+this file, which ``tests/test_golden.py`` compares byte for byte.  The
+stdout of ``scripts/reproduce_headline.py --quick`` is stored in
+``headline_quick.txt``, which ``tests/test_scripts.py`` compares.  Record
 from the code whose reports are to be frozen, from the repository root:
 
     PYTHONPATH=src python tests/golden/record.py
@@ -15,12 +17,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 from antichain import cli
 
 REPORTS = Path(__file__).with_name("reports.json")
+HEADLINE = Path(__file__).with_name("headline_quick.txt")
+ROOT = Path(__file__).resolve().parents[2]
 
 _SMALL = ["--domain-depth", "6", "--image-depth", "5", "--samples", "2"]
 _SCAN = ["--seed", "42", "--pairs", "20000"]
@@ -64,6 +70,12 @@ INVOCATIONS = {
     "eval-corner": ["eval", "--n", "3", "--depth", "8", "--lambda", "0.999",
                     "--point", "0.00048828125,0.984375"],
     "eval-minkowski": ["eval", "--n", "3", "--kind", "minkowski", "--point", "0.3,0.6"],
+    "eval-csv": ["eval", "--n", "3", "--point", "0.3,0.6", "--format", "csv"],
+    "check-antichain-csv": ["check-antichain", *_SCAN, "--format", "csv"],
+    "length": ["length"],
+    "length-lam0.01": ["length", "--k", "12", "--lambda", "0.01"],
+    **{f"export-mesh-n{n}-{fmt}": ["export-mesh", "--n", str(n), "--resolution", "7",
+                                   "--format", fmt] for n in (2, 3) for fmt in ("json", "csv")},
 }
 
 
@@ -75,7 +87,18 @@ def report(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def headline_quick() -> str:
+    """stdout of ``scripts/reproduce_headline.py --quick`` in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_headline.py"),
+                           "--quick"], capture_output=True, text=True, env=env, check=True,
+                          timeout=300)
+    return done.stdout
+
+
 def main() -> int:
+    HEADLINE.write_text(headline_quick(), encoding="utf-8")
     reports = {}
     for name, argv in INVOCATIONS.items():
         code, stdout = report(argv)
