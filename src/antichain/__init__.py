@@ -25,7 +25,6 @@ from .measure import (
     projection_measures,
 )
 from .singular import (
-    MINKOWSKI,
     SALEM,
     SingularFunctionSpec,
     SingularSetProbe,
@@ -61,7 +60,6 @@ __all__ = [
     "graph_length_n2",
     "occupied_cell_count",
     "projection_measures",
-    "MINKOWSKI",
     "SALEM",
     "SingularFunctionSpec",
     "SingularSetProbe",

@@ -29,7 +29,7 @@ import numpy as np
 from . import measure, surface
 from .errors import DEFAULT_EVAL_BUDGET, AntichainError, ConfigurationError, check_budget
 from .measure import DIMENSION_WINDOWS, PROJECTION_DEFAULTS
-from .singular import SALEM, KINDS, SingularFunctionSpec, SingularSetProbe
+from .singular import KINDS, SingularFunctionSpec, SingularSetProbe
 from .surface import Point, SurfaceSpec
 
 BUDGET_ENV_VAR = "ANTICHAIN_BUDGET"
@@ -112,7 +112,7 @@ _GRID_DEFAULTS = {
 def _warnings_for(cfg: RunConfig) -> list[str]:
     # the library accepts lam = 1/2; only the CLI's reports flag it
     notes = []
-    if cfg.kind == SALEM and cfg.lam == 0.5:
+    if cfg.lam == 0.5:
         notes.append("lambda = 0.5 yields the identity map, which is not singular")
     return notes
 

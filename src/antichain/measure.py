@@ -13,7 +13,7 @@ Everything here reduces to counting occupied half-open dyadic cells:
   coordinate i on piece i < n; the ``math.fsum`` of the areas is the sampled total.
 
 The projection sweep takes each coordinate's digit word once, for the slope
-probe (a ones count for salem) and the image cell.  A lifted row's image cell
+probe (a ones count) and the image cell.  A lifted row's image cell
 is read off its depth-12 enclosure (``shallow_enclosure``) when that, widened
 by 2^-40, lies in one cell; only the other rows, a few percent, get F at the
 spec's depth.  The enclosure holds the full-depth F to within 2^-46, so the
@@ -35,8 +35,7 @@ import numpy as np
 
 from .errors import (DEFAULT_EVAL_BUDGET, BudgetError, DomainError, InsufficientDataError,
                      PrecisionError, check_budget, check_int)
-from .singular import (SALEM, SingularSetProbe, digit_words, evaluate_many,
-                       in_singular_set_many, salem_slopes)
+from .singular import SingularSetProbe, digit_words, evaluate_many, salem_slopes
 from .surface import SurfaceSpec, shallow_enclosure, surface_from_f, surface_values
 
 #: cells per jitter block; a fixed constant that is part of the sampling
@@ -238,9 +237,8 @@ def box_dimension(
 def graph_length_n2(spec: SurfaceSpec, k: int, budget: int = DEFAULT_EVAL_BUDGET) -> float:
     """Inscribed polyline length of the planar graph over the depth-k partition.
 
-    Exact up to summation rounding for salem, whose dyadic endpoint values are
-    exact; minkowski only within its truncation bounds, which reach 2^-61
-    at some dyadics.  Nondecreasing in k; converges upward to the graph's length.
+    Exact up to summation rounding: f's values at dyadic endpoints are exact.
+    Nondecreasing in k; converges upward to the graph's length.
     """
     if spec.n != 2:
         raise DomainError(f"polyline length is defined for n = 2, got n = {spec.n}")
@@ -329,7 +327,7 @@ def projection_measures(
         cols *= 1.0 / (1 << domain_depth)  # scaling by a power of two is exact
         np.clip(cols, _EDGE, 1.0 - _EDGE, out=cols)  # a draw can land on 0.0 or round to 1.0
         words = digit_words(cols, width)
-        labels = _piece_labels(spec, probe, cols, words, width)
+        labels = _piece_labels(spec, probe, words, width)
         lift = np.flatnonzero((labels > 0) & (labels < n))
         piece = labels.take(lift)
         field = _F_codes(spec, cols, lift, image_depth)
@@ -341,10 +339,10 @@ def projection_measures(
     return {axis: float(occupancy[axis - 1].sum()) * cell_area for axis in range(1, n + 1)}
 
 
-def _piece_labels(spec: SurfaceSpec, probe: SingularSetProbe, cols: np.ndarray,
-                  words: np.ndarray, width: int) -> np.ndarray:
-    """``classify_regions`` at (d, N) coordinates ``cols`` with digit words ``words`` at
-    a depth ``width`` >= the probe's (salem's probe reads their ones counts).  The bit
+def _piece_labels(spec: SurfaceSpec, probe: SingularSetProbe, words: np.ndarray,
+                  width: int) -> np.ndarray:
+    """``classify_regions`` at the points of the (d, N) digit words ``words`` at a
+    depth ``width`` >= the probe's (the probe reads their ones counts).  The bit
     mask of the inside coordinates indexes a table of labels, n at the full mask, i at
     the full mask less bit i - 1, else 0 (masked writes would mispredict branches)."""
     d = spec.domain_dim
@@ -354,15 +352,11 @@ def _piece_labels(spec: SurfaceSpec, probe: SingularSetProbe, cols: np.ndarray,
     label = np.zeros(1 << d, dtype=np.uint8)  # n <= _LABEL_BITS + 1
     label[full] = spec.n
     label[full ^ (1 << np.arange(d))] = np.arange(1, d + 1)
-    if spec.f.kind == SALEM:
-        inside = (salem_slopes(spec.f.lam, probe.depth) < probe.eps).astype(np.int32)
-        shift = width - probe.depth
-        # take, not fancy indexing: indexing with bitwise_count's uint8 counts casts first
-        masks = ((inside << j).take(np.bitwise_count(w >> shift if shift else w))
-                 for j, w in enumerate(words))
-    else:
-        masks = (in_singular_set_many(spec.f, probe, x).astype(np.int32) << j
-                 for j, x in enumerate(cols))
+    inside = (salem_slopes(spec.f.lam, probe.depth) < probe.eps).astype(np.int32)
+    shift = width - probe.depth
+    # take, not fancy indexing: indexing with bitwise_count's uint8 counts casts first
+    masks = ((inside << j).take(np.bitwise_count(w >> shift if shift else w))
+             for j, w in enumerate(words))
     code = next(masks)
     for mask in masks:
         code |= mask
@@ -382,4 +376,4 @@ def classify_regions(spec: SurfaceSpec, probe: SingularSetProbe, points: np.ndar
         raise PrecisionError(f"slope depth {probe.depth} exceeds spec depth {spec.f.depth}")
     if points.size and not (points.min() > 0.0 and points.max() < 1.0):
         raise DomainError("coordinates must lie in (0,1)")
-    return _piece_labels(spec, probe, points.T, digit_words(points.T, probe.depth), probe.depth)
+    return _piece_labels(spec, probe, digit_words(points.T, probe.depth), probe.depth)

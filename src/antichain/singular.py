@@ -1,32 +1,26 @@
-"""Strictly increasing singular functions on [0,1] with certified error bounds.
+"""The strictly increasing singular function f on [0,1], with certified error bounds.
 
-Two families are evaluated:
+f is Salem's self-affine function with contraction ratio ``lam``, satisfying
+L(x) = lam*L(2x) on [0,1/2] and L(x) = lam + (1-lam)*L(2x-1) on [1/2,1].  It
+is strictly increasing, surjective, and singular for lam != 1/2.
 
-* ``salem``     -- the self-affine function with contraction ratio ``lam``,
-                   satisfying L(x) = lam*L(2x) on [0,1/2] and
-                   L(x) = lam + (1-lam)*L(2x-1) on [1/2,1].  Strictly
-                   increasing, surjective, singular for lam != 1/2.
-* ``minkowski`` -- the question-mark function, evaluated from the continued
-                   fraction of x (alternating dyadic series).
-
-All evaluations truncate at a finite ``depth`` and return a rigorous
-truncation bound alongside the value.  Digits come from one primitive,
-``digit_words``: for x in [0,1) and k <= 63 the int64 floor(x * 2**k) is
-exactly the first k binary digits of x.  The salem function is affine on
-every dyadic cell (Salem 1943): on the cell of a k-digit word c with o ones,
-f = f(c 2**-k) + lam**(k-o) (1-lam)**o f(T^k x), T the binary shift.  The
-kernel composes these maps over 8-bit digit chunks with tables built once
-per (lam, width) in exact integer arithmetic, to within 2 ulp of the exact
-truncated sum; the bound is the rise over the depth-cell of x, or exactly 0
-when x has no digit past the depth.  The slope probe is one popcount.
-Each quantity has one array kernel, and the scalar calls are one-row
-wrappers over it; ``evaluate_many`` is the one place where the values of f
-branch on the kind.
+Evaluations truncate at a finite ``depth`` and return a rigorous truncation
+bound alongside the value.  Digits come from one primitive, ``digit_words``:
+for x in [0,1) and k <= 63 the int64 floor(x * 2**k) is exactly the first k
+binary digits of x.  f is affine on every dyadic cell (Salem 1943): on the
+cell of a k-digit word c with o ones, f = f(c 2**-k) + lam**(k-o) (1-lam)**o
+f(T^k x), T the binary shift.  The kernel composes these maps over 8-bit
+digit chunks with tables built once per (lam, width) in exact integer
+arithmetic, to within 2 ulp of the exact truncated sum; the bound is the rise
+over the depth-cell of x, or exactly 0 when x has no digit past the depth.
+The slope probe is one popcount.  Each quantity has one array kernel, and
+the scalar calls are one-row wrappers over it.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +28,9 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, PrecisionError, check_int
 
 SALEM = "salem"
-MINKOWSKI = "minkowski"
 #: the construction needs a strictly increasing f, so the devil's staircase,
 #: constant on intervals, is no kind
-KINDS = (SALEM, MINKOWSKI)
-
-#: continued-fraction partial quotients are clamped here so every
-#: 2**(-sum a_i) term stays representable
-_MAX_CF_QUOTIENT = 62
+KINDS = (SALEM,)
 
 #: digits per salem table chunk (2**8-entry tables stay in L1)
 _CHUNK_BITS = 8
@@ -54,48 +43,35 @@ _BLOCK = 2**15
 class SingularFunctionSpec:
     """Which singular function to use and how deep to evaluate it.
 
-    ``lam`` is only meaningful for the salem kind.  lam = 1/2 collapses the
-    recursion to the identity, which is strictly increasing but not singular.
+    ``lam`` is any real number in (0,1), stored as a float, and ``depth`` an
+    integer in [1, 63], stored as an int.  lam = 1/2 collapses the recursion
+    to the identity, which is strictly increasing but not singular.
     """
 
     kind: str = SALEM
     lam: float = 0.25
     depth: int = 52
 
+    #: worst-case rounding of ``evaluate`` values in ulps of the exact
+    #: truncated sum, from the correctly rounded tables' products and sums
+    rounding_ulps = 2
+
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
-        check_int("depth", self.depth, 1, 63)
-        if self.kind == SALEM and not 0.0 < self.lam < 1.0:
-            raise ConfigurationError(f"salem ratio must lie in (0,1), got {self.lam}")
+        # plain ints and floats: the tables are cached by, and built from, them
+        object.__setattr__(self, "depth", int(check_int("depth", self.depth, 1, 63)))
+        lam = self.lam
+        if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
+            raise ConfigurationError(f"lam must be a real number, got {lam!r}")
+        if not (0 < lam < 1 and 0.0 < float(lam) < 1.0):  # compared before float() can overflow
+            raise ConfigurationError(f"salem ratio must lie in (0,1), got {lam}")
+        object.__setattr__(self, "lam", float(lam))
 
     @property
     def error_bound(self) -> float:
         """Worst-case truncation bound of ``evaluate`` over the whole domain."""
-        if self.kind == SALEM:
-            return max(self.lam, 1.0 - self.lam) ** self.depth
-        # minkowski: quotients clamped at _MAX_CF_QUOTIENT leave up to 2**-61
-        return 2.0 ** (1 - min(self.depth, _MAX_CF_QUOTIENT))
-
-    @property
-    def rounding_ulps(self) -> int:
-        """Worst-case rounding of ``evaluate`` values in ulps of the exact
-        truncated sum: 2 for the salem tables; otherwise one per addition of
-        a power of two (minkowski partial sums stay within twice the value)."""
-        return 2 if self.kind == SALEM else self.depth
-
-    @property
-    def truncates_from_below(self) -> bool:
-        """Whether the exact f lies in [value, value + bound] up to rounding:
-        salem returns f at the left end of the depth cell, while
-        minkowski's alternating series truncates on either side.
-
-        Salem's value is then constant on each depth cell (it reads only the
-        digit word w = floor(x 2**depth)), and its bound is the cell's rise
-        inside the cell and 0 at the left end: the pair (value, bound) at a
-        cell's midpoint serves every point of the cell, and bounds f at its
-        left end too."""
-        return self.kind != MINKOWSKI
+        return max(self.lam, 1.0 - self.lam) ** self.depth
 
 
 @dataclass(frozen=True)
@@ -111,36 +87,9 @@ class SingularSetProbe:
     eps: float = 0.01
 
     def __post_init__(self) -> None:
-        check_int("probe depth", self.depth, 1)
+        object.__setattr__(self, "depth", int(check_int("probe depth", self.depth, 1)))
         if not self.eps > 0.0:
             raise ConfigurationError(f"probe eps must be positive, got {self.eps}")
-
-
-def _eval_minkowski(x: float, depth: int) -> tuple[float, float]:
-    """Alternating sum over the first ``depth`` partial quotients of x in
-    (0,1), from its exact rational value.  Quotients above the
-    representability cap are clamped, which perturbs the value by less
-    than 2**-61."""
-    p, q = x.as_integer_ratio()
-    # x = p/q with 0 < p < q; Euclid on (q, p) yields [a1, a2, ...]
-    num, den = q, p
-    v, exponent, sign = 0.0, 1.0, 1.0
-    terms = 0
-    clamped = False
-    while den > 0 and terms < depth:
-        a, num = divmod(num, den)
-        num, den = den, num
-        if a > _MAX_CF_QUOTIENT:
-            a = _MAX_CF_QUOTIENT
-            clamped = True
-        exponent -= a
-        v += sign * 2.0**exponent
-        sign = -sign
-        terms += 1
-    err = 0.0 if den == 0 else 2.0 ** (1 - terms)
-    if clamped:
-        err = max(err, 2.0**-61)
-    return v, err
 
 
 def digit_words(xs: np.ndarray, k: int) -> np.ndarray:
@@ -208,6 +157,13 @@ def evaluate_many(spec: SingularFunctionSpec, xs: np.ndarray) -> tuple[np.ndarra
     exact truncated sum, from which the returned value may be up to
     ``spec.rounding_ulps`` ulp off, even when the bound is 0.  The endpoints
     are exact: f(0) = 0 and f(1) = 1 with bound 0.
+
+    The value is f at the left end of x's depth cell, so the exact f lies in
+    [value, value + bound] up to rounding.  The value is the same at every
+    point of the cell (it reads only the digit word w = floor(x 2**depth)),
+    and the bound is the cell's rise inside the cell and 0 at its left end:
+    the pair (value, bound) at a cell's midpoint serves every point of the
+    cell, and bounds f at its left end too.
     """
     xs = np.asarray(xs, dtype=np.float64)
     flat = xs.ravel()
@@ -219,11 +175,7 @@ def evaluate_many(spec: SingularFunctionSpec, xs: np.ndarray) -> tuple[np.ndarra
         ends = (flat == 0.0) | (flat == 1.0)
         exact = flat[ends]
         flat = np.where(ends, 0.5, flat)
-    if spec.kind == SALEM:
-        v, s = _salem_many(spec.lam, spec.depth, flat)
-    else:
-        pairs = [_eval_minkowski(x, spec.depth) for x in flat.tolist()]
-        v, s = np.array(pairs).reshape(-1, 2).T  # (-1, 2): an empty list stays two-column
+    v, s = _salem_many(spec.lam, spec.depth, flat)
     if ends is not None:
         v[ends], s[ends] = exact, 0.0
     return v.reshape(xs.shape), s.reshape(xs.shape)
@@ -249,9 +201,8 @@ def dyadic_slopes_many(spec: SingularFunctionSpec, xs: np.ndarray, k: int) -> np
 
     Dyadic rationals sit on a cell boundary and are assigned to the
     right-closed cell [x, x + 2**-k), matching the half-open grid
-    convention.  For the salem kind the slope is the digit product of 2*lam
-    per 0-digit and 2*(1-lam) per 1-digit, looked up in ``salem_slopes`` by
-    the count of ones.  The minkowski kind evaluates f at the cell ends.
+    convention.  The slope is the digit product of 2*lam per 0-digit and
+    2*(1-lam) per 1-digit, looked up in ``salem_slopes`` by the count of ones.
     """
     if k < 0:
         raise DomainError(f"slope depth must be >= 0, got {k}")
@@ -260,13 +211,7 @@ def dyadic_slopes_many(spec: SingularFunctionSpec, xs: np.ndarray, k: int) -> np
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size and not (xs.min() > 0.0 and xs.max() < 1.0):
         raise DomainError("coordinates must lie in (0,1)")
-    words = digit_words(xs, k)
-    if spec.kind == SALEM:
-        return salem_slopes(spec.lam, k).take(np.bitwise_count(words))
-    scale = float(1 << k)
-    a = words / scale
-    ends, _ = evaluate_many(spec, np.stack([a, a + 1.0 / scale]))
-    return (ends[1] - ends[0]) * scale
+    return salem_slopes(spec.lam, k).take(np.bitwise_count(digit_words(xs, k)))
 
 
 def dyadic_slope(spec: SingularFunctionSpec, x: float, k: int) -> float:

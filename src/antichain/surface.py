@@ -11,9 +11,9 @@ coordinate; its graph in [0,1]^n therefore contains no two comparable
 points.
 
 The same monotonicity certifies the numbers (an interval enclosure, Moore,
-*Interval Analysis*, 1966).  Each f value is known to within its truncation
-bound plus the kernel's rounding, the bound above the value only where f
-truncates from below (salem), so ``surface_enclosure`` evaluates
+*Interval Analysis*, 1966).  Each f value is known to within the kernel's
+rounding below it and its truncation bound plus that rounding above it, so
+``surface_enclosure`` evaluates
 ``1 - p`` at the upper and at the lower corner of that box, widened by p's
 own rounding, and gets lo <= F <= hi.  Its two steps, the f box
 (``_f_box``) and 1 - p at its corners (``_F_sides``), are the only bound code.
@@ -25,7 +25,7 @@ lo, and within tolerance when the two enclosures overlap.
 The scan's first pass and the projection sweep's first marks read one
 shallow f box (``_shallow_f_box``): the box at depth min(spec depth, 12),
 widened by 2^-44 of each corner, hundreds of ulps, so it holds the exact f
-and f as computed at the spec's greater depth.  Salem gathers it by each
+and f as computed at the spec's greater depth.  It is gathered by each
 coordinate's digit word from per-cell tables built once per spec at the
 cell midpoints; at a cell's left end, where the elementwise box is
 narrower, the table's box holds it.
@@ -67,8 +67,8 @@ _ONE_ABOVE = 2.0**-1074
 #: with the CLI's fixed malloc thresholds, is reused from block to block
 _SCAN_BLOCK = 2**12
 
-#: depth of the shallow f boxes (the spec's own, if lower); salem gathers them
-#: from per-cell tables (2^12 cells, 64 KB of tables)
+#: depth of the shallow f boxes (the spec's own, if lower), gathered from
+#: per-cell tables (2^12 cells, 64 KB of tables)
 _TABLE_DEPTH = 12
 
 #: relative widening of the shallow f box corners
@@ -158,19 +158,18 @@ def surface_from_f(fv: np.ndarray) -> np.ndarray:
 
 def _f_box(f: SingularFunctionSpec, fv: np.ndarray, fe: np.ndarray) -> tuple[np.ndarray, ...]:
     """Box (f_lo, f_hi) about the exact f from f values and their truncation bounds."""
-    # The exact f lies within the cell rise (fe, correctly rounded) of the
-    # exact truncated sum t, above t only when f truncates from below, and t
-    # within rounding_ulps ulp(t) <= 2 spacing(fv) of fv (the two can straddle
-    # a power of two).  The factor 1 + 2^-50 and two spare spacings absorb the
-    # roundings of fe, r, fe + r and fv +- r (each under u = 2^-53 relative,
-    # and u fv < spacing(fv)): no directed rounding needed.
+    # The exact f lies within the cell rise (fe, correctly rounded) above the
+    # exact truncated sum t, and t within rounding_ulps ulp(t) <= 2 spacing(fv)
+    # of fv (the two can straddle a power of two).  The factor 1 + 2^-50 and
+    # two spare spacings absorb the roundings of fe, r, fe + r and fv +- r
+    # (each under u = 2^-53 relative, and u fv < spacing(fv)): no directed
+    # rounding needed.
     r = np.spacing(fv)
     r *= 2 * f.rounding_ulps + 2
     up = fe * (1.0 + 2.0**-50)
     up += r
     f_hi = np.minimum(fv + up, 1.0)
-    down = r if f.truncates_from_below else up
-    return np.maximum(fv - down, 0.0, out=down), f_hi
+    return np.maximum(fv - r, 0.0, out=r), f_hi
 
 
 def _F_sides(corners: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,22 +205,19 @@ def surface_enclosure(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray
     return _enclose(spec.f, fv, fe)
 
 
-def _widened_f_box(f: SingularFunctionSpec, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The f box at each x, each corner widened by ``_WIDEN`` of itself."""
-    f_lo, f_hi = _f_box(f, *evaluate_many(f, xs))
-    f_lo *= 1.0 - _WIDEN
-    f_hi *= 1.0 + _WIDEN
-    return f_lo, np.minimum(f_hi, 1.0, out=f_hi)
-
-
 @functools.lru_cache(maxsize=64)
 def _cell_boxes(f: SingularFunctionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Tables (f_lo, f_hi) of a salem f of depth at most ``_TABLE_DEPTH``:
-    entry w is the widened f box at the midpoint of cell w."""
-    tables = _widened_f_box(f, (np.arange(1 << f.depth) + 0.5) / (1 << f.depth))
-    for table in tables:
+    """Tables (f_lo, f_hi) of an f of depth at most ``_TABLE_DEPTH``: entry w
+    is the f box at the midpoint of cell w, each corner widened by ``_WIDEN``
+    of itself.  f's value and bound are the same at every point of a cell, and
+    hold f at its left end (``evaluate_many``)."""
+    f_lo, f_hi = _f_box(f, *evaluate_many(f, (np.arange(1 << f.depth) + 0.5) / (1 << f.depth)))
+    f_lo *= 1.0 - _WIDEN
+    f_hi *= 1.0 + _WIDEN
+    np.minimum(f_hi, 1.0, out=f_hi)
+    for table in f_lo, f_hi:
         table.setflags(write=False)
-    return tables
+    return f_lo, f_hi
 
 
 def _shallow_f_box(
@@ -230,18 +226,12 @@ def _shallow_f_box(
     """The ``corners`` (0: f_lo, 1: f_hi) of a box about the exact f, and f as
     computed at the spec's depth, at points of the open cube: the f box at
     depth T = min(spec depth, ``_TABLE_DEPTH``) widened by 2^-44 of each
-    corner.  Salem gathers each corner from ``_cell_boxes`` by the depth-T
-    digit words, in the points' memory layout."""
-    # The exact truncated f at a depth above T lies in the unwidened box: for
-    # salem it is f at a point of the depth-T cell, for minkowski a later
-    # partial sum, within the truncation bound.  Its computed value is at most
-    # 63 ulps off (``rounding_ulps``), inside the widening of 2^8 ulps.  Salem's
-    # box is the same at every point inside a cell and holds the narrower box
-    # at its left end (``SingularFunctionSpec.truncates_from_below``).
+    corner, gathered from ``_cell_boxes`` by the depth-T digit words, in the
+    points' memory layout."""
+    # The exact truncated f at a depth above T is f at a point of the depth-T
+    # cell, so it lies in the unwidened box.  Its computed value is at most
+    # 2 ulps off (``rounding_ulps``), inside the widening of 2^8 ulps.
     f = replace(f, depth=min(f.depth, _TABLE_DEPTH))
-    if not f.truncates_from_below:
-        box = _widened_f_box(f, points)
-        return tuple(box[c] for c in corners)
     w, tables = digit_words(points, f.depth), _cell_boxes(f)
     return tuple(tables[c][w] for c in corners)
 

@@ -45,8 +45,6 @@ INVOCATIONS = {
                             "--probe-eps", "0.5", "--domain-depth", "10", "--image-depth", "8"],
     "projections-lam0.99": ["projections", "--n", "3", "--lambda", "0.99", "--probe-depth", "8",
                             "--probe-eps", "0.001", *_SMALL],
-    "projections-minkowski": ["projections", "--n", "3", "--kind", "minkowski",
-                              "--domain-depth", "4", "--image-depth", "4", "--samples", "2"],
     "projections-image14": ["projections", "--n", "2", "--domain-depth", "10",
                             "--image-depth", "14", "--samples", "2"],
     "projections-image14-probe6": ["projections", "--n", "2", "--probe-depth", "6",
@@ -56,20 +54,15 @@ INVOCATIONS = {
                             "--probe-eps", "0.5", *_SMALL],
     "dimension-n2": ["dimension", "--n", "2"],
     "dimension-n3": ["dimension", "--n", "3", "--k-min", "3", "--k-max", "7"],
-    "dimension-minkowski": ["dimension", "--n", "3", "--kind", "minkowski", "--k-min", "2",
-                            "--k-max", "5", "--samples", "2"],
     **{f"check-antichain-n{n}": ["check-antichain", "--n", str(n), *_SCAN] for n in (2, 3, 4, 5)},
     # these two leave pairs within tolerance at the default pair count
     "check-antichain-lam0.01": ["check-antichain", "--lambda", "0.01", "--n", "5"],
     "check-antichain-lam0.1": ["check-antichain", "--lambda", "0.1", "--n", "5", "--seed", "1"],
     **{f"check-antichain-depth{d}": ["check-antichain", "--n", "3", "--depth", str(d), *_SCAN]
        for d in (1, 6, 10)},
-    **{f"check-antichain-minkowski-n{n}": ["check-antichain", "--n", str(n), "--kind", "minkowski",
-                                           "--seed", "42", "--pairs", "2000"] for n in (2, 3)},
     # the 0/0 corner M = 1, P = 0 of p
     "eval-corner": ["eval", "--n", "3", "--depth", "8", "--lambda", "0.999",
                     "--point", "0.00048828125,0.984375"],
-    "eval-minkowski": ["eval", "--n", "3", "--kind", "minkowski", "--point", "0.3,0.6"],
     "eval-csv": ["eval", "--n", "3", "--point", "0.3,0.6", "--format", "csv"],
     "check-antichain-csv": ["check-antichain", *_SCAN, "--format", "csv"],
     "length": ["length"],

@@ -69,25 +69,6 @@ def salem_exact(x: float, lam: float) -> Fraction:
     return Fraction(num, q_j)
 
 
-def minkowski_exact(x: float, max_quotient: int = 2**12) -> Fraction:
-    """Exact ?(x) at a double x in [0,1]: with x = [0; a_1, ..., a_k], a
-    terminating continued fraction, ?(x) = 2 sum_i (-1)^(i+1) 2^-(a_1 + ... + a_i).
-
-    A quotient a costs a bits, so ``ValueError`` if any exceeds ``max_quotient``.
-    """
-    num, den = x.as_integer_ratio()
-    value, exponent, sign = Fraction(0), 1, 1
-    while num:
-        a, rest = divmod(den, num)
-        if a > max_quotient:
-            raise ValueError(f"partial quotient {a} of {x!r} exceeds {max_quotient}")
-        exponent -= a
-        value += sign * Fraction(2) ** exponent
-        sign = -sign
-        den, num = num, rest
-    return value
-
-
 def length_binomial(k: int, lam: float) -> float:
     """Independent length oracle: the depth-k inscribed polyline length of
     the salem graph, summed over digit classes instead of cells.

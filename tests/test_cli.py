@@ -421,11 +421,12 @@ def test_mesh_unsupported_dimension(capsys):
 def test_cantor_rejected(capsys):
     # --kind offers only the library's kinds, on every command; the library's
     # own refusal is tested on SingularFunctionSpec
-    for command in ("eval --point 0.5,0.5", "check-antichain", "length", "dimension",
-                    "projections", "export-mesh"):
-        code, out, err = run_cli(capsys, *command.split(), "--kind", "cantor")
-        assert code == 2 and not out, command
-        assert "argument --kind: invalid choice: 'cantor'" in err, command
+    for kind in ("cantor", "minkowski"):
+        for command in ("eval --point 0.5,0.5", "check-antichain", "length", "dimension",
+                        "projections", "export-mesh"):
+            code, out, err = run_cli(capsys, *command.split(), "--kind", kind)
+            assert code == 2 and not out, command
+            assert f"argument --kind: invalid choice: '{kind}'" in err, command
 
 
 def test_kind_choices_are_the_library_kinds():

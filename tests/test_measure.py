@@ -33,6 +33,7 @@ from antichain.measure import (
     cover_sum,
 )
 from antichain.singular import (
+    KINDS,
     digit_words,
     evaluate_many,
     in_singular_set,
@@ -272,7 +273,7 @@ def lattice_cell_count(spec: SurfaceSpec, k: int, m: int) -> int:
     (3, "salem", 0.25, 4, 2),
     (4, "salem", 0.25, 2, 3),
     (2, "salem", 0.7, 9, 2),
-    (3, "minkowski", 0.25, 4, 2),
+    (3, "salem", 0.4, 4, 2),
     (2, "salem", 0.5, 8, 3),  # the identity
 ])
 def test_cover_matches_lattice_oracle(n, kind, lam, k, m, chunk_rows, monkeypatch):
@@ -463,12 +464,10 @@ def test_classify_regions_is_partition(surface_n3):
             assert label == 0
 
 
-@pytest.mark.parametrize("n, kind", [
-    (2, "salem"), (3, "salem"), (4, "salem"), (5, "salem"), (6, "salem"), (3, "minkowski"),
-])
+@pytest.mark.parametrize("n, kind", [(n, kind) for n in range(2, 7) for kind in KINDS])
 def test_classify_regions_matches_scalar_membership(n, kind):
     # every row against the scalar membership route.  At depth 20 and eps
-    # 0.5 about a quarter of the salem coordinates fall outside the probed
+    # 0.5 about a quarter of the coordinates fall outside the probed
     # set, so rows with none, one and several outside coordinates all occur
     spec = SurfaceSpec(n=n, f=SingularFunctionSpec(kind=kind))
     probe = SingularSetProbe(depth=20, eps=0.5)
@@ -483,19 +482,19 @@ def test_classify_regions_matches_scalar_membership(n, kind):
     assert outside_counts == ({0, 1} if n == 2 else {0, 1, 2})
 
 
-@pytest.mark.parametrize("kind", ["salem", "minkowski"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_sweep_labels_read_deeper_digit_words(kind):
     # the sweep labels from one word per coordinate at the deepest depth it
     # needs; shifted down to the probe's depth, its labels are classify_regions'
     spec = SurfaceSpec(n=4, f=SingularFunctionSpec(kind=kind))
     probe = SingularSetProbe(depth=20, eps=0.5)
-    pts = seeded_rng(29).uniform(1e-6, 1 - 1e-6, (2000 if kind == "salem" else 200, 3))
+    pts = seeded_rng(29).uniform(1e-6, 1 - 1e-6, (2000, 3))
     labels = classify_regions(spec, probe, pts)
     assert set(np.unique(labels)) == {0, 1, 2, 3, 4}
     cols = np.ascontiguousarray(pts.T)
     for width in (20, 21, 40, 63):
         np.testing.assert_array_equal(
-            measure_module._piece_labels(spec, probe, cols, digit_words(cols, width), width),
+            measure_module._piece_labels(spec, probe, digit_words(cols, width), width),
             labels)
 
 
@@ -704,14 +703,6 @@ def test_projection_matches_per_axis_reference(lam):
         assert projection_measures(spec, probe, kd, ki, m, seed=4) == expected
 
 
-def test_projection_matches_per_axis_reference_minkowski():
-    spec = SurfaceSpec(n=3, f=SingularFunctionSpec(kind="minkowski"))
-    probe = SingularSetProbe(depth=40, eps=0.01)
-    expected, labels = per_axis_reference(spec, probe, 6, 5, 2, seed=1)
-    assert set(np.unique(labels)) == {0, 1, 2, 3}  # every piece and the rest
-    assert projection_measures(spec, probe, 6, 5, 2, seed=1) == expected
-
-
 def test_projection_evaluates_only_undecided_lifted_rows(surface_n3, monkeypatch):
     # 16384 rows in chunks of 512: one full-depth F evaluation per chunk, on
     # the rows of pieces 1..n-1 whose depth-12 enclosure leaves the image
@@ -719,17 +710,16 @@ def test_projection_evaluates_only_undecided_lifted_rows(surface_n3, monkeypatch
     probe = SingularSetProbe(depth=40, eps=0.01)
     lifted, calls = [], []
 
-    def spy_labels(spec, probe, cols, words, width):
-        labels = piece_labels(spec, probe, cols, words, width)
-        lifted.append(cols.T[(labels > 0) & (labels < spec.n)].copy())
-        return labels
+    def spy_codes(spec, cols, rows, depth):
+        lifted.append(cols.T[rows].copy())
+        return F_codes(spec, cols, rows, depth)
 
     def spy_values(spec, pts):
         calls.append(pts.copy())
         return surface_values(spec, pts)
 
-    piece_labels = measure_module._piece_labels
-    monkeypatch.setattr(measure_module, "_piece_labels", spy_labels)
+    F_codes = measure_module._F_codes
+    monkeypatch.setattr(measure_module, "_F_codes", spy_codes)
     monkeypatch.setattr(measure_module, "surface_values", spy_values)
     monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 1000)
     projection_measures(surface_n3, probe, 6, 5, 2, seed=3)
@@ -747,7 +737,7 @@ _STRADDLE_CASES = {
     "n2-image14": (2, SingularFunctionSpec(), SingularSetProbe(), 10, 14, 2),
     "lam0.01": (2, SingularFunctionSpec(lam=0.01), SingularSetProbe(8, 1e-3), 10, 14, 2),
     "lam0.99": (2, SingularFunctionSpec(lam=0.99), SingularSetProbe(8, 1e-3), 10, 14, 2),
-    "minkowski": (2, SingularFunctionSpec(kind="minkowski"), SingularSetProbe(), 10, 14, 2),
+    "lam0.4": (2, SingularFunctionSpec(lam=0.4), SingularSetProbe(), 10, 14, 2),
     "depth10": (3, SingularFunctionSpec(depth=10), SingularSetProbe(8, 0.5), 6, 7, 2),
 }
 

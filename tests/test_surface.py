@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 
 import antichain.surface as surface_module
 from antichain import (
-    MINKOWSKI,
     SALEM,
     BudgetError,
     ConfigurationError,
@@ -36,7 +35,6 @@ from antichain.surface import (
 )
 
 from oracles import (
-    minkowski_exact,
     p_projective,
     salem_exact,
     salem_recursive,
@@ -260,10 +258,9 @@ def test_surface_values_error_bound_is_conservative(surface_n3):
     assert ((lo - 1e-15 <= v63) & (v63 <= hi + 1e-15)).all()
 
 
-def _F_exact(coords, lam: float, kind: str = SALEM) -> Fraction:
-    """Exact F at a point of doubles (minkowski: quotients within the oracle's cap)."""
-    f_exact = minkowski_exact if kind == MINKOWSKI else lambda x: salem_exact(x, lam)
-    fs = sorted(f_exact(float(x)) for x in coords)
+def _F_exact(coords, lam: float) -> Fraction:
+    """Exact F at a point of doubles."""
+    fs = sorted(salem_exact(float(x), lam) for x in coords)
     if len(fs) == 1:
         return 1 - fs[0]
     prod = Fraction(1)
@@ -285,44 +282,22 @@ def _cell_tops(rng, depth: int, shape) -> np.ndarray:
     return np.nextafter((np.floor(rng.choice(u, shape) * scale) + 1.0) / scale, 0.0)
 
 
-def _bounded_quotient_points(rng, shape) -> np.ndarray:
-    """Doubles whose continued fractions have quotients within the minkowski
-    oracle's cap: uniform draws, and 1/(a + u) with a first quotient a past
-    the kernel's clamp at 62."""
-    draws = np.concatenate([rng.uniform(2.0**-12, 1.0, 400),
-                            1.0 / (rng.integers(63, 4000, 100) + rng.uniform(0.0, 1.0, 100))])
-    pool = []
-    for x in draws.tolist():
-        try:
-            minkowski_exact(x)
-        except ValueError:
-            continue
-        pool.append(x)
-    return rng.choice(pool, shape)
-
-
 @pytest.mark.parametrize("depth", [8, 52])
 @pytest.mark.parametrize("n", [2, 3, 5])
-@pytest.mark.parametrize("kind, lam", [pytest.param(SALEM, lam, id=str(lam))
-                                       for lam in (0.01, 0.25, 0.75, 0.99)]
-                         + [pytest.param(MINKOWSKI, 0.25, id=MINKOWSKI)])
-def test_enclosure_contains_exact_F(kind, lam, n, depth):
+@pytest.mark.parametrize("lam", [0.01, 0.25, 0.4, 0.75, 0.99])
+def test_enclosure_contains_exact_F(lam, n, depth):
     # (0.125, 1 - 2^-27) has bound 0 at depth 52, yet f(1 - 2^-27) is
     # rounded and p's slope near M = 1 amplifies that past a fixed floor.
-    # Salem is checked below 2^-11 too, down to the scan's clip at 2^-1074;
-    # minkowski's two-sided enclosure at points of bounded quotients
-    spec = SurfaceSpec(n=n, f=SingularFunctionSpec(kind=kind, lam=lam, depth=depth))
-    if kind == MINKOWSKI:
-        pts = _bounded_quotient_points(seeded_rng(47 + n), (60, n - 1))
-    else:
-        corner = (0.125,) * (n - 2) + (1.0 - 2.0**-27,)
-        tiny = 2.0 ** -seeded_rng(17 + n).uniform(11.0, 80.0, (10, n - 1))
-        tiny[0] = 2.0**-1074
-        pts = np.vstack([seeded_rng(31 + n).uniform(2.0**-11, 1.0, (40, n - 1)), corner,
-                         _cell_tops(seeded_rng(73 + n), depth, (30, n - 1)), tiny])
+    # Checked below 2^-11 too, down to the scan's clip at 2^-1074
+    spec = SurfaceSpec(n=n, f=SingularFunctionSpec(lam=lam, depth=depth))
+    corner = (0.125,) * (n - 2) + (1.0 - 2.0**-27,)
+    tiny = 2.0 ** -seeded_rng(17 + n).uniform(11.0, 80.0, (10, n - 1))
+    tiny[0] = 2.0**-1074
+    pts = np.vstack([seeded_rng(31 + n).uniform(2.0**-11, 1.0, (40, n - 1)), corner,
+                     _cell_tops(seeded_rng(73 + n), depth, (30, n - 1)), tiny])
     lo, hi = surface_enclosure(spec, pts)
     for row, a, b in zip(pts, lo, hi):
-        assert Fraction(float(a)) <= _F_exact(row, lam, kind) <= Fraction(float(b)), row
+        assert Fraction(float(a)) <= _F_exact(row, lam) <= Fraction(float(b)), row
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -375,14 +350,16 @@ def _extreme_doubles(t: Fraction, radius: Fraction) -> tuple[float, float]:
 
 
 def _bound_free_dyadics(f: SingularFunctionSpec) -> np.ndarray:
-    """Depth-12 dyadics at which f has truncation bound 0 (for minkowski: a
-    continued fraction within the depth and the quotient cap)."""
-    xs = np.unique(seeded_rng(61).integers(1, 1 << 12, 400)) / 4096.0
+    """Depth-12 dyadics at which f has truncation bound 0 (all of them at a
+    depth of 12 or more), among them 2^-j, where f = lam^j is a power of two
+    for lam = 1/4: the doubles just below it are twice as dense."""
+    xs = np.unique(np.concatenate([seeded_rng(61).integers(1, 1 << 12, 400) / 4096.0,
+                                   2.0 ** -np.arange(1.0, 13.0)]))
     return xs[evaluate_many(f, xs)[1] == 0.0]
 
 
-@pytest.mark.parametrize("kind, lam", [(SALEM, 0.01), (SALEM, 0.25), (SALEM, 0.99),
-                                       (MINKOWSKI, 0.25)])
+@pytest.mark.parametrize("kind, lam", [(SALEM, 0.01), (SALEM, 0.25), (SALEM, 0.4),
+                                       (SALEM, 0.99)])
 def test_f_box_holds_the_stated_rounding_allowance(kind, lam):
     # where the truncation bound is 0 the exact truncated sum t is the exact
     # f, and evaluate_many may return any double within rounding_ulps ulp(t)
@@ -390,7 +367,7 @@ def test_f_box_holds_the_stated_rounding_allowance(kind, lam):
     f = SingularFunctionSpec(kind=kind, lam=lam)
     xs = _bound_free_dyadics(f)
     assert xs.size > 150
-    exact = [salem_exact(x, lam) if kind == SALEM else minkowski_exact(x) for x in xs.tolist()]
+    exact = [salem_exact(x, lam) for x in xs.tolist()]
     values = [v for t in exact for v in _extreme_doubles(t, f.rounding_ulps * _ulp(t))]
     f_lo, f_hi = surface_module._f_box(f, np.array(values), np.zeros(len(values)))
     truths = [t for t in exact for _ in range(2)]
@@ -400,21 +377,21 @@ def test_f_box_holds_the_stated_rounding_allowance(kind, lam):
 
 def test_shallow_enclosure_holds_values_63_ulps_off():
     # the widening of shallow_enclosure's box: at n = 2 (p the identity) and
-    # points whose minkowski sums end by depth 12, the exact f is the depth-12
-    # sum, and a depth-63 spec may compute any double within its
-    # rounding_ulps, 63 ulps, of it.  F of each lies within twice _F_sides'
-    # slack, (1 + 4) 2^-52 at m = 1, of the bounds; the box's own rounding
-    # allowance at depth 12 is 26 ulps
-    spec = SurfaceSpec(2, SingularFunctionSpec(kind=MINKOWSKI, depth=63))
-    xs = _bound_free_dyadics(SingularFunctionSpec(kind=MINKOWSKI, depth=12))
-    assert xs.size > 150
-    lo, hi = shallow_enclosure(spec, xs[:, None])
+    # depth-12 dyadics the exact f is the depth-12 value, and the box holds
+    # F of any double within 63 ulps of it, far more than the rounding_ulps
+    # a depth-63 spec may compute it with.  F of each lies within twice
+    # _F_sides' slack, (1 + 4) 2^-52 at m = 1, of the bounds
     slack = 2 * 5 * 2.0**-52
-    for x, a, b in zip(xs.tolist(), lo, hi):
-        t = minkowski_exact(x)
-        for f in _extreme_doubles(t, spec.f.rounding_ulps * _ulp(t)):
-            F = surface_from_f(np.array([[f]]))[0]
-            assert a - slack <= F <= b + slack, (x, f)
+    for lam in (0.25, 0.4):
+        spec = SurfaceSpec(2, SingularFunctionSpec(lam=lam, depth=63))
+        xs = _bound_free_dyadics(SingularFunctionSpec(lam=lam, depth=12))
+        assert xs.size > 150
+        lo, hi = shallow_enclosure(spec, xs[:, None])
+        for x, a, b in zip(xs.tolist(), lo, hi):
+            t = salem_exact(x, lam)
+            for f in _extreme_doubles(t, 63 * _ulp(t)):
+                F = surface_from_f(np.array([[f]]))[0]
+                assert a - slack <= F <= b + slack, (x, f)
 
 
 # ------------------------------------------------------------ antichain
@@ -643,8 +620,7 @@ def _widened_ok(spec, rows):
 
 
 _TWO_PASS_CASES = (
-    [(SALEM, lam, n, 0, 20_000, 52) for lam in (0.01, 0.1, 0.25, 0.9) for n in (2, 3, 5)]
-    + [(MINKOWSKI, 0.25, n, 0, 2_000, 52) for n in (2, 3, 5)]
+    [(SALEM, lam, n, 0, 20_000, 52) for lam in (0.01, 0.1, 0.25, 0.4, 0.9) for n in (2, 3, 5)]
     + [(SALEM, 0.1, 5, 1, 200_000, 52), (SALEM, 0.25, 3, 0, 20_000, 10)]
 )
 
@@ -669,8 +645,8 @@ def test_two_pass_scan_matches_full_depth(monkeypatch, kind, lam, n, seed, pairs
     assert (result.ordered_ok, result.within_tolerance, result.violations) == (
         pairs - int(bad.sum()), tol, int(bad.sum()))
     # pairs no depth certifies, so the spec-depth pass has pairs to decide; at
-    # depth 12 the other salem cases leave it none or next to none
-    if kind == MINKOWSKI or pairs == 200_000 or lam == 0.01:
+    # depth 12 the other cases leave it none or next to none
+    if pairs == 200_000 or lam == 0.01:
         assert result.within_tolerance > 0 and (~(ok_t | bad_t)).any()
 
 
@@ -735,17 +711,17 @@ def _first_pass_rows(rng, n: int, k: int) -> np.ndarray:
 @pytest.mark.parametrize("kind, lam, depth",
                          [(SALEM, lam, depth) for lam in (0.01, 0.25, 0.75, 0.99)
                           for depth in (1, 6, 8, 52)]
-                         + [(MINKOWSKI, 0.25, 6), (MINKOWSKI, 0.25, 52)])
+                         + [(SALEM, 0.4, 6), (SALEM, 0.4, 52)])
 def test_first_pass_matches_two_sided_enclosure(kind, lam, depth, n):
     # the one-sided first pass's ok mask lies inside that of the full
     # enclosures at depth min(depth, 12), and equals that of the two-sided
     # enclosures of the widened elementwise box on pairs with no coordinate at
-    # an exact cell left end (where salem's table box is wider); the verdicts
+    # an exact cell left end (where the table box is wider); the verdicts
     # are its ok, then the full enclosures at the spec's depth of the pairs
     # it leaves not ok
     spec = SurfaceSpec(n, SingularFunctionSpec(kind=kind, lam=lam, depth=depth))
     shallow = _at_depth(spec, min(depth, surface_module._TABLE_DEPTH))
-    rows = _first_pass_rows(seeded_rng(depth * 10 + n), n, 200 if kind == SALEM else 40)
+    rows = _first_pass_rows(seeded_rng(depth * 10 + n), n, 200)
     k = len(rows) // 2
     first = surface_module._first_pass_ok(spec, rows)
     ok_t, _ = surface_module._pair_verdicts(*surface_enclosure(shallow, rows))
@@ -774,12 +750,12 @@ def test_first_pass_matches_two_sided_enclosure(kind, lam, depth, n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("kind, lam, depth",
                          [(SALEM, lam, depth) for lam in (0.01, 0.25, 0.99) for depth in (6, 12, 52)]
-                         + [(MINKOWSKI, 0.25, 52)])
+                         + [(SALEM, 0.4, 52)])
 def test_first_pass_is_independent_of_the_row_layout(kind, lam, depth, n):
     # the scan hands the passes the transpose of a (d, 2k) block; C-ordered
     # rows give the same masks
     spec = SurfaceSpec(n, SingularFunctionSpec(kind=kind, lam=lam, depth=depth))
-    rows = _first_pass_rows(seeded_rng(depth * 10 + n), n, 200 if kind == SALEM else 40)
+    rows = _first_pass_rows(seeded_rng(depth * 10 + n), n, 200)
     by_coordinate = np.ascontiguousarray(rows.T).T
     assert rows.flags.c_contiguous and by_coordinate.flags.f_contiguous
     np.testing.assert_array_equal(surface_module._first_pass_ok(spec, rows),
@@ -852,24 +828,23 @@ def _enclosure_rows(rng, rows: int, d: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-@pytest.mark.parametrize("kind, lam", [(SALEM, 0.01), (SALEM, 0.25), (SALEM, 0.99),
-                                       (MINKOWSKI, 0.25)])
+@pytest.mark.parametrize("kind, lam", [(SALEM, 0.01), (SALEM, 0.25), (SALEM, 0.4),
+                                       (SALEM, 0.99)])
 def test_shallow_enclosure_holds_full_depth_values(kind, lam, n):
     # bounds from the box at depth min(spec depth, 12) hold the exact F and
     # the F that surface_values computes at the spec's depth, to within p's
     # rounding slack, far under the projection's 2^-40 margin
-    rows = _enclosure_rows(seeded_rng(n), 1000 if kind == SALEM else 200, n - 1)
-    for depth in (6, 12, 20, 52, 63) if kind == SALEM else (6, 12, 20, 52):
+    rows = _enclosure_rows(seeded_rng(n), 1000, n - 1)
+    for depth in (6, 12, 20, 52, 63):
         spec = SurfaceSpec(n, SingularFunctionSpec(kind=kind, lam=lam, depth=depth))
         lo, hi = surface_module.shallow_enclosure(spec, rows)
         assert np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
         values = surface_values(spec, rows)
         assert np.all(lo - 2.0**-46 <= values), depth
         assert np.all(values <= hi + 2.0**-46), depth
-        if depth == 52:  # the exact F at uniform rows, quotients within the oracle's cap
+        if depth == 52:  # the exact F at uniform rows
             for row, row_lo, row_hi in list(zip(rows.tolist(), lo, hi))[:len(rows) // 4:20]:
-                if kind == SALEM or 2.0**-11 < min(row) <= max(row) < 1.0 - 2.0**-11:
-                    assert row_lo <= _F_exact(row, lam, kind) <= row_hi
+                assert row_lo <= _F_exact(row, lam) <= row_hi
 
 
 # ------------------------------------------------- projective cross-check
