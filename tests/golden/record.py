@@ -4,7 +4,7 @@ Each invocation below runs through ``antichain.cli.main``; its exit code and
 the exact text it writes to stdout are stored in ``reports.json`` beside
 this file, which ``tests/test_golden.py`` compares byte for byte.  The
 stdout of ``scripts/reproduce_headline.py --quick`` is stored in
-``headline_quick.txt``, which ``tests/test_scripts.py`` compares.  Record
+``headline_quick.txt``, which ``tests/test_golden.py`` compares too.  Record
 from the code whose reports are to be frozen, from the repository root:
 
     PYTHONPATH=src python tests/golden/record.py
