@@ -711,7 +711,11 @@ def test_projection_evaluates_only_undecided_lifted_rows(surface_n3, monkeypatch
     lifted, calls = [], []
 
     def spy_codes(spec, cols, rows, depth):
-        lifted.append(cols.T[rows].copy())
+        # the lifted rows, from labels computed apart from the sweep's own
+        labels = classify_regions(spec, probe, cols.T)
+        want = np.flatnonzero((labels > 0) & (labels < spec.n))
+        assert np.array_equal(rows, want)
+        lifted.append(cols.T[want].copy())
         return F_codes(spec, cols, rows, depth)
 
     def spy_values(spec, pts):
