@@ -54,6 +54,8 @@ INVOCATIONS = {
                             "--probe-eps", "0.5", *_SMALL],
     "dimension-n2": ["dimension", "--n", "2"],
     "dimension-n3": ["dimension", "--n", "3", "--k-min", "3", "--k-max", "7"],
+    "dimension-csv": ["dimension", "--n", "3", "--k-min", "3", "--k-max", "7", "--format", "csv"],
+    "projections-csv": ["projections", "--n", "3", *_SMALL, "--seed", "1", "--format", "csv"],
     **{f"check-antichain-n{n}": ["check-antichain", "--n", str(n), *_SCAN] for n in (2, 3, 4, 5)},
     # these two leave pairs within tolerance at the default pair count
     "check-antichain-lam0.01": ["check-antichain", "--lambda", "0.01", "--n", "5"],
