@@ -266,15 +266,14 @@ def _block_jitter(seed: int, block_index: int) -> np.random.Generator:
 
 
 def _F_codes(spec: SurfaceSpec, cols: np.ndarray, rows: np.ndarray, depth: int) -> np.ndarray:
-    """Depth-``depth`` cell codes of F at the points ``rows`` of the (d, N)
+    """Depth-``depth`` cells of F, as digit words, at the points ``rows`` of the (d, N)
     coordinates ``cols``.  ``shallow_enclosure`` holds the full-depth F far inside
-    ``_MARK_MARGIN``: where lo - margin and hi + margin share a cell, so does F (floor
-    is monotone; lo, F >= 0 and the margin is under a cell, so truncation serves as
-    floor).  Only the other rows get F at the spec's depth."""
+    ``_MARK_MARGIN``: where lo - margin and hi + margin share a digit word, so does F
+    (floor is monotone; lo, F >= 0 and the margin is under a cell, so truncation serves
+    as floor).  Only the other rows get F at the spec's depth."""
     lo, hi = shallow_enclosure(spec, cols.take(rows, axis=1).T)
-    scale = float(1 << depth)
-    codes = ((hi + _MARK_MARGIN) * scale).astype(np.int64)
-    todo = np.flatnonzero(((lo - _MARK_MARGIN) * scale).astype(np.int64) != codes)
+    codes = digit_words(hi + _MARK_MARGIN, depth)
+    todo = np.flatnonzero(digit_words(lo - _MARK_MARGIN, depth) != codes)
     values = surface_values(spec, cols.take(rows.take(todo), axis=1).T)
     codes[todo] = digit_words(values, depth)
     return codes
@@ -290,9 +289,9 @@ def projection_measures(
     budget: int = DEFAULT_EVAL_BUDGET,
 ) -> dict[int, float]:
     """Occupied image area of each coordinate projection, axis 1..n, from one
-    sweep: jittered samples are classified into the B-pieces, F takes the
-    place of coordinate i on piece i < n, and piece i's image is marked for axis i.
-    Marks are set through flat indices into a C-ordered array."""
+    sweep: jittered samples are classified into the B-pieces, and each row is marked
+    at the flat ``_cell_codes`` of its piece's occupancy row and its image cells, F's
+    cell in coordinate i's place on piece i < n (unlabelled rows: a last, discard row)."""
     d, n = spec.domain_dim, spec.n
     if probe.depth > spec.f.depth:
         raise PrecisionError(f"probe depth {probe.depth} exceeds spec depth {spec.f.depth}")
@@ -312,11 +311,7 @@ def projection_measures(
     chunk = 1 << (min(_CHUNK_ROWS, JITTER_BLOCK).bit_length() - 1)
     block_rows = JITTER_BLOCK * per_cell
     blocks = _grid_walk(1 << domain_depth, d, per_cell, chunk, budget)
-    # F in place of x_i permutes piece i's image coordinates: image cells map one to
-    # one.  By piece i < n: the offset of x_i's bits in an image code, a mask clearing them
-    place = np.r_[0, (d - np.arange(1, n)) * image_depth]
-    keep = ~(((1 << image_depth) - 1) << place)
-    row_start = np.r_[n, :n] << bits  # by label: piece i's row i - 1; label 0's discard row n
+    row = np.r_[n, :n]  # by label: piece i's row i - 1; label 0's discard row n
     occupancy = np.zeros((n + 1, 1 << bits), dtype=bool)
     for first, corners in blocks:
         if first % block_rows == 0:
@@ -329,12 +324,10 @@ def projection_measures(
         words = digit_words(cols, width)
         labels = _piece_labels(spec, probe, words, width)
         lift = np.flatnonzero((labels > 0) & (labels < n))
-        piece = labels.take(lift)
-        field = _F_codes(spec, cols, lift, image_depth)
         words >>= width - image_depth  # now each coordinate's image cell
-        codes = _cell_codes(words, image_depth)
-        codes[lift] = field << place.take(piece) | codes.take(lift) & keep.take(piece)
-        occupancy.reshape(-1)[row_start.take(labels) | codes] = True
+        # F in place of x_i permutes piece i's image coordinates: image cells map one to one
+        words[labels.take(lift) - 1, lift] = _F_codes(spec, cols, lift, image_depth)
+        occupancy.reshape(-1)[_cell_codes([row.take(labels), *words], image_depth)] = True
     cell_area = (2.0**-image_depth) ** d
     return {axis: float(occupancy[axis - 1].sum()) * cell_area for axis in range(1, n + 1)}
 
