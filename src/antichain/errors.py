@@ -1,7 +1,7 @@
-"""Exception taxonomy, the evaluation budget and the integer-argument rule
-shared by all modules."""
+"""Exception taxonomy, the evaluation budget and the integer and real-number
+argument rules shared by all modules."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 #: default cap on the number of surface evaluations in one estimator call
 DEFAULT_EVAL_BUDGET = 100_000_000
@@ -23,6 +23,14 @@ def check_int(name: str, value, low: int | None, high: int | None = None):
     if low is not None and (value < low or high is not None and value > high):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ConfigurationError(f"{name} must be {bounds}, got {value}")
+    return value
+
+
+def check_real(name: str, value):
+    """Return ``value`` if it is a real number (numpy reals and fractions pass;
+    strings and bools do not); else raise ``ConfigurationError``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
     return value
 
 

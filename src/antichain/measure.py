@@ -366,7 +366,7 @@ def classify_regions(spec: SurfaceSpec, probe: SingularSetProbe, points: np.ndar
     if points.ndim != 2 or points.shape[1] != spec.domain_dim:
         raise DomainError(f"expected points of dimension {spec.domain_dim}")
     if probe.depth > spec.f.depth:
-        raise PrecisionError(f"slope depth {probe.depth} exceeds spec depth {spec.f.depth}")
+        raise PrecisionError(f"probe depth {probe.depth} exceeds spec depth {spec.f.depth}")
     if points.size and not (points.min() > 0.0 and points.max() < 1.0):
         raise DomainError("coordinates must lie in (0,1)")
     return _piece_labels(spec, probe, digit_words(points.T, probe.depth), probe.depth)

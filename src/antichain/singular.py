@@ -20,12 +20,11 @@ the scalar calls are one-row wrappers over it.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, PrecisionError, check_int
+from .errors import ConfigurationError, DomainError, PrecisionError, check_int, check_real
 
 SALEM = "salem"
 #: the construction needs a strictly increasing f, so the devil's staircase,
@@ -61,9 +60,7 @@ class SingularFunctionSpec:
             raise ConfigurationError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
         # plain ints and floats: the tables are cached by, and built from, them
         object.__setattr__(self, "depth", int(check_int("depth", self.depth, 1, 63)))
-        lam = self.lam
-        if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
-            raise ConfigurationError(f"lam must be a real number, got {lam!r}")
+        lam = check_real("lam", self.lam)
         if not (0 < lam < 1 and 0.0 < float(lam) < 1.0):  # compared before float() can overflow
             raise ConfigurationError(f"salem ratio must lie in (0,1), got {lam}")
         object.__setattr__(self, "lam", float(lam))
@@ -79,8 +76,8 @@ class SingularSetProbe:
     """Finite surrogate for the full-measure set where the derivative vanishes.
 
     A point belongs to the probed set iff its dyadic slope at resolution
-    ``depth`` falls below ``eps``.  Membership is monotone in eps: a larger
-    threshold accepts a superset of points.
+    ``depth`` falls below ``eps``, a real number stored as its float, which must be
+    positive and finite.  Membership is monotone in eps: a larger eps accepts more.
     """
 
     depth: int = 40
@@ -88,8 +85,10 @@ class SingularSetProbe:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "depth", int(check_int("probe depth", self.depth, 1)))
-        if not self.eps > 0.0:
-            raise ConfigurationError(f"probe eps must be positive, got {self.eps}")
+        eps = check_real("probe eps", self.eps)
+        if not (0 < eps <= np.finfo(float).max and float(eps) > 0.0):  # float() cannot overflow
+            raise ConfigurationError(f"probe eps must be a positive finite float, got {eps}")
+        object.__setattr__(self, "eps", float(eps))
 
 
 def digit_words(xs: np.ndarray, k: int) -> np.ndarray:

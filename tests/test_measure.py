@@ -556,8 +556,11 @@ def test_projection_count_monotone_in_image_depth(surface_n2):
 
 def test_projection_validation(surface_n3):
     probe = SingularSetProbe(depth=40, eps=0.01)
-    with pytest.raises(PrecisionError):
+    deep = "probe depth 60 exceeds spec depth 52"  # both name the probe's depth alike
+    with pytest.raises(PrecisionError, match=deep):
         projection_measures(surface_n3, SingularSetProbe(depth=60), 6, 5, 2)
+    with pytest.raises(PrecisionError, match=deep):
+        classify_regions(surface_n3, SingularSetProbe(depth=60), np.full((3, 2), 0.5))
     with pytest.raises(BudgetError):
         projection_measures(surface_n3, probe, 10, 5, 3, budget=100)
     with pytest.raises(BudgetError, match=r"occupancy array of 3 x 2\^30 cells"):

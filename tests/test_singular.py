@@ -86,6 +86,20 @@ def test_probe_validation():
         SingularSetProbe(eps=0.0)
     with pytest.raises(ConfigurationError):
         SingularSetProbe(eps=-1.0)
+    # eps has lam's input rule: a real number, not a bool, refused with
+    # ConfigurationError otherwise (no bare TypeError), and stored as its float,
+    # which must be positive and finite (a fraction under the float range rounds
+    # to 0.0; one past it would overflow in float())
+    for eps in ("0.1", None, True, Decimal("0.1")):
+        with pytest.raises(ConfigurationError, match="probe eps must be a real number"):
+            SingularSetProbe(eps=eps)
+    for eps in (math.nan, math.inf, Fraction(1, 10**400), Fraction(10**400)):
+        with pytest.raises(ConfigurationError, match="probe eps must be a positive finite"):
+            SingularSetProbe(eps=eps)
+    for real in (Fraction(1, 3), np.float32(0.01), np.float64(0.5), 2, np.int64(3)):
+        probe = SingularSetProbe(eps=real)
+        assert type(probe.eps) is float and probe.eps == float(real)
+        assert probe == SingularSetProbe(eps=float(real))
 
 
 def test_strictness_flags():
