@@ -1,7 +1,8 @@
 """Record the golden reports of every command, and the headline script's stdout.
 
-Each invocation below runs through ``antichain.cli.main``; its exit code and
-the exact text it writes to stdout are stored in ``reports.json`` beside
+Each invocation below runs through ``antichain.cli.main``, with the
+variables of its ``ENVIRONMENTS`` entry set; its exit code, its environment
+and the exact text it writes to stdout are stored in ``reports.json`` beside
 this file, which ``tests/test_golden.py`` compares byte for byte.  The
 stdout of ``scripts/reproduce_headline.py --quick`` is stored in
 ``headline_quick.txt``, which ``tests/test_golden.py`` compares too.  Record
@@ -9,7 +10,8 @@ from the code whose reports are to be frozen, from the repository root:
 
     PYTHONPATH=src python tests/golden/record.py
 
-stderr is not recorded: it carries the wall time.
+stderr is recorded only for a refusal (exit code 2): that is one ``error:``
+line, while a run that finishes prints its wall time there.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 from antichain import cli
 
@@ -71,15 +74,27 @@ INVOCATIONS = {
     "length-lam0.01": ["length", "--k", "12", "--lambda", "0.01"],
     **{f"export-mesh-n{n}-{fmt}": ["export-mesh", "--n", str(n), "--resolution", "7",
                                    "--format", fmt] for n in (2, 3) for fmt in ("json", "csv")},
+    # refusals that leave through main's except (the parser's own raise SystemExit)
+    "refuse-eval-depth0": ["eval", "--n", "3", "--point", "0.5,0.5", "--depth", "0"],
+    "refuse-export-mesh-resolution0": ["export-mesh", "--resolution", "0"],
+    "refuse-dimension-lam1.5": ["dimension", "--n", "3", "--lambda", "1.5"],
+    "refuse-check-antichain-pairs0": ["check-antichain", "--pairs", "0"],
+    "refuse-projections-probe60": ["projections", "--n", "3", "--probe-depth", "60"],
+    "refuse-export-mesh-budget24": ["export-mesh", "--n", "3", "--resolution", "5"],
 }
 
+#: name -> environment variables set for that invocation alone
+ENVIRONMENTS = {"refuse-export-mesh-budget24": {"ANTICHAIN_BUDGET": "24"}}
 
-def report(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of one invocation through ``cli.main``."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+
+def report(argv: list[str], env: dict[str, str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one invocation through ``cli.main``,
+    with the variables ``env`` set."""
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
         code = cli.main(list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def headline_quick() -> str:
@@ -96,8 +111,13 @@ def main() -> int:
     HEADLINE.write_text(headline_quick(), encoding="utf-8")
     reports = {}
     for name, argv in INVOCATIONS.items():
-        code, stdout = report(argv)
+        env = ENVIRONMENTS.get(name, {})
+        code, stdout, stderr = report(argv, env)
         reports[name] = {"argv": argv, "exit_code": code, "stdout": stdout}
+        if env:
+            reports[name]["env"] = env
+        if code == 2:
+            reports[name]["stderr"] = stderr
         print(f"{name}: exit {code}", file=sys.stderr)
     REPORTS.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
