@@ -74,7 +74,7 @@ INVOCATIONS = {
     "length-lam0.01": ["length", "--k", "12", "--lambda", "0.01"],
     **{f"export-mesh-n{n}-{fmt}": ["export-mesh", "--n", str(n), "--resolution", "7",
                                    "--format", fmt] for n in (2, 3) for fmt in ("json", "csv")},
-    # refusals that leave through main's except (the parser's own raise SystemExit)
+    # refusals that leave through main's except; the parser's refusals raise SystemExit
     "refuse-eval-depth0": ["eval", "--n", "3", "--point", "0.5,0.5", "--depth", "0"],
     "refuse-export-mesh-resolution0": ["export-mesh", "--resolution", "0"],
     "refuse-dimension-lam1.5": ["dimension", "--n", "3", "--lambda", "1.5"],
@@ -89,10 +89,11 @@ ENVIRONMENTS = {"refuse-export-mesh-budget24": {"ANTICHAIN_BUDGET": "24"}}
 
 def report(argv: list[str], env: dict[str, str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one invocation through ``cli.main``,
-    with the variables ``env`` set."""
+    with the variables ``env`` set and the budget variable only if ``env`` sets it."""
     out, err = io.StringIO(), io.StringIO()
-    with (mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out),
-          contextlib.redirect_stderr(err)):
+    environ = {k: v for k, v in os.environ.items() if k != cli.BUDGET_ENV_VAR}
+    with (mock.patch.dict(os.environ, {**environ, **env}, clear=True),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
         code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
