@@ -1,7 +1,7 @@
 """Exception taxonomy, the evaluation budget and the integer and real-number
 argument rules shared by all modules."""
 
-from numbers import Integral, Real
+from numbers import Integral, Rational, Real
 
 #: default cap on the number of surface evaluations in one estimator call
 DEFAULT_EVAL_BUDGET = 100_000_000
@@ -19,10 +19,10 @@ def check_int(name: str, value, low: int | None, high: int | None = None):
     pass; floats, strings and bools do not); else raise ``ConfigurationError``.
     ``low=None`` checks the type alone, for callers with their own range rule."""
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        raise ConfigurationError(f"{name} must be an integer, got {_short(value, repr)}")
     if low is not None and (value < low or high is not None and value > high):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ConfigurationError(f"{name} must be {bounds}, got {value}")
+        raise ConfigurationError(f"{name} must be {bounds}, got {_short(value)}")
     return value
 
 
@@ -34,13 +34,17 @@ def check_real(name: str, value):
     return value
 
 
-def _short(count: int) -> str:
-    """A count as digits, or past 64 bits as the power of two it passes, so a
-    huge count never meets the integer-to-string digit limit."""
-    if abs(count) < 2**64:
-        return str(count)
-    power = f"2^{abs(count).bit_length() - 1}"
-    return f"at least {power}" if count > 0 else f"at most -{power}"
+def _short(value, form=str) -> str:
+    """``form(value)``, or for a rational past 64 bits in numerator or denominator
+    the power of two it passes (an integer) or lies within a factor 2 of, so a
+    huge number never meets the integer-to-string digit limit."""
+    num, den = (value.numerator, value.denominator) if isinstance(value, Rational) else (0, 1)
+    if max(abs(num), den) < 2**64:
+        return form(value)
+    if den > 1:
+        return f"about {'-' if num < 0 else ''}2^{abs(num).bit_length() - den.bit_length()}"
+    power = f"2^{abs(num).bit_length() - 1}"
+    return f"at least {power}" if num > 0 else f"at most -{power}"
 
 
 class AntichainError(Exception):

@@ -22,12 +22,16 @@ marks and areas are those of evaluating every lifted row in full.
 Counts are exact integers; length/area accumulations keep float error far
 below the 1e-12 budget (per-chunk pairwise sums combined with exact fsum).
 Both sweeps walk one grid in chunks of at most ``_CHUNK_ROWS`` rows; jitter comes
-from a generator keyed by seed and cell block, so results do not depend on the chunks.
+from a generator keyed by seed and cell block, so results do not depend on the chunks;
+the projection sweep draws a chunk's samples while the one before is marked (``_one_ahead``).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -98,10 +102,10 @@ def cover_sum(s: float, n: int, k: int, count: float) -> float:
     return alpha(s) * count * delta**s
 
 
-def _grid_walk(side: int, dim: int, per_point: int, block: int,
-               budget: int) -> Iterator[tuple[int, np.ndarray]]:
+def _grid_walk(side: int, dim: int, per_point: int, block: int, budget: int,
+               dtype: type = np.int64) -> Iterator[tuple[int, np.ndarray]]:
     """Integer coordinates of the side^dim grid in flat-id order, each point
-    repeated on ``per_point`` consecutive rows, as (first row, (dim, rows))
+    repeated on ``per_point`` consecutive rows, as (first row, (dim, rows) ``dtype``)
     blocks of ``block`` rows.  The budget charge of one evaluation per row and
     the 64-bit row-id guard run at the call, not lazily."""
     rows = side**dim * per_point
@@ -113,7 +117,7 @@ def _grid_walk(side: int, dim: int, per_point: int, block: int,
         stop = min(start + block, rows)
         first = start // per_point  # the points of the block, each divided once
         ids = np.arange(first, (stop - 1) // per_point + 1, dtype=np.int64)
-        out = np.empty((dim, len(ids)), dtype=np.int64)
+        out = np.empty((dim, len(ids)), dtype=dtype)
         for j in range(dim - 1, -1, -1):
             rest = ids // side
             np.subtract(ids, rest * side, out=out[j])  # faster than np.remainder
@@ -193,11 +197,13 @@ def occupied_cell_count(
     sweep = lattice_surface(spec, side, axis, budget)
     # axis value i lies in cell i // m, the last (1, clipped) in the last cell: the
     # float q + r/m stays below q + 1 while m q < 2^52, as in any lattice in memory
-    cells = np.arange(side) // m
+    # int32 codes where they fit (as the projection's marks): they sort faster
+    cells = np.arange(side, dtype=np.int32 if domain_depth * spec.n < 32 else np.int64) // m
     np.minimum(cells, (1 << domain_depth) - 1, out=cells)
     seen = [_distinct(_cell_codes([*cells.take(ids), digit_words(F, domain_depth)],
                                   domain_depth)) for ids, F in sweep]
-    return int(_distinct(np.concatenate(seen)).size)
+    # one chunk's codes are already distinct and sorted
+    return int((seen[0] if len(seen) == 1 else _distinct(np.concatenate(seen))).size)
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:
@@ -310,26 +316,66 @@ def projection_measures(
     # power-of-two chunks of rows tile the jitter blocks of JITTER_BLOCK cells
     chunk = 1 << (min(_CHUNK_ROWS, JITTER_BLOCK).bit_length() - 1)
     block_rows = JITTER_BLOCK * per_cell
-    blocks = _grid_walk(1 << domain_depth, d, per_cell, chunk, budget)
-    row = np.r_[n, :n]  # by label: piece i's row i - 1; label 0's discard row n
+    blocks = _grid_walk(1 << domain_depth, d, per_cell, chunk, budget, np.float64)
+    row = np.r_[n, :n].astype(np.int32)  # by label: piece i's row i - 1; label 0's discard row n
     occupancy = np.zeros((n + 1, 1 << bits), dtype=bool)
-    for first, corners in blocks:
-        if first % block_rows == 0:
-            jitter = _block_jitter(seed, first // block_rows)
-        cols = np.empty(corners.shape)  # (d, rows): each coordinate contiguous
-        np.add(jitter.random(corners.shape[::-1]).T, corners, out=cols)
-        del corners  # its last use: freed while the chunk works
-        cols *= 1.0 / (1 << domain_depth)  # scaling by a power of two is exact
-        np.clip(cols, _EDGE, 1.0 - _EDGE, out=cols)  # a draw can land on 0.0 or round to 1.0
+
+    def samples() -> Iterator[np.ndarray]:  # (d, rows), each coordinate contiguous
+        for first, cols in blocks:
+            if first % block_rows == 0:
+                jitter = _block_jitter(seed, first // block_rows)
+            cols += jitter.random(cols.shape[::-1]).T
+            cols *= 1.0 / (1 << domain_depth)  # scaling by a power of two is exact
+            yield np.clip(cols, _EDGE, 1.0 - _EDGE, out=cols)  # a draw can be 0.0 or round to 1.0
+
+    for cols in _one_ahead(samples()):
         words = digit_words(cols, width)
         labels = _piece_labels(spec, probe, words, width)
         lift = np.flatnonzero((labels > 0) & (labels < n))
-        words >>= width - image_depth  # now each coordinate's image cell
+        words >>= width - image_depth  # now each coordinate's image cell; the guard
+        words = words.astype(np.int32)  # keeps every image code below 2^28
         # F in place of x_i permutes piece i's image coordinates: image cells map one to one
         words[labels.take(lift) - 1, lift] = _F_codes(spec, cols, lift, image_depth)
-        occupancy.reshape(-1)[_cell_codes([row.take(labels), *words], image_depth)] = True
+        codes = _cell_codes([row.take(labels), *words], image_depth)
+        occupancy.reshape(-1)[codes.astype(np.intp)] = True  # faster than indexing's own cast
     cell_area = (2.0**-image_depth) ** d
     return {axis: float(occupancy[axis - 1].sum()) * cell_area for axis in range(1, n + 1)}
+
+
+def _one_ahead(items: Iterator) -> Iterator:
+    """``items`` in order, each built on a worker thread while the caller works on
+    the one before, or in line when the process may use only one CPU.  The worker's
+    exception is raised here, and the worker is joined on every exit."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        yield from items
+        return
+    # the worker puts an item and waits until it is taken; the list of failures ends them
+    ready, taken, stop, failed = queue.SimpleQueue(), threading.Semaphore(0), threading.Event(), []
+
+    def work() -> None:
+        try:
+            for item in items:
+                ready.put(item)
+                taken.acquire()
+                if stop.is_set():
+                    return
+        except BaseException as exc:  # raised again in the caller
+            failed.append(exc)
+        ready.put(failed)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        while (item := ready.get()) is not failed:
+            taken.release()
+            yield item
+    finally:
+        stop.set()
+        taken.release()
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 def _piece_labels(spec: SurfaceSpec, probe: SingularSetProbe, words: np.ndarray,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, PrecisionError, check_int, check_real
+from .errors import ConfigurationError, DomainError, PrecisionError, _short, check_int, check_real
 
 SALEM = "salem"
 #: the construction needs a strictly increasing f, so the devil's staircase,
@@ -62,7 +62,7 @@ class SingularFunctionSpec:
         object.__setattr__(self, "depth", int(check_int("depth", self.depth, 1, 63)))
         lam = check_real("lam", self.lam)
         if not (0 < lam < 1 and 0.0 < float(lam) < 1.0):  # compared before float() can overflow
-            raise ConfigurationError(f"salem ratio must lie in (0,1), got {lam}")
+            raise ConfigurationError(f"salem ratio must lie in (0,1), got {_short(lam)}")
         object.__setattr__(self, "lam", float(lam))
 
     @property
@@ -87,7 +87,8 @@ class SingularSetProbe:
         object.__setattr__(self, "depth", int(check_int("probe depth", self.depth, 1)))
         eps = check_real("probe eps", self.eps)
         if not (0 < eps <= np.finfo(float).max and float(eps) > 0.0):  # float() cannot overflow
-            raise ConfigurationError(f"probe eps must be a positive finite float, got {eps}")
+            raise ConfigurationError(
+                f"probe eps must be a positive finite float, got {_short(eps)}")
         object.__setattr__(self, "eps", float(eps))
 
 

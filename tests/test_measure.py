@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -29,6 +31,7 @@ from antichain.measure import (
     _block_jitter,
     _cell_codes,
     _grid_walk,
+    _one_ahead,
     classify_regions,
     cover_sum,
 )
@@ -180,6 +183,11 @@ def test_grid_walk_matches_unravel_index(side, dim, per_point, block):
     expected = np.stack(np.unravel_index(np.arange(rows) // per_point, (side,) * dim))
     assert got.dtype == np.int64
     assert np.array_equal(got, expected)
+    # the projection's walk: the same coordinates as floats
+    floats = np.concatenate([coords for _, coords in _grid_walk(side, dim, per_point, block,
+                                                                 rows, np.float64)], axis=1)
+    assert floats.dtype == np.float64
+    assert np.array_equal(floats, expected)
 
 
 # --------------------------------------------------------------- occupancy
@@ -230,6 +238,13 @@ def test_cover_counts_do_not_depend_on_block_size(surface_n2, surface_n3, salem_
     assert counts == [1338, 668, 363, 375, 104]
     monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 1 << 21)
     assert occupied_cell_count(surface_n3, 7, 2) == split
+
+
+@pytest.mark.parametrize("k", [15, 16])
+def test_cover_codes_either_side_of_int32(surface_n2, k):
+    # 2k code bits: the codes are int32 at k = 15 and int64 at k = 16, and
+    # both sweeps of 2^k + 1 points take three chunks
+    assert occupied_cell_count(surface_n2, k, 1) == lattice_cell_count(surface_n2, k, 1)
 
 
 def test_cover_evaluates_each_lattice_point_once(surface_n3, monkeypatch):
@@ -646,6 +661,100 @@ def test_projection_deterministic(surface_n2):
     a = projection_measures(surface_n2, probe, 9, 6, 2, seed=11)[1]
     b = projection_measures(surface_n2, probe, 9, 6, 2, seed=11)[1]
     assert a == b
+
+
+# ------------------------------------------------------- sampling thread
+
+
+def set_cpus(monkeypatch, cpus):
+    """The CPUs the process may use, as the sweep reads them (also where the
+    platform has no affinity mask)."""
+    monkeypatch.setattr(measure_module.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+def marked_sweep(monkeypatch, spec, kd, ki, m):
+    """Areas, the distinct codes marked and the thread counts seen while marking."""
+    marked, threads = [], set()
+
+    def spy(axes, depth):
+        codes = _cell_codes(axes, depth)
+        marked.append(np.unique(codes))
+        threads.add(threading.active_count())
+        return codes
+
+    monkeypatch.setattr(measure_module, "_cell_codes", spy)
+    areas = projection_measures(spec, SingularSetProbe(depth=40, eps=0.01), kd, ki, m, seed=2)
+    return areas, np.unique(np.concatenate(marked)), threads
+
+
+@pytest.mark.parametrize("n, kd, ki, m", [
+    (2, 18, 8, 1),  # 2 jitter blocks
+    (3, 10, 6, 1),  # 8 jitter blocks
+    (3, 6, 7, 3),  # image cells finer than the domain cells; 2 chunks
+])
+def test_projection_marks_same_with_worker_and_in_line(salem_default, monkeypatch,
+                                                       n, kd, ki, m):
+    # the worker draws each chunk's samples while the one before is marked, so
+    # it is alive while the first chunk is; on one CPU the sweep draws them in
+    # line and starts no thread
+    spec = SurfaceSpec(n=n, f=salem_default)
+    before = threading.active_count()
+    set_cpus(monkeypatch, 2)
+    areas, marked, threads = marked_sweep(monkeypatch, spec, kd, ki, m)
+    assert before + 1 in threads
+    set_cpus(monkeypatch, 1)
+    in_line = marked_sweep(monkeypatch, spec, kd, ki, m)
+    assert in_line[0] == areas
+    assert np.array_equal(in_line[1], marked)
+    assert in_line[2] == {before}
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("side", ["worker", "caller"])
+def test_projection_error_joins_the_worker(surface_n2, monkeypatch, side):
+    # a draw failing on the second jitter block, or a mark failing on the third
+    # chunk, reaches the caller, and no thread outlives the call
+    set_cpus(monkeypatch, 2)
+    marks = []
+
+    def failing_jitter(seed, block):
+        if block == 1:
+            raise RuntimeError("draw failed")
+        return _block_jitter(seed, block)
+
+    def failing_codes(axes, depth):
+        marks.append(depth)
+        if len(marks) == 3:
+            raise RuntimeError("mark failed")
+        return _cell_codes(axes, depth)
+
+    if side == "worker":
+        monkeypatch.setattr(measure_module, "_block_jitter", failing_jitter)
+    else:
+        monkeypatch.setattr(measure_module, "_cell_codes", failing_codes)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{'draw' if side == 'worker' else 'mark'} failed"):
+        projection_measures(surface_n2, SingularSetProbe(depth=40, eps=0.01), 18, 8, 1)
+    assert threading.active_count() == before
+
+
+def test_one_ahead_in_order_and_joined_on_early_exit(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand-offs interleave at many more points
+    try:
+        assert list(_one_ahead(iter(range(3000)))) == list(range(3000))
+    finally:
+        sys.setswitchinterval(interval)
+    items = _one_ahead(iter(range(7)))
+    assert next(items) == 0
+    assert threading.active_count() == before + 1
+    items.close()
+    assert threading.active_count() == before
+    set_cpus(monkeypatch, 1)
+    assert list(_one_ahead(iter(range(7)))) == list(range(7))
 
 
 class ConstantJitter:

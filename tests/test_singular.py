@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -39,11 +40,14 @@ unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
                                  pytest.param(Decimal("0.25"), id="decimal"),
                                  pytest.param(True, id="bool"), pytest.param(None, id="none"),
                                  pytest.param(Fraction(10**400), id="huge"),
-                                 pytest.param(Fraction(1, 10**400), id="tiny")])
+                                 pytest.param(Fraction(1, 10**400), id="tiny"),
+                                 pytest.param(Fraction(10**5000), id="huge-digits"),
+                                 pytest.param(Fraction(1, 10**5000), id="tiny-digits")])
 def test_lambda_out_of_range_rejected(lam):
     # lam is a real number in (0,1), refused with ConfigurationError otherwise
-    # (no bare TypeError, no overflow in float()); a real one is stored as the
-    # float, a dyadic ratio, that the tables are built from
+    # (no bare TypeError, no overflow in float(), no digit-limit ValueError from
+    # the message); a real one is stored as the float, a dyadic ratio, that the
+    # tables are built from
     with pytest.raises(ConfigurationError, match="lam must be a real number|must lie in"):
         SingularFunctionSpec(lam=lam)
     for real in (Fraction(1, 3), np.float32(0.25), np.float64(0.5)):
@@ -52,17 +56,19 @@ def test_lambda_out_of_range_rejected(lam):
         assert spec == SingularFunctionSpec(lam=float(real))
 
 
-@pytest.mark.parametrize("depth", [0, -3, 64, 100])
+@pytest.mark.parametrize("depth", [0, -3, 64, 100, pytest.param(10**5000, id="huge")])
 def test_depth_out_of_range_rejected(depth):
     with pytest.raises(ConfigurationError):
         SingularFunctionSpec(depth=depth)
 
 
-@pytest.mark.parametrize("depth", [52.0, 52.5, "52", True])
+@pytest.mark.parametrize("depth", [52.0, 52.5, "52", True,
+                                   pytest.param(Fraction(10**5000), id="huge-fraction")])
 def test_non_integer_depth_rejected(depth):
     # a float depth used to construct and then fail inside numpy with a bare
     # TypeError, and True constructed a depth-1 spec; numpy integers still
-    # pass, stored as ints (a numpy depth used to overflow the tables' powers)
+    # pass, stored as ints (a numpy depth used to overflow the tables' powers);
+    # a huge fraction is named without meeting the integer-to-string digit limit
     with pytest.raises(ConfigurationError, match="^depth must be an integer, got "):
         SingularFunctionSpec(depth=depth)
     with pytest.raises(ConfigurationError, match="^probe depth must be an integer, got "):
@@ -95,6 +101,11 @@ def test_probe_validation():
             SingularSetProbe(eps=eps)
     for eps in (math.nan, math.inf, Fraction(1, 10**400), Fraction(10**400)):
         with pytest.raises(ConfigurationError, match="probe eps must be a positive finite"):
+            SingularSetProbe(eps=eps)
+    # past the integer-to-string digit limit, a refused value is shown as a power of two
+    for eps, shown in ((Fraction(10**5000), "at least 2^16609"),
+                       (Fraction(1, 10**5000), "about 2^-16609")):
+        with pytest.raises(ConfigurationError, match=f"finite float, got {re.escape(shown)}$"):
             SingularSetProbe(eps=eps)
     for real in (Fraction(1, 3), np.float32(0.01), np.float64(0.5), 2, np.int64(3)):
         probe = SingularSetProbe(eps=real)
