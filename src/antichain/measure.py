@@ -324,7 +324,8 @@ def projection_measures(
         for first, cols in blocks:
             if first % block_rows == 0:
                 jitter = _block_jitter(seed, first // block_rows)
-            cols += jitter.random(cols.shape[::-1]).T
+            for piece in np.array_split(cols, 2, axis=1):  # in halves: a half-size draw
+                piece += jitter.random(piece.shape[::-1]).T
             cols *= 1.0 / (1 << domain_depth)  # scaling by a power of two is exact
             yield np.clip(cols, _EDGE, 1.0 - _EDGE, out=cols)  # a draw can be 0.0 or round to 1.0
 
@@ -338,6 +339,7 @@ def projection_measures(
         words[labels.take(lift) - 1, lift] = _F_codes(spec, cols, lift, image_depth)
         codes = _cell_codes([row.take(labels), *words], image_depth)
         occupancy.reshape(-1)[codes.astype(np.intp)] = True  # faster than indexing's own cast
+        del cols, words, labels, lift, codes  # freed before the worker builds the next chunk
     cell_area = (2.0**-image_depth) ** d
     return {axis: float(occupancy[axis - 1].sum()) * cell_area for axis in range(1, n + 1)}
 
