@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
@@ -352,6 +351,8 @@ def _one_ahead(items: Iterator) -> Iterator:
     if (cpus or 1) < 2:
         yield from items
         return
+    import queue  # here, not at module import: the package's start-up does not pay for it
+
     # the worker puts an item and waits until it is taken; the list of failures ends them
     ready, taken, stop, failed = queue.SimpleQueue(), threading.Semaphore(0), threading.Event(), []
 
