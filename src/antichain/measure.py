@@ -196,9 +196,10 @@ def occupied_cell_count(
     sweep = lattice_surface(spec, side, axis, budget)
     # axis value i lies in cell i // m, the last (1, clipped) in the last cell: the
     # float q + r/m stays below q + 1 while m q < 2^52, as in any lattice in memory
-    # int32 codes where they fit (as the projection's marks): they sort faster
-    cells = np.arange(side, dtype=np.int32 if domain_depth * spec.n < 32 else np.int64) // m
+    cells = np.arange(side) // m
     np.minimum(cells, (1 << domain_depth) - 1, out=cells)
+    # int32 codes where they fit (as the projection's marks): they sort faster
+    cells = cells.astype(np.int32) if domain_depth * spec.n < 32 else cells
     seen = [_distinct(_cell_codes([*cells.take(ids), digit_words(F, domain_depth)],
                                   domain_depth)) for ids, F in sweep]
     # one chunk's codes are already distinct and sorted
