@@ -242,8 +242,8 @@ def test_cover_counts_do_not_depend_on_block_size(surface_n2, surface_n3, salem_
 
 @pytest.mark.parametrize("k", [15, 16])
 def test_cover_codes_either_side_of_int32(surface_n2, k):
-    # 2k code bits: the codes are int32 at k = 15 and int64 at k = 16, and
-    # both sweeps of 2^k + 1 points take three chunks
+    # 2k code bits: the codes are int32 at k = 15 and int64 at k = 16; the
+    # sweeps of 2^k + 1 points take two and three chunks
     assert occupied_cell_count(surface_n2, k, 1) == lattice_cell_count(surface_n2, k, 1)
 
 
