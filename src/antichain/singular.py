@@ -86,7 +86,11 @@ class SingularSetProbe:
     def __post_init__(self) -> None:
         object.__setattr__(self, "depth", int(check_int("probe depth", self.depth, 1)))
         eps = check_real("probe eps", self.eps)
-        if not (0 < eps <= np.finfo(float).max and float(eps) > 0.0):  # float() cannot overflow
+        try:
+            finite = 0 < eps <= np.finfo(float).max
+        except OverflowError:  # numpy cannot convert a Python int past the float range
+            finite = False
+        if not (finite and float(eps) > 0.0):  # float() cannot overflow
             raise ConfigurationError(
                 f"probe eps must be a positive finite float, got {_short(eps)}")
         object.__setattr__(self, "eps", float(eps))

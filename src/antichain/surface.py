@@ -30,18 +30,18 @@ coordinate's digit word from per-cell tables built once per spec at the
 cell midpoints; at a cell's left end, where the elementwise box is
 narrower, the table's box holds it.
 
-Pair verdicts are taken in two passes.  The first computes only what an
-``ordered_ok`` verdict needs: lo of each lower point, from the upper corner
-of its shallow box, and hi of each upper point, from the lower corner,
-gathered by coordinate into one corner array that one ``p_many`` reads as
-contiguous columns.  The pairs it leaves not ok are enclosed in full at
-the spec's depth.  Every enclosure contains the exact F, so a first-pass
-verdict is certified, and a deep box lies inside the shallow one up to a
-few ulps of rounding: the full-depth pass would confirm it.  A two-sided
-shallow pass could add only violations, which no sound enclosure
-certifies for a comparable pair (F is strictly decreasing).  The scan
-holds each block by coordinate too: lower points in the first half of
-each coordinate's row, upper points in the second.
+Pair verdicts are taken in two passes.  The first reads the points' digit
+words and computes only what an ``ordered_ok`` verdict needs: lo of each
+lower point, from the upper corner of its shallow box, and hi of each upper
+point, from the lower corner, gathered by coordinate into one corner array
+that one ``p_many`` reads as contiguous columns.  The pairs it leaves not
+ok are enclosed in full at the spec's depth.  Every enclosure contains the
+exact F, so a first-pass verdict is certified, and a deep box lies inside
+the shallow one up to a few ulps of rounding: the full-depth pass would
+confirm it.  A two-sided shallow pass could add only violations, which no
+sound enclosure certifies for a comparable pair (F is strictly
+decreasing).  The scan draws its points as 53-bit integers, takes their
+digit words by a shift and makes doubles only for the second pass.
 
 The projection sweep's first marks read F's bounds off the same box
 (``shallow_enclosure``): they hold the exact F and F as ``surface_values``
@@ -207,10 +207,11 @@ def surface_enclosure(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray
 
 @functools.lru_cache(maxsize=64)
 def _cell_boxes(f: SingularFunctionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Tables (f_lo, f_hi) of an f of depth at most ``_TABLE_DEPTH``: entry w
-    is the f box at the midpoint of cell w, each corner widened by ``_WIDEN``
-    of itself.  f's value and bound are the same at every point of a cell, and
-    hold f at its left end (``evaluate_many``)."""
+    """Tables (f_lo, f_hi) of f at depth T = min(f.depth, ``_TABLE_DEPTH``):
+    entry w is the f box at the midpoint of cell w, each corner widened by
+    ``_WIDEN`` of itself.  f's value and bound are the same at every point of
+    a cell, and hold f at its left end (``evaluate_many``)."""
+    f = replace(f, depth=min(f.depth, _TABLE_DEPTH))
     f_lo, f_hi = _f_box(f, *evaluate_many(f, (np.arange(1 << f.depth) + 0.5) / (1 << f.depth)))
     f_lo *= 1.0 - _WIDEN
     f_hi *= 1.0 + _WIDEN
@@ -231,8 +232,7 @@ def _shallow_f_box(
     # The exact truncated f at a depth above T is f at a point of the depth-T
     # cell, so it lies in the unwidened box.  Its computed value is at most
     # 2 ulps off (``rounding_ulps``), inside the widening of 2^8 ulps.
-    f = replace(f, depth=min(f.depth, _TABLE_DEPTH))
-    w, tables = digit_words(points, f.depth), _cell_boxes(f)
+    w, tables = digit_words(points, min(f.depth, _TABLE_DEPTH)), _cell_boxes(f)
     return tuple(tables[c][w] for c in corners)
 
 
@@ -283,32 +283,32 @@ def _pair_verdicts(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return lo[:k] > hi[k:], hi[:k] < lo[k:]
 
 
-def _first_pass_ok(spec: SurfaceSpec, rows: np.ndarray) -> np.ndarray:
-    """An ordered_ok mask for 2k rows of the open cube, k lower points then
-    their k upper partners, from one side of each shallow enclosure: lo of
-    the lower rows, from the upper corners of their ``_shallow_f_box``, and
-    hi of the upper rows, from the lower corners.  Both corners are gathered
-    by coordinate into one (d, 2k) array, whose transpose one ``p_many``
-    reads as contiguous columns."""
-    # Both are bounds on the exact F, so an ok pair is certified ordered_ok
-    # and is no violation.
-    k, cols = len(rows) // 2, rows.T
-    corners = np.empty(cols.shape)
-    corners[:, :k] = _shallow_f_box(spec.f, cols[:, :k], (1,))[0]
-    corners[:, k:] = _shallow_f_box(spec.f, cols[:, k:], (0,))[0]
+def _first_pass_ok(spec: SurfaceSpec, words: np.ndarray) -> np.ndarray:
+    """An ordered_ok mask for k pairs from the (d, 2k) depth-T digit words of
+    their points by coordinate, lower points in columns [0, k), upper in
+    [k, 2k): lo of the lower points, from the upper corners of their shallow
+    f boxes (``_shallow_f_box``), and hi of the upper points, from the lower
+    corners, gathered into one (d, 2k) array whose transpose one ``p_many``
+    reads as contiguous columns.  Both bound the exact F, so an ok pair is
+    certified ordered_ok and is no violation."""
+    k, (f_lo, f_hi) = words.shape[1] // 2, _cell_boxes(spec.f)
+    corners = np.empty(words.shape)
+    corners[:, :k] = f_hi.take(words[:, :k])
+    corners[:, k:] = f_lo.take(words[:, k:])
     lo_lower, hi_upper = _F_sides(corners.T, k)
     return lo_lower > hi_upper
 
 
-def _certified_verdicts(spec: SurfaceSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The masks (ordered_ok, violation) of ``_pair_verdicts`` for 2k rows:
-    ``_first_pass_ok``, then the full enclosures at the spec's depth of the
-    pairs it leaves not ok."""
-    ok = _first_pass_ok(spec, rows)
+def _certified_verdicts(spec: SurfaceSpec, words: np.ndarray, rows) -> tuple[np.ndarray, ...]:
+    """The masks (ordered_ok, violation) of ``_pair_verdicts`` for k pairs:
+    ``_first_pass_ok`` of their depth-T digit words, then the full enclosures
+    at the spec's depth of the pairs it leaves not ok, at the float rows that
+    ``rows`` returns for their columns."""
+    ok = _first_pass_ok(spec, words)
     bad = np.zeros_like(ok)
     todo = np.flatnonzero(~ok)
     if todo.size:
-        pairs = rows[np.concatenate([todo, todo + len(ok)])]
+        pairs = rows(np.concatenate([todo, todo + len(ok)]))
         ok[todo], bad[todo] = _pair_verdicts(*surface_enclosure(spec, pairs))
     return ok, bad
 
@@ -322,10 +322,25 @@ def check_antichain_pair(spec: SurfaceSpec, x: Point, y: Point) -> PairVerdict:
     upper = tuple(map(max, x.coords, y.coords))
     if lower not in (x.coords, y.coords):  # neither point lies below the other
         return PairVerdict("incomparable")
-    ok, bad = _certified_verdicts(spec, np.array([lower, upper]))
+    rows = np.array([lower, upper])
+    words = digit_words(rows.T, min(spec.f.depth, _TABLE_DEPTH))
+    ok, bad = _certified_verdicts(spec, words, rows.__getitem__)
     if bad[0]:
         return PairVerdict("violation")
     return PairVerdict("ordered_ok", within_tolerance=not ok[0])
+
+
+def _draw_block(bits: np.random.BitGenerator, d: int, k: int) -> np.ndarray:
+    """The scan's next k pairs as a (d, 2k) int64 block of 53-bit integers v,
+    each the double v 2^-53 that ``Generator.random`` makes of the same output:
+    by coordinate, each pair's min in columns [0, k), its max in [k, 2k)."""
+    raw = bits.random_raw(2 * d * k)
+    raw >>= 11
+    v = raw.view(np.int64).reshape(k, 2, d).transpose(1, 2, 0)  # (2, d, k): the two points
+    block = np.empty((d, 2 * k), dtype=np.int64)
+    np.minimum(v[0], v[1], out=block[:, :k])
+    np.maximum(v[0], v[1], out=block[:, k:])
+    return block
 
 
 @dataclass(frozen=True)
@@ -354,10 +369,10 @@ def antichain_scan(
     Pairs are walked in blocks of ``_SCAN_BLOCK``, so memory does not grow
     with ``pairs``.  Pair i reads the 2d uniforms at positions [2di, 2d(i+1))
     of the Philox stream keyed by the seed, so the verdicts do not depend
-    on the block size.  A block is held by coordinate, as one (d, 2k)
-    array: lower points in columns [0, k), upper points in [k, 2k).  Equal
-    points come up with probability about 2^(-53d); such a pair has
-    overlapping enclosures and counts as within tolerance.
+    on the block size.  A block is held by coordinate as integers
+    (``_draw_block``); a 0 becomes 2^-1074 as a double.  Equal points come
+    up with probability about 2^(-53d); such a pair has overlapping
+    enclosures and counts as within tolerance.
 
     Each block takes the shallow first pass and then, for the pairs it
     leaves not ok, the full enclosures at the spec's depth (see the module
@@ -371,16 +386,12 @@ def antichain_scan(
     check_budget(2 * pairs, budget)
     d = spec.domain_dim
     key = np.uint64(int(check_int("seed", seed, None)) & 0xFFFFFFFFFFFFFFFF)  # 64-bit semantics
-    rng = np.random.Generator(np.random.Philox(key=key))
+    bits, shift = np.random.Philox(key=key), 53 - min(spec.f.depth, _TABLE_DEPTH)
     ok = bad = 0
     for start in range(0, pairs, _SCAN_BLOCK):
-        k = min(_SCAN_BLOCK, pairs - start)
-        u = rng.random((k, 2, d)).transpose(1, 2, 0)  # (2, d, k): the two draws by coordinate
-        cols = np.empty((d, 2 * k))
-        np.minimum(u[0], u[1], out=cols[:, :k])
-        np.maximum(u[0], u[1], out=cols[:, k:])
-        np.maximum(cols, _ONE_ABOVE, out=cols)  # random() < 1, so no max exceeds _ONE_BELOW
-        ok_k, bad_k = _certified_verdicts(spec, cols.T)
+        block = _draw_block(bits, d, min(_SCAN_BLOCK, pairs - start))
+        ok_k, bad_k = _certified_verdicts(spec, block >> shift, lambda cols: np.maximum(
+            block[:, cols].T * 2.0**-53, _ONE_ABOVE))  # random() < 1: no max exceeds _ONE_BELOW
         ok += int(np.count_nonzero(ok_k))
         bad += int(np.count_nonzero(bad_k))
     tol = pairs - ok - bad

@@ -95,15 +95,16 @@ def test_probe_validation():
     # eps has lam's input rule: a real number, not a bool, refused with
     # ConfigurationError otherwise (no bare TypeError), and stored as its float,
     # which must be positive and finite (a fraction under the float range rounds
-    # to 0.0; one past it would overflow in float())
+    # to 0.0; one past it would overflow in float(), and an int past it in the
+    # comparison with the float range)
     for eps in ("0.1", None, True, Decimal("0.1")):
         with pytest.raises(ConfigurationError, match="probe eps must be a real number"):
             SingularSetProbe(eps=eps)
-    for eps in (math.nan, math.inf, Fraction(1, 10**400), Fraction(10**400)):
+    for eps in (math.nan, math.inf, Fraction(1, 10**400), Fraction(10**400), 10**400):
         with pytest.raises(ConfigurationError, match="probe eps must be a positive finite"):
             SingularSetProbe(eps=eps)
     # past the integer-to-string digit limit, a refused value is shown as a power of two
-    for eps, shown in ((Fraction(10**5000), "at least 2^16609"),
+    for eps, shown in ((Fraction(10**5000), "at least 2^16609"), (10**5000, "at least 2^16609"),
                        (Fraction(1, 10**5000), "about 2^-16609")):
         with pytest.raises(ConfigurationError, match=f"finite float, got {re.escape(shown)}$"):
             SingularSetProbe(eps=eps)

@@ -26,6 +26,7 @@ from antichain import (
     p_eval,
 )
 from antichain.measure import classify_regions
+from antichain.singular import digit_words
 from antichain.surface import (
     p_many,
     shallow_enclosure,
@@ -445,19 +446,26 @@ def test_scan_deterministic(surface_n3):
     assert a == b
 
 
+def drawn_rows(block):
+    """The 2k float rows of a drawn (d, 2k) block of 53-bit integers, as the
+    full-depth pass converts them: lower points first."""
+    return np.maximum(block.T * 2.0**-53, 2.0**-1074)
+
+
 def scan_pairs(monkeypatch, spec, pairs, seed, block):
     """Scan with ``block`` pairs per block; returns the result and the
-    (lower, upper) points it drew, recorded from the rows of each block's
-    one-sided first pass (the full-depth pass re-encloses some of them)."""
+    (lower, upper) points it drew, recorded from each block's draw as the
+    full-depth pass converts them (it re-encloses some of them)."""
     seen = []
-    first_pass_ok = surface_module._first_pass_ok
+    draw_block = surface_module._draw_block
 
-    def recording_first_pass(spec_, rows):
-        seen.append(rows.copy())
-        return first_pass_ok(spec_, rows)
+    def recording_draw(bits, d, k):
+        drawn = draw_block(bits, d, k)
+        seen.append(drawn_rows(drawn))
+        return drawn
 
     monkeypatch.setattr(surface_module, "_SCAN_BLOCK", block)
-    monkeypatch.setattr(surface_module, "_first_pass_ok", recording_first_pass)
+    monkeypatch.setattr(surface_module, "_draw_block", recording_draw)
     result = antichain_scan(spec, pairs, seed=seed)
     halves = [np.split(rows, 2) for rows in seen]
     return result, *(np.concatenate(h) for h in zip(*halves))
@@ -505,14 +513,17 @@ def test_scan_draws_the_conditional_law(monkeypatch, salem_default):
         assert np.all(np.abs((lower <= t).mean(axis=0) - cdf) <= 4 * se_t)
 
 
-@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("n", [2, 5, 4])
 def test_scan_draw_order_is_pinned(monkeypatch, salem_default, n):
     # pair i is (min, max) of the two points at rows (i, 0) and (i, 1) of the
     # seeded (pairs, 2, d) draw, bit for bit, in every block (the last one
     # short); a layout that mixed coordinates across pairs could still draw
-    # the conditional law
-    spec, pairs, seed = SurfaceSpec(n=n, f=salem_default), 2 * surface_module._SCAN_BLOCK + 7, 17
-    _, lower, upper = scan_pairs(monkeypatch, spec, pairs, seed, surface_module._SCAN_BLOCK)
+    # the conditional law.  At n = 4, blocks of 999 pairs draw 5994 values,
+    # 2 mod 4: the next block starts partway through a group of Philox's four
+    # outputs
+    block = 999 if n == 4 else surface_module._SCAN_BLOCK
+    spec, pairs, seed = SurfaceSpec(n=n, f=salem_default), 2 * block + 7, 17
+    _, lower, upper = scan_pairs(monkeypatch, spec, pairs, seed, block)
     u = np.random.Generator(np.random.Philox(key=seed)).random((pairs, 2, n - 1))
     np.testing.assert_array_equal(lower, u.min(axis=1))
     np.testing.assert_array_equal(upper, u.max(axis=1))
@@ -658,10 +669,19 @@ def test_full_depth_pass_encloses_only_undecided_pairs(monkeypatch):
     spec = SurfaceSpec(n=3, f=SingularFunctionSpec(lam=0.01))
     calls = []
     first_pass_ok = surface_module._first_pass_ok
+    draw_block = surface_module._draw_block
+    drawn = []
 
-    def recording_first_pass(spec_, rows):
-        calls.append(("first", spec_, rows.copy()))
-        return first_pass_ok(spec_, rows)
+    def recording_draw(bits, d, k):
+        block = draw_block(bits, d, k)
+        drawn.append(drawn_rows(block))
+        return block
+
+    def recording_first_pass(spec_, words):
+        # the rows of the block just drawn; of the pair's own points in the scalar check
+        rows = drawn.pop() if drawn else None
+        calls.append(("first", spec_, rows, words.copy()))
+        return first_pass_ok(spec_, words)
 
     def recording_enclosure(spec_, rows):
         calls.append(("full", spec_, rows.copy()))
@@ -669,12 +689,15 @@ def test_full_depth_pass_encloses_only_undecided_pairs(monkeypatch):
 
     monkeypatch.setattr(surface_module, "_SCAN_BLOCK", 1000)
     monkeypatch.setattr(surface_module, "_first_pass_ok", recording_first_pass)
+    monkeypatch.setattr(surface_module, "_draw_block", recording_draw)
     monkeypatch.setattr(surface_module, "surface_enclosure", recording_enclosure)
     antichain_scan(spec, 4_500, seed=3)
     refined = 0
     while calls:
         assert calls[0][:2] == ("first", spec)
-        rows = calls.pop(0)[2]
+        _, _, rows, words = calls.pop(0)
+        # the first pass reads the depth-12 digit words of the drawn rows
+        np.testing.assert_array_equal(words, digit_words(rows.T, surface_module._TABLE_DEPTH))
         ok = _widened_ok(spec, rows)
         not_ok = np.flatnonzero(~ok)
         if not_ok.size:
@@ -690,6 +713,37 @@ def test_full_depth_pass_encloses_only_undecided_pairs(monkeypatch):
     check_antichain_pair(spec, Point((0.3, 0.7)), Point((0.3, 0.7)))
     assert [call[:2] for call in calls] == [("first", spec), ("full", spec)]
     np.testing.assert_array_equal(calls[1][2], [(0.3, 0.7)] * 2)
+
+
+def test_scan_lifts_a_zero_draw_to_the_least_double(monkeypatch):
+    # random() draws 0 with probability 2^-53 per value: an equal pair with
+    # one coordinate 0 is within tolerance, and the full-depth pass sees that
+    # coordinate as 2^-1074, inside the open cube
+    spec = SurfaceSpec(n=3, f=SingularFunctionSpec(lam=0.25))
+    enclosed = []
+
+    def recording_enclosure(spec_, rows):
+        enclosed.append(rows.copy())
+        return surface_enclosure(spec_, rows)
+
+    monkeypatch.setattr(surface_module, "_draw_block",
+                        lambda bits, d, k: np.array([[0, 0], [2**52, 2**52]], dtype=np.int64))
+    monkeypatch.setattr(surface_module, "surface_enclosure", recording_enclosure)
+    result = antichain_scan(spec, 1, seed=0)
+    assert (result.ordered_ok, result.within_tolerance, result.violations) == (1, 1, 0)
+    assert len(enclosed) == 1
+    np.testing.assert_array_equal(enclosed[0], [(2.0**-1074, 0.5)] * 2)
+
+
+def _words(spec, rows):
+    """The first pass's (d, 2k) depth-T digit words of 2k rows, by coordinate
+    in the rows' memory layout (F order for C-ordered rows)."""
+    return digit_words(rows.T, min(spec.f.depth, surface_module._TABLE_DEPTH))
+
+
+def _verdicts(spec, rows):
+    """``_certified_verdicts`` of 2k rows, as ``check_antichain_pair`` calls it."""
+    return surface_module._certified_verdicts(spec, _words(spec, rows), rows.__getitem__)
 
 
 def _first_pass_rows(rng, n: int, k: int) -> np.ndarray:
@@ -723,7 +777,7 @@ def test_first_pass_matches_two_sided_enclosure(kind, lam, depth, n):
     shallow = _at_depth(spec, min(depth, surface_module._TABLE_DEPTH))
     rows = _first_pass_rows(seeded_rng(depth * 10 + n), n, 200)
     k = len(rows) // 2
-    first = surface_module._first_pass_ok(spec, rows)
+    first = surface_module._first_pass_ok(spec, _words(spec, rows))
     ok_t, _ = surface_module._pair_verdicts(*surface_enclosure(shallow, rows))
     assert not (first & ~ok_t).any()
     ok_w = _widened_ok(spec, rows)
@@ -736,7 +790,7 @@ def test_first_pass_matches_two_sided_enclosure(kind, lam, depth, n):
     todo = np.flatnonzero(~first)
     ok[todo], bad[todo] = surface_module._pair_verdicts(*surface_enclosure(
         spec, rows[np.concatenate([todo, todo + k])]))
-    got_ok, got_bad = surface_module._certified_verdicts(spec, rows)
+    got_ok, got_bad = _verdicts(spec, rows)
     np.testing.assert_array_equal(got_ok, ok)
     np.testing.assert_array_equal(got_bad, bad)
     # sound enclosures: no pair the first pass certifies is a spec-depth violation
@@ -758,10 +812,9 @@ def test_first_pass_is_independent_of_the_row_layout(kind, lam, depth, n):
     rows = _first_pass_rows(seeded_rng(depth * 10 + n), n, 200)
     by_coordinate = np.ascontiguousarray(rows.T).T
     assert rows.flags.c_contiguous and by_coordinate.flags.f_contiguous
-    np.testing.assert_array_equal(surface_module._first_pass_ok(spec, rows),
-                                  surface_module._first_pass_ok(spec, by_coordinate))
-    for got, want in zip(surface_module._certified_verdicts(spec, by_coordinate),
-                         surface_module._certified_verdicts(spec, rows)):
+    np.testing.assert_array_equal(surface_module._first_pass_ok(spec, _words(spec, rows)),
+                                  surface_module._first_pass_ok(spec, _words(spec, by_coordinate)))
+    for got, want in zip(_verdicts(spec, by_coordinate), _verdicts(spec, rows)):
         np.testing.assert_array_equal(got, want)
 
 
