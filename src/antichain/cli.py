@@ -51,10 +51,9 @@ def keep_freed_heap() -> None:
     ``mallopt`` turns that adjustment off: blocks under 32 MiB, the most the
     dynamic rule reaches on 64-bit, come from the heap and stay there when
     freed (up to 256 MiB of free heap top is kept); larger arrays are still
-    mapped and unmapped.  One arena keeps a worker thread's arrays in that
-    heap, not in an arena of its own.  ``os.confstr`` asks the C library that
-    is running, not the interpreter binary; ``ctypes`` is imported here, not
-    at module import.  Elsewhere this does nothing.
+    mapped and unmapped.  ``os.confstr`` asks the C library that is running,
+    not the interpreter binary; ``ctypes`` is imported here, not at module
+    import.  Elsewhere this does nothing.
     """
     try:
         libc = os.confstr("CS_GNU_LIBC_VERSION")
@@ -68,7 +67,6 @@ def keep_freed_heap() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 @dataclass

@@ -22,15 +22,12 @@ marks and areas are those of evaluating every lifted row in full.
 Counts are exact integers; length/area accumulations keep float error far
 below the 1e-12 budget (per-chunk pairwise sums combined with exact fsum).
 Both sweeps walk one grid in chunks of at most ``_CHUNK_ROWS`` rows; jitter comes
-from a generator keyed by seed and cell block, so results do not depend on the chunks;
-the projection sweep draws a chunk's samples while the one before is marked (``_one_ahead``).
+from a generator keyed by seed and cell block, so results do not depend on the chunks.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -320,16 +317,12 @@ def projection_measures(
     row = np.r_[n, :n].astype(np.int32)  # by label: piece i's row i - 1; label 0's discard row n
     occupancy = np.zeros((n + 1, 1 << bits), dtype=bool)
 
-    def samples() -> Iterator[np.ndarray]:  # (d, rows), each coordinate contiguous
-        for first, cols in blocks:
-            if first % block_rows == 0:
-                jitter = _block_jitter(seed, first // block_rows)
-            for piece in np.array_split(cols, 2, axis=1):  # in halves: a half-size draw
-                piece += jitter.random(piece.shape[::-1]).T
-            cols *= 1.0 / (1 << domain_depth)  # scaling by a power of two is exact
-            yield np.clip(cols, _EDGE, 1.0 - _EDGE, out=cols)  # a draw can be 0.0 or round to 1.0
-
-    for cols in _one_ahead(samples()):
+    for first, cols in blocks:  # (d, rows), each coordinate contiguous
+        if first % block_rows == 0:
+            jitter = _block_jitter(seed, first // block_rows)
+        cols += jitter.random(cols.shape[::-1]).T
+        cols *= 1.0 / (1 << domain_depth)  # scaling by a power of two is exact
+        np.clip(cols, _EDGE, 1.0 - _EDGE, out=cols)  # a draw can be 0.0 or round to 1.0
         words = digit_words(cols, width)
         labels = _piece_labels(spec, probe, words, width)
         lift = np.flatnonzero((labels > 0) & (labels < n))
@@ -339,47 +332,9 @@ def projection_measures(
         words[labels.take(lift) - 1, lift] = _F_codes(spec, cols, lift, image_depth)
         codes = _cell_codes([row.take(labels), *words], image_depth)
         occupancy.reshape(-1)[codes.astype(np.intp)] = True  # faster than indexing's own cast
-        del cols, words, labels, lift, codes  # freed before the worker builds the next chunk
+        del cols, words, labels, lift, codes  # freed before the next chunk is drawn
     cell_area = (2.0**-image_depth) ** d
     return {axis: float(occupancy[axis - 1].sum()) * cell_area for axis in range(1, n + 1)}
-
-
-def _one_ahead(items: Iterator) -> Iterator:
-    """``items`` in order, each built on a worker thread while the caller works on
-    the one before, or in line when the process may use only one CPU.  The worker's
-    exception is raised here, and the worker is joined on every exit."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (cpus or 1) < 2:
-        yield from items
-        return
-    import queue  # here, not at module import: the package's start-up does not pay for it
-
-    # the worker puts an item and waits until it is taken; the list of failures ends them
-    ready, taken, stop, failed = queue.SimpleQueue(), threading.Semaphore(0), threading.Event(), []
-
-    def work() -> None:
-        try:
-            for item in items:
-                ready.put(item)
-                taken.acquire()
-                if stop.is_set():
-                    return
-        except BaseException as exc:  # raised again in the caller
-            failed.append(exc)
-        ready.put(failed)
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
-        while (item := ready.get()) is not failed:
-            taken.release()
-            yield item
-    finally:
-        stop.set()
-        taken.release()
-        worker.join()
-    if failed:
-        raise failed[0]
 
 
 def _piece_labels(spec: SurfaceSpec, probe: SingularSetProbe, words: np.ndarray,

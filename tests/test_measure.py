@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 import threading
 import tracemalloc
 
@@ -31,7 +30,6 @@ from antichain.measure import (
     _block_jitter,
     _cell_codes,
     _grid_walk,
-    _one_ahead,
     classify_regions,
     cover_sum,
 )
@@ -624,7 +622,7 @@ def test_projection_areas_do_not_depend_on_chunk_size(surface_n2, surface_n3, mo
 
 
 def test_projection_traced_peak_is_bounded(surface_n3):
-    # 11.8 MB in chunks of one jitter block; about 3.7 MB in the default chunks;
+    # 11.8 MB in chunks of one jitter block; about 2.4 MB in the default chunks;
     # the first call fills the kernels' cached tables before tracing starts
     probe = SingularSetProbe(depth=40, eps=0.01)
     projection_measures(surface_n3, probe, 3, 5, 1, seed=1)
@@ -663,59 +661,13 @@ def test_projection_deterministic(surface_n2):
     assert a == b
 
 
-# ------------------------------------------------------- sampling thread
+# ----------------------------------------------------------- draw errors
 
 
-def set_cpus(monkeypatch, cpus):
-    """The CPUs the process may use, as the sweep reads them (also where the
-    platform has no affinity mask)."""
-    monkeypatch.setattr(measure_module.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-
-
-def marked_sweep(monkeypatch, spec, kd, ki, m):
-    """Areas, the distinct codes marked and the thread counts seen while marking."""
-    marked, threads = [], set()
-
-    def spy(axes, depth):
-        codes = _cell_codes(axes, depth)
-        marked.append(np.unique(codes))
-        threads.add(threading.active_count())
-        return codes
-
-    monkeypatch.setattr(measure_module, "_cell_codes", spy)
-    areas = projection_measures(spec, SingularSetProbe(depth=40, eps=0.01), kd, ki, m, seed=2)
-    return areas, np.unique(np.concatenate(marked)), threads
-
-
-@pytest.mark.parametrize("n, kd, ki, m", [
-    (2, 18, 8, 1),  # 2 jitter blocks
-    (3, 10, 6, 1),  # 8 jitter blocks
-    (3, 6, 7, 3),  # image cells finer than the domain cells; 2 chunks
-])
-def test_projection_marks_same_with_worker_and_in_line(salem_default, monkeypatch,
-                                                       n, kd, ki, m):
-    # the worker draws each chunk's samples while the one before is marked, so
-    # it is alive while the first chunk is; on one CPU the sweep draws them in
-    # line and starts no thread
-    spec = SurfaceSpec(n=n, f=salem_default)
-    before = threading.active_count()
-    set_cpus(monkeypatch, 2)
-    areas, marked, threads = marked_sweep(monkeypatch, spec, kd, ki, m)
-    assert before + 1 in threads
-    set_cpus(monkeypatch, 1)
-    in_line = marked_sweep(monkeypatch, spec, kd, ki, m)
-    assert in_line[0] == areas
-    assert np.array_equal(in_line[1], marked)
-    assert in_line[2] == {before}
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("side", ["worker", "caller"])
-def test_projection_error_joins_the_worker(surface_n2, monkeypatch, side):
+@pytest.mark.parametrize("side", ["draw", "mark"])
+def test_projection_error_reaches_the_caller(surface_n2, monkeypatch, side):
     # a draw failing on the second jitter block, or a mark failing on the third
-    # chunk, reaches the caller, and no thread outlives the call
-    set_cpus(monkeypatch, 2)
+    # chunk, reaches the caller, and the sweep starts no thread
     marks = []
 
     def failing_jitter(seed, block):
@@ -729,32 +681,14 @@ def test_projection_error_joins_the_worker(surface_n2, monkeypatch, side):
             raise RuntimeError("mark failed")
         return _cell_codes(axes, depth)
 
-    if side == "worker":
+    if side == "draw":
         monkeypatch.setattr(measure_module, "_block_jitter", failing_jitter)
     else:
         monkeypatch.setattr(measure_module, "_cell_codes", failing_codes)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"{'draw' if side == 'worker' else 'mark'} failed"):
+    with pytest.raises(RuntimeError, match=f"{side} failed"):
         projection_measures(surface_n2, SingularSetProbe(depth=40, eps=0.01), 18, 8, 1)
     assert threading.active_count() == before
-
-
-def test_one_ahead_in_order_and_joined_on_early_exit(monkeypatch):
-    set_cpus(monkeypatch, 2)
-    before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # hand-offs interleave at many more points
-    try:
-        assert list(_one_ahead(iter(range(3000)))) == list(range(3000))
-    finally:
-        sys.setswitchinterval(interval)
-    items = _one_ahead(iter(range(7)))
-    assert next(items) == 0
-    assert threading.active_count() == before + 1
-    items.close()
-    assert threading.active_count() == before
-    set_cpus(monkeypatch, 1)
-    assert list(_one_ahead(iter(range(7)))) == list(range(7))
 
 
 class ConstantJitter:
