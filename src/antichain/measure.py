@@ -13,11 +13,11 @@ Everything here reduces to counting occupied half-open dyadic cells:
   coordinate i on piece i < n; the ``math.fsum`` of the areas is the sampled total.
 
 The projection sweep takes each coordinate's digit word once, for the slope
-probe (a ones count) and the image cell.  A lifted row's image cell
-is read off its depth-12 enclosure (``shallow_enclosure``) when that, widened
-by 2^-40, lies in one cell; only the other rows, a few percent, get F at the
-spec's depth.  The enclosure holds the full-depth F to within 2^-46, so the
-marks and areas are those of evaluating every lifted row in full.
+probe (a ones count) and the image cell.  A lifted row's image cell is read
+off F's bounds on its depth-12 f box (``surface._shallow_bounds``) when they,
+widened by 2^-40, lie in one cell; only the other rows, a few percent, get F
+at the spec's depth.  The bounds hold the full-depth F to within 2^-46, so
+the marks and areas are those of evaluating every lifted row in full.
 
 Counts are exact integers; length/area accumulations keep float error far
 below the 1e-12 budget (per-chunk pairwise sums combined with exact fsum).
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import (DEFAULT_EVAL_BUDGET, BudgetError, DomainError, InsufficientDataError,
                      PrecisionError, check_budget, check_int)
 from .singular import SingularSetProbe, digit_words, evaluate_many, salem_slopes
-from .surface import SurfaceSpec, shallow_enclosure, surface_from_f, surface_values
+from .surface import SurfaceSpec, _domain_points, _shallow_bounds, surface_from_f, surface_values
 
 #: cells per jitter block; a fixed constant that is part of the sampling
 #: definition (jitter for a cell depends only on seed, block, in-block row)
@@ -51,7 +51,7 @@ _CHUNK_ROWS = 2**15
 #: evaluation; far below any cell width in use
 _EDGE = 2.0**-50
 
-#: margin about the shallow enclosures in the first marks' cell decision;
+#: margin about the shallow bounds in the first marks' cell decision;
 #: far above the slack, under 2^-46, by which a full-depth F may lie outside one
 _MARK_MARGIN = 2.0**-40
 
@@ -270,11 +270,11 @@ def _block_jitter(seed: int, block_index: int) -> np.random.Generator:
 
 def _F_codes(spec: SurfaceSpec, cols: np.ndarray, rows: np.ndarray, depth: int) -> np.ndarray:
     """Depth-``depth`` cells of F, as digit words, at the points ``rows`` of the (d, N)
-    coordinates ``cols``.  ``shallow_enclosure`` holds the full-depth F far inside
+    coordinates ``cols``.  ``_shallow_bounds`` holds the full-depth F far inside
     ``_MARK_MARGIN``: where lo - margin and hi + margin share a digit word, so does F
     (floor is monotone; lo, F >= 0 and the margin is under a cell, so truncation serves
     as floor).  Only the other rows get F at the spec's depth."""
-    lo, hi = shallow_enclosure(spec, cols.take(rows, axis=1).T)
+    lo, hi = _shallow_bounds(spec, cols.take(rows, axis=1))
     codes = digit_words(hi + _MARK_MARGIN, depth)
     todo = np.flatnonzero(digit_words(lo - _MARK_MARGIN, depth) != codes)
     values = surface_values(spec, cols.take(rows.take(todo), axis=1).T)
@@ -367,9 +367,7 @@ def classify_regions(spec: SurfaceSpec, probe: SingularSetProbe, points: np.ndar
     A point belongs to piece i < n when exactly coordinate i falls outside
     the probed set, to piece n when no coordinate does, and to no piece
     otherwise; the pieces partition their union by construction (``_piece_labels``)."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != spec.domain_dim:
-        raise DomainError(f"expected points of dimension {spec.domain_dim}")
+    points = _domain_points(spec, points)
     if probe.depth > spec.f.depth:
         raise PrecisionError(f"probe depth {probe.depth} exceeds spec depth {spec.f.depth}")
     if points.size and not (points.min() > 0.0 and points.max() < 1.0):

@@ -208,7 +208,7 @@ def dyadic_slopes_many(spec: SingularFunctionSpec, xs: np.ndarray, k: int) -> np
     convention.  The slope is the digit product of 2*lam per 0-digit and
     2*(1-lam) per 1-digit, looked up in ``salem_slopes`` by the count of ones.
     """
-    if k < 0:
+    if check_int("slope depth", k, None) < 0:
         raise DomainError(f"slope depth must be >= 0, got {k}")
     if k > spec.depth:
         raise PrecisionError(f"slope depth {k} exceeds spec depth {spec.depth}")

@@ -23,29 +23,26 @@ hi, a violation when the lower point's hi falls below the upper point's
 lo, and within tolerance when the two enclosures overlap.
 
 The scan's first pass and the projection sweep's first marks read one
-shallow f box (``_shallow_f_box``): the box at depth min(spec depth, 12),
-widened by 2^-44 of each corner, hundreds of ulps, so it holds the exact f
-and f as computed at the spec's greater depth.  It is gathered by each
-coordinate's digit word from per-cell tables built once per spec at the
-cell midpoints; at a cell's left end, where the elementwise box is
-narrower, the table's box holds it.
+shallow f box: the box at depth T = min(spec depth, 12), widened by 2^-44
+of each corner, hundreds of ulps, so it holds the exact f and f as computed
+at the spec's greater depth.  It is gathered by each coordinate's digit word
+from per-cell tables built once per spec at the cell midpoints (at a cell's
+left end, where the elementwise box is narrower, the table's box holds it),
+by one kernel, ``_shallow_sides``, which reads F's bounds off its corners.
+The projection's first marks take both bounds (``_shallow_bounds``): they
+hold the exact F, and F as ``surface_values`` computes it to within p's rounding.
 
 Pair verdicts are taken in two passes.  The first reads the points' digit
 words and computes only what an ``ordered_ok`` verdict needs: lo of each
 lower point, from the upper corner of its shallow box, and hi of each upper
-point, from the lower corner, gathered by coordinate into one corner array
-that one ``p_many`` reads as contiguous columns.  The pairs it leaves not
-ok are enclosed in full at the spec's depth.  Every enclosure contains the
-exact F, so a first-pass verdict is certified, and a deep box lies inside
-the shallow one up to a few ulps of rounding: the full-depth pass would
-confirm it.  A two-sided shallow pass could add only violations, which no
-sound enclosure certifies for a comparable pair (F is strictly
+point, from the lower corner, in one ``_shallow_sides`` call.  The pairs it
+leaves not ok are enclosed in full at the spec's depth.  Every enclosure
+contains the exact F, so a first-pass verdict is certified, and a deep box
+lies inside the shallow one up to a few ulps of rounding: the full-depth
+pass would confirm it.  A two-sided shallow pass could add only violations,
+which no sound enclosure certifies for a comparable pair (F is strictly
 decreasing).  The scan draws its points as 53-bit integers, takes their
 digit words by a shift and makes doubles only for the second pass.
-
-The projection sweep's first marks read F's bounds off the same box
-(``shallow_enclosure``): they hold the exact F and F as ``surface_values``
-computes it, to within p's rounding.
 """
 
 from __future__ import annotations
@@ -205,13 +202,18 @@ def surface_enclosure(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray
     return _enclose(spec.f, fv, fe)
 
 
+def _table_depth(f: SingularFunctionSpec) -> int:
+    """T, the depth of the shallow f boxes: the spec's, capped at ``_TABLE_DEPTH``."""
+    return min(f.depth, _TABLE_DEPTH)
+
+
 @functools.lru_cache(maxsize=64)
 def _cell_boxes(f: SingularFunctionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Tables (f_lo, f_hi) of f at depth T = min(f.depth, ``_TABLE_DEPTH``):
-    entry w is the f box at the midpoint of cell w, each corner widened by
-    ``_WIDEN`` of itself.  f's value and bound are the same at every point of
-    a cell, and hold f at its left end (``evaluate_many``)."""
-    f = replace(f, depth=min(f.depth, _TABLE_DEPTH))
+    """Tables (f_lo, f_hi) of f at depth T (``_table_depth``): entry w is the
+    f box at the midpoint of cell w, each corner widened by ``_WIDEN`` of
+    itself.  f's value and bound are the same at every point of a cell, and
+    hold f at its left end (``evaluate_many``)."""
+    f = replace(f, depth=_table_depth(f))
     f_lo, f_hi = _f_box(f, *evaluate_many(f, (np.arange(1 << f.depth) + 0.5) / (1 << f.depth)))
     f_lo *= 1.0 - _WIDEN
     f_hi *= 1.0 + _WIDEN
@@ -221,35 +223,31 @@ def _cell_boxes(f: SingularFunctionSpec) -> tuple[np.ndarray, np.ndarray]:
     return f_lo, f_hi
 
 
-def _shallow_f_box(
-    f: SingularFunctionSpec, points: np.ndarray, corners: tuple[int, ...] = (0, 1)
-) -> tuple[np.ndarray, ...]:
-    """The ``corners`` (0: f_lo, 1: f_hi) of a box about the exact f, and f as
-    computed at the spec's depth, at points of the open cube: the f box at
-    depth T = min(spec depth, ``_TABLE_DEPTH``) widened by 2^-44 of each
-    corner, gathered from ``_cell_boxes`` by the depth-T digit words, in the
-    points' memory layout."""
+def _shallow_sides(f: SingularFunctionSpec, words: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Bounds of F from the (d, M) depth-T digit words of M points by
+    coordinate: lo at columns [0, k), from the upper corners of their shallow
+    f boxes, and hi at [k, M), from the lower corners, gathered from
+    ``_cell_boxes`` into one (d, M) array whose transpose one ``p_many``
+    reads as contiguous columns."""
     # The exact truncated f at a depth above T is f at a point of the depth-T
     # cell, so it lies in the unwidened box.  Its computed value is at most
     # 2 ulps off (``rounding_ulps``), inside the widening of 2^8 ulps.
-    w, tables = digit_words(points, min(f.depth, _TABLE_DEPTH)), _cell_boxes(f)
-    return tuple(tables[c][w] for c in corners)
+    f_lo, f_hi = _cell_boxes(f)
+    corners = np.empty(words.shape)
+    corners[:, :k] = f_hi.take(words[:, :k])
+    corners[:, k:] = f_lo.take(words[:, k:])
+    return _F_sides(corners.T, k)
 
 
-def shallow_enclosure(spec: SurfaceSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds (lo, hi) at an (N, n-1) array of points of the open cube that
-    hold the exact F, and F as ``surface_values`` computes it for the spec to
-    within twice ``_F_sides``' slack, from ``_shallow_f_box``."""
+def _shallow_bounds(spec: SurfaceSpec, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) of F at the points of the open cube held by coordinate in
+    the (n-1, N) array ``cols``: they hold the exact F, and F as ``surface_values``
+    computes it for the spec to within twice ``_F_sides``' slack."""
     # p is nondecreasing and computed to within the slack, so the computed F
     # lies within twice the slack of [lo, hi]; at the 0/0 corner M = 1, P = 0
-    # it is 2^-1074.
-    points = _domain_points(spec, points)
-    if points.size and not (points.min() > 0.0 and points.max() < 1.0):
-        raise DomainError("coordinates must lie in the open interval (0,1)")
-    f_lo, f_hi = _shallow_f_box(spec.f, points)
-    lo = _F_sides(f_hi, len(f_hi))[0]
-    del f_hi  # two calls over separate corners keep one p_many's temporaries live at a time
-    return lo, _F_sides(f_lo, 0)[1]
+    # it is 2^-1074.  Two calls keep one p_many's temporaries live at a time.
+    words = digit_words(cols, _table_depth(spec.f))
+    return _shallow_sides(spec.f, words, words.shape[1])[0], _shallow_sides(spec.f, words, 0)[1]
 
 
 def F_eval(spec: SurfaceSpec, x: Point) -> tuple[float, float]:
@@ -286,16 +284,9 @@ def _pair_verdicts(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _first_pass_ok(spec: SurfaceSpec, words: np.ndarray) -> np.ndarray:
     """An ordered_ok mask for k pairs from the (d, 2k) depth-T digit words of
     their points by coordinate, lower points in columns [0, k), upper in
-    [k, 2k): lo of the lower points, from the upper corners of their shallow
-    f boxes (``_shallow_f_box``), and hi of the upper points, from the lower
-    corners, gathered into one (d, 2k) array whose transpose one ``p_many``
-    reads as contiguous columns.  Both bound the exact F, so an ok pair is
-    certified ordered_ok and is no violation."""
-    k, (f_lo, f_hi) = words.shape[1] // 2, _cell_boxes(spec.f)
-    corners = np.empty(words.shape)
-    corners[:, :k] = f_hi.take(words[:, :k])
-    corners[:, k:] = f_lo.take(words[:, k:])
-    lo_lower, hi_upper = _F_sides(corners.T, k)
+    [k, 2k): ``_shallow_sides``' lo of the lower points exceeds hi of the upper
+    ones.  Both bound the exact F, so an ok pair is certified ordered_ok."""
+    lo_lower, hi_upper = _shallow_sides(spec.f, words, words.shape[1] // 2)
     return lo_lower > hi_upper
 
 
@@ -323,7 +314,7 @@ def check_antichain_pair(spec: SurfaceSpec, x: Point, y: Point) -> PairVerdict:
     if lower not in (x.coords, y.coords):  # neither point lies below the other
         return PairVerdict("incomparable")
     rows = np.array([lower, upper])
-    words = digit_words(rows.T, min(spec.f.depth, _TABLE_DEPTH))
+    words = digit_words(rows.T, _table_depth(spec.f))
     ok, bad = _certified_verdicts(spec, words, rows.__getitem__)
     if bad[0]:
         return PairVerdict("violation")
@@ -386,7 +377,7 @@ def antichain_scan(
     check_budget(2 * pairs, budget)
     d = spec.domain_dim
     key = np.uint64(int(check_int("seed", seed, None)) & 0xFFFFFFFFFFFFFFFF)  # 64-bit semantics
-    bits, shift = np.random.Philox(key=key), 53 - min(spec.f.depth, _TABLE_DEPTH)
+    bits, shift = np.random.Philox(key=key), 53 - _table_depth(spec.f)
     ok = bad = 0
     for start in range(0, pairs, _SCAN_BLOCK):
         block = _draw_block(bits, d, min(_SCAN_BLOCK, pairs - start))

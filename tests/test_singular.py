@@ -100,7 +100,9 @@ def test_probe_validation():
     for eps in ("0.1", None, True, Decimal("0.1")):
         with pytest.raises(ConfigurationError, match="probe eps must be a real number"):
             SingularSetProbe(eps=eps)
-    for eps in (math.nan, math.inf, Fraction(1, 10**400), Fraction(10**400), 10**400):
+    # (a narrow numpy float is compared in float64: np.float32 inf is no finite float)
+    for eps in (math.nan, math.inf, Fraction(1, 10**400), Fraction(10**400), 10**400,
+                np.float32(math.inf), np.float16(math.nan)):
         with pytest.raises(ConfigurationError, match="probe eps must be a positive finite"):
             SingularSetProbe(eps=eps)
     # past the integer-to-string digit limit, a refused value is shown as a power of two
@@ -410,6 +412,11 @@ def test_slope_depth_zero_and_negative(kind):
         dyadic_slopes_many(spec, xs, -1)
     with pytest.raises(DomainError, match="slope depth must be >= 0, got -1"):
         dyadic_slope(spec, 0.3, -1)
+    # a depth is an integer: floats, strings and bools are refused, True is no depth 1
+    for k in (2.0, "3", True):
+        for call in (lambda: dyadic_slopes_many(spec, xs, k), lambda: dyadic_slope(spec, 0.3, k)):
+            with pytest.raises(ConfigurationError, match="slope depth must be an integer"):
+                call()
 
 
 # ------------------------------------------------------- singular-set probe

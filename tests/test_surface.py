@@ -29,7 +29,6 @@ from antichain.measure import classify_regions
 from antichain.singular import digit_words
 from antichain.surface import (
     p_many,
-    shallow_enclosure,
     surface_enclosure,
     surface_from_f,
     surface_values,
@@ -233,17 +232,8 @@ _ONE_D = np.full(2, 0.5)
     (surface_enclosure, _ONE_D),
     (lambda spec, pts: classify_regions(spec, SingularSetProbe(), pts), _WRONG_WIDTH),
     (lambda spec, pts: p_many(pts), _ONE_D),
-    (shallow_enclosure, _WRONG_WIDTH),
-    (shallow_enclosure, np.full((4, 5), 0.5)),
-    (shallow_enclosure, _ONE_D),
-    # shallow_enclosure takes points of the open cube only
-    (shallow_enclosure, np.array([[0.5, 0.5], [-0.25, 0.5]])),
-    (shallow_enclosure, np.array([[0.5, 1.0]])),
-    (shallow_enclosure, np.array([[0.0, 0.5]])),
-    (shallow_enclosure, np.array([[0.5, np.nan]])),
 ], ids=["values-width", "values-1d", "enclosure-width", "enclosure-1d",
-        "classify-width", "p_many-1d", "shallow-width", "shallow-wide", "shallow-1d",
-        "shallow-negative", "shallow-one", "shallow-zero", "shallow-nan"])
+        "classify-width", "p_many-1d"])
 def test_kernels_reject_misshapen_points(surface_n3, call, points):
     with pytest.raises(DomainError):
         call(surface_n3, points)
@@ -377,7 +367,7 @@ def test_f_box_holds_the_stated_rounding_allowance(kind, lam):
 
 
 def test_shallow_enclosure_holds_values_63_ulps_off():
-    # the widening of shallow_enclosure's box: at n = 2 (p the identity) and
+    # the widening of _shallow_bounds' box: at n = 2 (p the identity) and
     # depth-12 dyadics the exact f is the depth-12 value, and the box holds
     # F of any double within 63 ulps of it, far more than the rounding_ulps
     # a depth-63 spec may compute it with.  F of each lies within twice
@@ -387,7 +377,7 @@ def test_shallow_enclosure_holds_values_63_ulps_off():
         spec = SurfaceSpec(2, SingularFunctionSpec(lam=lam, depth=63))
         xs = _bound_free_dyadics(SingularFunctionSpec(lam=lam, depth=12))
         assert xs.size > 150
-        lo, hi = shallow_enclosure(spec, xs[:, None])
+        lo, hi = surface_module._shallow_bounds(spec, xs[None, :])
         for x, a, b in zip(xs.tolist(), lo, hi):
             t = salem_exact(x, lam)
             for f in _extreme_doubles(t, 63 * _ulp(t)):
@@ -632,7 +622,9 @@ def _widened_ok(spec, rows):
 
 _TWO_PASS_CASES = (
     [(SALEM, lam, n, 0, 20_000, 52) for lam in (0.01, 0.1, 0.25, 0.4, 0.9) for n in (2, 3, 5)]
-    + [(SALEM, 0.1, 5, 1, 200_000, 52), (SALEM, 0.25, 3, 0, 20_000, 10)]
+    + [(SALEM, 0.1, 5, 1, 200_000, 52)]
+    # below the table depth, at it and one past it
+    + [(SALEM, 0.25, 3, 0, 20_000, depth) for depth in (10, 12, 13)]
 )
 
 
@@ -764,7 +756,7 @@ def _first_pass_rows(rng, n: int, k: int) -> np.ndarray:
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("kind, lam, depth",
                          [(SALEM, lam, depth) for lam in (0.01, 0.25, 0.75, 0.99)
-                          for depth in (1, 6, 8, 52)]
+                          for depth in (1, 6, 8, 12, 13, 52)]
                          + [(SALEM, 0.4, 6), (SALEM, 0.4, 52)])
 def test_first_pass_matches_two_sided_enclosure(kind, lam, depth, n):
     # the one-sided first pass's ok mask lies inside that of the full
@@ -847,9 +839,12 @@ def test_salem_corner_tables_match_f_box(lam, depth):
 @pytest.mark.parametrize("depth", [8, 12, 52])
 @pytest.mark.parametrize("lam", [0.01, 0.25, 0.99])
 def test_salem_corners_gather_the_f_box(lam, depth):
-    # _shallow_f_box is the widened elementwise f box at depth min(depth,
-    # 12), at random points and at the doubles on either side of cell left
-    # ends, in the points' memory layout, and holds it at the left ends
+    # _shallow_sides reads F's sides off the widened elementwise f box at
+    # depth min(depth, 12), at random points and at the doubles on either
+    # side of cell left ends, from words in either memory layout, and holds
+    # them at the left ends (the table's upper corner lies hundreds of ulps
+    # above there, far more than p's rounding); a split of the columns gives
+    # the sides of all lo (k = M) and all hi (k = 0) bit for bit
     f = SingularFunctionSpec(lam=lam, depth=depth)
     t = min(depth, surface_module._TABLE_DEPTH)
     rng = seeded_rng(depth + 1)
@@ -860,15 +855,25 @@ def test_salem_corners_gather_the_f_box(lam, depth):
     xs[2::4] = np.nextafter(w[2::4] / (1 << t), 0.0)
     shallow = dataclasses.replace(f, depth=t)
     box_lo, box_hi = _widened(*surface_module._f_box(shallow, *evaluate_many(shallow, xs)))
+    want_lo = surface_module._F_sides(box_hi, len(xs))[0]
+    want_hi = surface_module._F_sides(box_lo, 0)[1]
     inside = np.ones(len(xs), dtype=bool)
     inside[::4] = False
-    for points in (xs, np.asfortranarray(xs)):
-        f_lo, f_hi = surface_module._shallow_f_box(f, points)
-        assert f_lo.flags.f_contiguous == f_hi.flags.f_contiguous == points.flags.f_contiguous
-        np.testing.assert_array_equal(f_lo[inside], box_lo[inside])
-        np.testing.assert_array_equal(f_hi[inside], box_hi[inside])
-        assert np.all(f_lo <= box_lo) and np.all(box_hi <= f_hi)
-        np.testing.assert_array_equal(surface_module._shallow_f_box(f, points, (1,))[0], f_hi)
+    k = len(xs) // 2
+    by_layout = []
+    for words in (digit_words(xs.T, t), digit_words(np.ascontiguousarray(xs.T), t)):
+        assert words.flags.f_contiguous == (not by_layout)  # F order, then C order
+        lo = surface_module._shallow_sides(f, words, len(xs))[0]
+        hi = surface_module._shallow_sides(f, words, 0)[1]
+        np.testing.assert_array_equal(lo[inside], want_lo[inside])
+        np.testing.assert_array_equal(hi[inside], want_hi[inside])
+        assert np.all(lo <= want_lo) and np.all(want_hi <= hi)
+        split_lo, split_hi = surface_module._shallow_sides(f, words, k)
+        np.testing.assert_array_equal(split_lo, lo[:k])
+        np.testing.assert_array_equal(split_hi, hi[k:])
+        by_layout.append((lo, hi))
+    for got, want in zip(*by_layout):
+        np.testing.assert_array_equal(got, want)
 
 
 def _enclosure_rows(rng, rows: int, d: int) -> np.ndarray:
@@ -890,7 +895,7 @@ def test_shallow_enclosure_holds_full_depth_values(kind, lam, n):
     rows = _enclosure_rows(seeded_rng(n), 1000, n - 1)
     for depth in (6, 12, 20, 52, 63):
         spec = SurfaceSpec(n, SingularFunctionSpec(kind=kind, lam=lam, depth=depth))
-        lo, hi = surface_module.shallow_enclosure(spec, rows)
+        lo, hi = surface_module._shallow_bounds(spec, rows.T)
         assert np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
         values = surface_values(spec, rows)
         assert np.all(lo - 2.0**-46 <= values), depth
