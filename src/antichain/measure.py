@@ -13,11 +13,11 @@ Everything here reduces to counting occupied half-open dyadic cells:
   coordinate i on piece i < n; the ``math.fsum`` of the areas is the sampled total.
 
 The projection sweep takes each coordinate's digit word once, for the slope
-probe (a ones count) and the image cell.  A lifted row's image cell is read
-off F's bounds on its depth-12 f box (``surface._shallow_bounds``) when they,
-widened by 2^-40, lie in one cell; only the other rows, a few percent, get F
-at the spec's depth.  The bounds hold the full-depth F to within 2^-46, so
-the marks and areas are those of evaluating every lifted row in full.
+probe (a ones count) and the image cell.  A lifted row's image cell of F comes
+from ``surface._F_cells``: read off F's bounds on its depth-12 f box where
+they, widened by 2^-40, lie in one cell, else from F at the spec's depth (a
+few percent of the rows), so the marks and areas are those of evaluating
+every lifted row in full.
 
 Counts are exact integers; length/area accumulations keep float error far
 below the 1e-12 budget (per-chunk pairwise sums combined with exact fsum).
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import (DEFAULT_EVAL_BUDGET, BudgetError, DomainError, InsufficientDataError,
                      PrecisionError, check_budget, check_int)
 from .singular import SingularSetProbe, digit_words, evaluate_many, salem_slopes
-from .surface import SurfaceSpec, _domain_points, _shallow_bounds, surface_from_f, surface_values
+from .surface import SurfaceSpec, _domain_points, _F_cells, surface_from_f
 
 #: cells per jitter block; a fixed constant that is part of the sampling
 #: definition (jitter for a cell depends only on seed, block, in-block row)
@@ -50,10 +50,6 @@ _CHUNK_ROWS = 2**15
 #: domain coordinates are pulled this far inside the open cube before
 #: evaluation; far below any cell width in use
 _EDGE = 2.0**-50
-
-#: margin about the shallow bounds in the first marks' cell decision;
-#: far above the slack, under 2^-46, by which a full-depth F may lie outside one
-_MARK_MARGIN = 2.0**-40
 
 #: most domain coordinates ``classify_regions`` labels by a table lookup,
 #: as many as the projection's occupancy guard allows
@@ -133,8 +129,11 @@ def lattice_surface(spec: SurfaceSpec, side: int, axis: Callable[[np.ndarray], n
                     budget: int = DEFAULT_EVAL_BUDGET) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """((n-1, N) indices, F) over the lattice of axis values ``axis(np.arange(side))``,
     row-major, in blocks of at most ``_CHUNK_ROWS`` points: f once per axis value, F once
-    per point; the budget charge of one evaluation per point runs before the axis is built."""
+    per point; the budget charge of one evaluation per point runs before the axis is built.
+    At n = 2 the axis is the lattice, so f is evaluated block by block."""
     blocks = _grid_walk(side, spec.domain_dim, 1, _CHUNK_ROWS, budget)
+    if spec.domain_dim == 1:
+        return ((ids, surface_from_f(evaluate_many(spec.f, axis(ids))[0].T)) for _, ids in blocks)
     fa = evaluate_many(spec.f, axis(np.arange(side)))[0]
     return ((ids, surface_from_f(fa.take(ids).T)) for _, ids in blocks)
 
@@ -185,20 +184,20 @@ def occupied_cell_count(
     m = samples_per_cell
 
     def axis(i: np.ndarray) -> np.ndarray:  # point i: cell i // m, offset (i % m) / m
-        values = i % m / m  # in place from here: at n = 2 the axis and f make the peak
+        values = i % m / m
         values += i // m
         values /= float(1 << domain_depth)
         return np.clip(values, _EDGE, 1.0 - _EDGE, out=values)
 
-    sweep = lattice_surface(spec, side, axis, budget)
-    # axis value i lies in cell i // m, the last (1, clipped) in the last cell: the
-    # float q + r/m stays below q + 1 while m q < 2^52, as in any lattice in memory
-    cells = np.arange(side) // m
-    np.minimum(cells, (1 << domain_depth) - 1, out=cells)
-    # int32 codes where they fit (as the projection's marks): they sort faster
-    cells = cells.astype(np.int32) if domain_depth * spec.n < 32 else cells
-    seen = [_distinct(_cell_codes([*cells.take(ids), digit_words(F, domain_depth)],
-                                  domain_depth)) for ids, F in sweep]
+    def cells(ids: np.ndarray) -> np.ndarray:
+        # axis value i lies in cell i // m, the last (1, clipped) in the last cell: the
+        # float q + r/m stays below q + 1 while m q < 2^52, as in any lattice in memory
+        out = np.minimum(ids // m, (1 << domain_depth) - 1)
+        # int32 codes where they fit (as the projection's marks): they sort faster
+        return out.astype(np.int32) if domain_depth * spec.n < 32 else out
+
+    seen = [_distinct(_cell_codes([*cells(ids), digit_words(F, domain_depth)], domain_depth))
+            for ids, F in lattice_surface(spec, side, axis, budget)]
     # one chunk's codes are already distinct and sorted
     return int((seen[0] if len(seen) == 1 else _distinct(np.concatenate(seen))).size)
 
@@ -268,20 +267,6 @@ def _block_jitter(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _F_codes(spec: SurfaceSpec, cols: np.ndarray, rows: np.ndarray, depth: int) -> np.ndarray:
-    """Depth-``depth`` cells of F, as digit words, at the points ``rows`` of the (d, N)
-    coordinates ``cols``.  ``_shallow_bounds`` holds the full-depth F far inside
-    ``_MARK_MARGIN``: where lo - margin and hi + margin share a digit word, so does F
-    (floor is monotone; lo, F >= 0 and the margin is under a cell, so truncation serves
-    as floor).  Only the other rows get F at the spec's depth."""
-    lo, hi = _shallow_bounds(spec, cols.take(rows, axis=1))
-    codes = digit_words(hi + _MARK_MARGIN, depth)
-    todo = np.flatnonzero(digit_words(lo - _MARK_MARGIN, depth) != codes)
-    values = surface_values(spec, cols.take(rows.take(todo), axis=1).T)
-    codes[todo] = digit_words(values, depth)
-    return codes
-
-
 def projection_measures(
     spec: SurfaceSpec,
     probe: SingularSetProbe,
@@ -329,7 +314,7 @@ def projection_measures(
         words >>= width - image_depth  # now each coordinate's image cell; the guard
         words = words.astype(np.int32)  # keeps every image code below 2^28
         # F in place of x_i permutes piece i's image coordinates: image cells map one to one
-        words[labels.take(lift) - 1, lift] = _F_codes(spec, cols, lift, image_depth)
+        words[labels.take(lift) - 1, lift] = _F_cells(spec, cols.take(lift, axis=1), image_depth)
         codes = _cell_codes([row.take(labels), *words], image_depth)
         occupancy.reshape(-1)[codes.astype(np.intp)] = True  # faster than indexing's own cast
         del cols, words, labels, lift, codes  # freed before the next chunk is drawn

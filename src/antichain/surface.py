@@ -29,8 +29,8 @@ at the spec's greater depth.  It is gathered by each coordinate's digit word
 from per-cell tables built once per spec at the cell midpoints (at a cell's
 left end, where the elementwise box is narrower, the table's box holds it),
 by one kernel, ``_shallow_sides``, which reads F's bounds off its corners.
-The projection's first marks take both bounds (``_shallow_bounds``): they
-hold the exact F, and F as ``surface_values`` computes it to within p's rounding.
+The projection's image cells of F (``_F_cells``) take both bounds: they hold
+the exact F, and F as ``surface_values`` computes it to within p's rounding.
 
 Pair verdicts are taken in two passes.  The first reads the points' digit
 words and computes only what an ``ordered_ok`` verdict needs: lo of each
@@ -70,6 +70,10 @@ _TABLE_DEPTH = 12
 
 #: relative widening of the shallow f box corners
 _WIDEN = 2.0**-44
+
+#: margin about F's shallow bounds in ``_F_cells``' cell decision; far above
+#: the slack, under 2^-46, by which F as computed at full depth may lie outside them
+_MARK_MARGIN = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,8 @@ def p_many(vals: np.ndarray) -> np.ndarray:
     """p on each row of an (N, m) array of cube points, kept in (0,1);
     the identity when m = 1."""
     vals = np.asarray(vals, dtype=np.float64)
-    if vals.ndim != 2:
-        raise DomainError("expected a 2-d array of row points")
+    if vals.ndim != 2 or not vals.shape[1]:
+        raise DomainError("expected a 2-d array of row points with at least one coordinate")
     m = vals.shape[1]
     cols = list(vals.T)
     for rnd in range(m):  # odd-even transposition sort of the columns, m rounds
@@ -239,15 +243,21 @@ def _shallow_sides(f: SingularFunctionSpec, words: np.ndarray, k: int) -> tuple[
     return _F_sides(corners.T, k)
 
 
-def _shallow_bounds(spec: SurfaceSpec, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds (lo, hi) of F at the points of the open cube held by coordinate in
-    the (n-1, N) array ``cols``: they hold the exact F, and F as ``surface_values``
-    computes it for the spec to within twice ``_F_sides``' slack."""
-    # p is nondecreasing and computed to within the slack, so the computed F
-    # lies within twice the slack of [lo, hi]; at the 0/0 corner M = 1, P = 0
-    # it is 2^-1074.  Two calls keep one p_many's temporaries live at a time.
+def _F_cells(spec: SurfaceSpec, cols: np.ndarray, depth: int) -> np.ndarray:
+    """Depth-``depth`` cells of F, as digit words, at the points of the open cube
+    held by coordinate in the (n-1, N) array ``cols``: those of F as ``surface_values``
+    computes it.  Where F's shallow bounds, widened by ``_MARK_MARGIN``, share a
+    digit word, so does F (floor is monotone; lo, F >= 0 and the margin is under a
+    cell, so truncation serves as floor); only the other rows get ``surface_values``."""
+    # p is nondecreasing and computed to within _F_sides' slack, so the computed F
+    # lies within twice the slack of [lo, hi]; at the 0/0 corner M = 1, P = 0 it is
+    # 2^-1074.  Two calls keep one p_many's temporaries live at a time.
     words = digit_words(cols, _table_depth(spec.f))
-    return _shallow_sides(spec.f, words, words.shape[1])[0], _shallow_sides(spec.f, words, 0)[1]
+    lo = _shallow_sides(spec.f, words, words.shape[1])[0]
+    codes = digit_words(_shallow_sides(spec.f, words, 0)[1] + _MARK_MARGIN, depth)
+    todo = np.flatnonzero(digit_words(lo - _MARK_MARGIN, depth) != codes)
+    codes[todo] = digit_words(surface_values(spec, cols.take(todo, axis=1).T), depth)
+    return codes
 
 
 def F_eval(spec: SurfaceSpec, x: Point) -> tuple[float, float]:
@@ -281,21 +291,15 @@ def _pair_verdicts(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return lo[:k] > hi[k:], hi[:k] < lo[k:]
 
 
-def _first_pass_ok(spec: SurfaceSpec, words: np.ndarray) -> np.ndarray:
-    """An ordered_ok mask for k pairs from the (d, 2k) depth-T digit words of
-    their points by coordinate, lower points in columns [0, k), upper in
-    [k, 2k): ``_shallow_sides``' lo of the lower points exceeds hi of the upper
-    ones.  Both bound the exact F, so an ok pair is certified ordered_ok."""
-    lo_lower, hi_upper = _shallow_sides(spec.f, words, words.shape[1] // 2)
-    return lo_lower > hi_upper
-
-
 def _certified_verdicts(spec: SurfaceSpec, words: np.ndarray, rows) -> tuple[np.ndarray, ...]:
-    """The masks (ordered_ok, violation) of ``_pair_verdicts`` for k pairs:
-    ``_first_pass_ok`` of their depth-T digit words, then the full enclosures
-    at the spec's depth of the pairs it leaves not ok, at the float rows that
-    ``rows`` returns for their columns."""
-    ok = _first_pass_ok(spec, words)
+    """The masks (ordered_ok, violation) of ``_pair_verdicts`` for k pairs from the
+    (d, 2k) depth-T digit words of their points by coordinate, lower points in
+    columns [0, k), upper in [k, 2k).  A pair is ok when ``_shallow_sides``' lo of
+    its lower point exceeds hi of its upper one: both bound the exact F, so it is
+    certified.  The pairs this leaves not ok are enclosed in full at the spec's
+    depth, at the float rows that ``rows`` returns for their columns."""
+    lo_lower, hi_upper = _shallow_sides(spec.f, words, words.shape[1] // 2)
+    ok = lo_lower > hi_upper
     bad = np.zeros_like(ok)
     todo = np.flatnonzero(~ok)
     if todo.size:

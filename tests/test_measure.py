@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import antichain.measure as measure_module
+import antichain.surface as surface_module
 from antichain import (
     BudgetError,
     ConfigurationError,
@@ -312,17 +313,20 @@ def test_cover_traced_peak_is_bounded(surface_n3):
 
 
 def test_cover_axis_traced_peak_is_bounded(surface_n2):
-    # n = 2, k = 18, m = 3: the 786433-point lattice axis, f's values and
-    # bounds over it make the peak, 19.1 MiB; 24.1 MiB when the axis was
-    # built from four axis-length temporaries
+    # n = 2, k = 18, m = 3: the 786433-point axis is the whole lattice, so f and
+    # the cells are taken chunk by chunk, and only the distinct codes grow: the
+    # peak, 7.3 MiB, stays below a chunk's working set (ten 8-byte values a
+    # row) plus 24 bytes a counted cell (each chunk's codes, their concatenation
+    # and the distinct ones).  19.1 MiB when f's values and bounds and a cell
+    # table were built over the whole axis at once
     occupied_cell_count(surface_n2, 2, 1)
     tracemalloc.start()
     try:
-        occupied_cell_count(surface_n2, 18, 3)
+        count = occupied_cell_count(surface_n2, 18, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 21 * 2**20
+    assert peak < 80 * measure_module._CHUNK_ROWS + 24 * count, (peak, count)
 
 
 # ----------------------------------------------------------- cover values
@@ -713,17 +717,22 @@ def test_projection_survives_edge_draws(surface_n3, monkeypatch, u):
     assert all(0.0 <= area <= 1.0 for area in areas.values())
 
 
-def per_axis_reference(spec, probe, kd, ki, m, seed):
-    """Projection areas rebuilt axis by axis: the image of piece i < n drops
-    coordinate i and appends F, and its cells are counted in a set.  The
-    samples are the sweep's: cell corners in flat-id order, each repeated on
-    m^d rows, plus one draw of the first jitter block."""
-    d, n = spec.domain_dim, spec.n
+def sweep_points(d, kd, m, seed):
+    """The projection sweep's samples in row order: cell corners in flat-id
+    order, each repeated on m^d rows, plus one draw of the first jitter block."""
     assert (1 << (kd * d)) <= JITTER_BLOCK
     corners = np.array(list(itertools.product(range(1 << kd), repeat=d)), dtype=np.float64)
     corners = np.repeat(corners, m**d, axis=0)
     pts = (corners + _block_jitter(seed, 0).random(corners.shape)) / float(1 << kd)
-    pts = np.clip(pts, 2.0**-50, 1.0 - 2.0**-50)
+    return np.clip(pts, 2.0**-50, 1.0 - 2.0**-50)
+
+
+def per_axis_reference(spec, probe, kd, ki, m, seed):
+    """Projection areas rebuilt axis by axis over the sweep's samples: the image
+    of piece i < n drops coordinate i and appends F, and its cells are counted
+    in a set."""
+    d, n = spec.domain_dim, spec.n
+    pts = sweep_points(d, kd, m, seed)
     # piece labels from the membership masks, not from classify_regions
     outside = np.column_stack([~in_singular_set_many(spec.f, probe, pts[:, j]) for j in range(d)])
     labels = np.where(outside.sum(axis=1) == 1, outside.argmax(axis=1) + 1, 0)
@@ -755,22 +764,24 @@ def test_projection_evaluates_only_undecided_lifted_rows(surface_n3, monkeypatch
     # cell open, a small subset of them
     probe = SingularSetProbe(depth=40, eps=0.01)
     lifted, calls = [], []
+    chunks = iter(np.split(sweep_points(2, 6, 2, seed=3), 16384 // 512))
 
-    def spy_codes(spec, cols, rows, depth):
+    def spy_cells(spec, cols, depth):
         # the lifted rows, from labels computed apart from the sweep's own
-        labels = classify_regions(spec, probe, cols.T)
-        want = np.flatnonzero((labels > 0) & (labels < spec.n))
-        assert np.array_equal(rows, want)
-        lifted.append(cols.T[want].copy())
-        return F_codes(spec, cols, rows, depth)
+        chunk = next(chunks)
+        labels = classify_regions(spec, probe, chunk)
+        want = chunk[(labels > 0) & (labels < spec.n)]
+        assert np.array_equal(cols.T, want)
+        lifted.append(want)
+        return F_cells(spec, cols, depth)
 
     def spy_values(spec, pts):
         calls.append(pts.copy())
         return surface_values(spec, pts)
 
-    F_codes = measure_module._F_codes
-    monkeypatch.setattr(measure_module, "_F_codes", spy_codes)
-    monkeypatch.setattr(measure_module, "surface_values", spy_values)
+    F_cells = measure_module._F_cells
+    monkeypatch.setattr(measure_module, "_F_cells", spy_cells)
+    monkeypatch.setattr(surface_module, "surface_values", spy_values)
     monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 1000)
     projection_measures(surface_n3, probe, 6, 5, 2, seed=3)
     assert len(lifted) == 16384 // 512

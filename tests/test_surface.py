@@ -223,6 +223,7 @@ def test_surface_values_examples(identity_n2, surface_n3, identity_f):
 
 _WRONG_WIDTH = np.full((4, 1), 0.5)  # (N, n-2) rows for n = 3
 _ONE_D = np.full(2, 0.5)
+_NO_COLUMNS = np.empty((3, 0))
 
 
 @pytest.mark.parametrize("call, points", [
@@ -232,8 +233,9 @@ _ONE_D = np.full(2, 0.5)
     (surface_enclosure, _ONE_D),
     (lambda spec, pts: classify_regions(spec, SingularSetProbe(), pts), _WRONG_WIDTH),
     (lambda spec, pts: p_many(pts), _ONE_D),
+    (lambda spec, pts: p_many(pts), _NO_COLUMNS),
 ], ids=["values-width", "values-1d", "enclosure-width", "enclosure-1d",
-        "classify-width", "p_many-1d"])
+        "classify-width", "p_many-1d", "p_many-no-columns"])
 def test_kernels_reject_misshapen_points(surface_n3, call, points):
     with pytest.raises(DomainError):
         call(surface_n3, points)
@@ -367,7 +369,7 @@ def test_f_box_holds_the_stated_rounding_allowance(kind, lam):
 
 
 def test_shallow_enclosure_holds_values_63_ulps_off():
-    # the widening of _shallow_bounds' box: at n = 2 (p the identity) and
+    # the widening of the shallow box: at n = 2 (p the identity) and
     # depth-12 dyadics the exact f is the depth-12 value, and the box holds
     # F of any double within 63 ulps of it, far more than the rounding_ulps
     # a depth-63 spec may compute it with.  F of each lies within twice
@@ -377,7 +379,7 @@ def test_shallow_enclosure_holds_values_63_ulps_off():
         spec = SurfaceSpec(2, SingularFunctionSpec(lam=lam, depth=63))
         xs = _bound_free_dyadics(SingularFunctionSpec(lam=lam, depth=12))
         assert xs.size > 150
-        lo, hi = surface_module._shallow_bounds(spec, xs[None, :])
+        lo, hi = _shallow_bounds(spec, xs[None, :])
         for x, a, b in zip(xs.tolist(), lo, hi):
             t = salem_exact(x, lam)
             for f in _extreme_doubles(t, 63 * _ulp(t)):
@@ -660,7 +662,7 @@ def test_full_depth_pass_encloses_only_undecided_pairs(monkeypatch):
     # 0.01 leaves such pairs in most blocks
     spec = SurfaceSpec(n=3, f=SingularFunctionSpec(lam=0.01))
     calls = []
-    first_pass_ok = surface_module._first_pass_ok
+    shallow_sides = surface_module._shallow_sides
     draw_block = surface_module._draw_block
     drawn = []
 
@@ -669,18 +671,18 @@ def test_full_depth_pass_encloses_only_undecided_pairs(monkeypatch):
         drawn.append(drawn_rows(block))
         return block
 
-    def recording_first_pass(spec_, words):
+    def recording_first_pass(f, words, k):
         # the rows of the block just drawn; of the pair's own points in the scalar check
         rows = drawn.pop() if drawn else None
-        calls.append(("first", spec_, rows, words.copy()))
-        return first_pass_ok(spec_, words)
+        calls.append(("first", SurfaceSpec(spec.n, f), rows, words.copy()))
+        return shallow_sides(f, words, k)
 
     def recording_enclosure(spec_, rows):
         calls.append(("full", spec_, rows.copy()))
         return surface_enclosure(spec_, rows)
 
     monkeypatch.setattr(surface_module, "_SCAN_BLOCK", 1000)
-    monkeypatch.setattr(surface_module, "_first_pass_ok", recording_first_pass)
+    monkeypatch.setattr(surface_module, "_shallow_sides", recording_first_pass)
     monkeypatch.setattr(surface_module, "_draw_block", recording_draw)
     monkeypatch.setattr(surface_module, "surface_enclosure", recording_enclosure)
     antichain_scan(spec, 4_500, seed=3)
@@ -733,6 +735,21 @@ def _words(spec, rows):
     return digit_words(rows.T, min(spec.f.depth, surface_module._TABLE_DEPTH))
 
 
+def _first_pass_ok(spec, words):
+    """The first pass's ok mask of k pairs from their (d, 2k) words: lo of the
+    lower points exceeds hi of the upper ones (``_certified_verdicts``)."""
+    lo_lower, hi_upper = surface_module._shallow_sides(spec.f, words, words.shape[1] // 2)
+    return lo_lower > hi_upper
+
+
+def _shallow_bounds(spec, cols):
+    """Both shallow bounds (lo, hi) of F at the points held by coordinate in the
+    (n-1, N) array ``cols``, as ``surface._F_cells`` takes them."""
+    words = digit_words(cols, surface_module._table_depth(spec.f))
+    return (surface_module._shallow_sides(spec.f, words, words.shape[1])[0],
+            surface_module._shallow_sides(spec.f, words, 0)[1])
+
+
 def _verdicts(spec, rows):
     """``_certified_verdicts`` of 2k rows, as ``check_antichain_pair`` calls it."""
     return surface_module._certified_verdicts(spec, _words(spec, rows), rows.__getitem__)
@@ -769,7 +786,7 @@ def test_first_pass_matches_two_sided_enclosure(kind, lam, depth, n):
     shallow = _at_depth(spec, min(depth, surface_module._TABLE_DEPTH))
     rows = _first_pass_rows(seeded_rng(depth * 10 + n), n, 200)
     k = len(rows) // 2
-    first = surface_module._first_pass_ok(spec, _words(spec, rows))
+    first = _first_pass_ok(spec, _words(spec, rows))
     ok_t, _ = surface_module._pair_verdicts(*surface_enclosure(shallow, rows))
     assert not (first & ~ok_t).any()
     ok_w = _widened_ok(spec, rows)
@@ -804,8 +821,8 @@ def test_first_pass_is_independent_of_the_row_layout(kind, lam, depth, n):
     rows = _first_pass_rows(seeded_rng(depth * 10 + n), n, 200)
     by_coordinate = np.ascontiguousarray(rows.T).T
     assert rows.flags.c_contiguous and by_coordinate.flags.f_contiguous
-    np.testing.assert_array_equal(surface_module._first_pass_ok(spec, _words(spec, rows)),
-                                  surface_module._first_pass_ok(spec, _words(spec, by_coordinate)))
+    np.testing.assert_array_equal(_first_pass_ok(spec, _words(spec, rows)),
+                                  _first_pass_ok(spec, _words(spec, by_coordinate)))
     for got, want in zip(_verdicts(spec, by_coordinate), _verdicts(spec, rows)):
         np.testing.assert_array_equal(got, want)
 
@@ -895,7 +912,7 @@ def test_shallow_enclosure_holds_full_depth_values(kind, lam, n):
     rows = _enclosure_rows(seeded_rng(n), 1000, n - 1)
     for depth in (6, 12, 20, 52, 63):
         spec = SurfaceSpec(n, SingularFunctionSpec(kind=kind, lam=lam, depth=depth))
-        lo, hi = surface_module._shallow_bounds(spec, rows.T)
+        lo, hi = _shallow_bounds(spec, rows.T)
         assert np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
         values = surface_values(spec, rows)
         assert np.all(lo - 2.0**-46 <= values), depth
@@ -903,6 +920,52 @@ def test_shallow_enclosure_holds_full_depth_values(kind, lam, n):
         if depth == 52:  # the exact F at uniform rows
             for row, row_lo, row_hi in list(zip(rows.tolist(), lo, hi))[:len(rows) // 4:20]:
                 assert row_lo <= _F_exact(row, lam) <= row_hi
+
+
+def _edge_pairs(spec, rest, depth):
+    """Adjacent doubles x < x' of the first coordinate, the others ``rest``, at
+    which F as ``surface_values`` computes it falls on either side of a
+    depth-``depth`` cell edge e (F(x) >= e > F(x')), for up to five edges spread
+    over F's range on the sweep's open cube: bisection on the bit patterns of
+    positive doubles, which order them.  Returns the edges and the rows, each
+    x first; no edge if F's range lies in one cell."""
+    def rows(bits):
+        return np.hstack([bits.view(np.float64)[:, None], np.tile(rest, (len(bits), 1))])
+
+    a, b = np.array([2.0**-50]).view(np.int64), np.array([1.0 - 2.0**-50]).view(np.int64)
+    top, bottom = surface_values(spec, rows(np.concatenate([a, b]))) * 2.0**depth
+    cells = np.arange(math.floor(bottom) + 1, math.ceil(top))
+    spread = np.linspace(0, len(cells) - 1, 5).astype(int) if len(cells) else []
+    edges = np.unique(cells[spread]) / 2.0**depth
+    a, b = np.repeat(a, len(edges)), np.repeat(b, len(edges))
+    while np.any(b - a > 1):
+        mid = a + (b - a) // 2
+        above = surface_values(spec, rows(mid)) >= edges
+        a, b = np.where(above, mid, a), np.where(above, b, mid)
+    return edges, rows(np.concatenate([a, b]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("lam", [0.01, 0.25, 0.4, 0.99])
+def test_F_cells_match_full_depth_cells_across_image_edges(lam, n):
+    # at adjacent rows whose computed F falls on either side of an image-cell
+    # edge, _F_cells gives the cells of F as surface_values computes it: the
+    # widened shallow bounds must not settle such a row in the wrong cell
+    spec = SurfaceSpec(n, SingularFunctionSpec(lam=lam))
+    # the other coordinates: those among 2^-j and 1 - 2^-j, j < 50, whose f lies
+    # nearest 1/2, so F spans many cells even when lam is far from 1/2
+    grid = np.concatenate([2.0 ** -np.arange(1, 50), 1.0 - 2.0 ** -np.arange(1, 50)])
+    rest = grid[np.argsort(abs(evaluate_many(spec.f, grid)[0] - 0.5))[:n - 2]]
+    seen = 0
+    for depth in (4, 6, 10, 14):
+        edges, rows = _edge_pairs(spec, rest, depth)
+        e, edge_cells = len(edges), digit_words(edges, depth)
+        seen += e
+        want = digit_words(surface_values(spec, rows), depth)
+        assert np.all(rows[e:, 0] == np.nextafter(rows[:e, 0], 1.0))
+        assert np.all(want[:e] >= edge_cells) and np.all(want[e:] < edge_cells)
+        np.testing.assert_array_equal(surface_module._F_cells(spec, rows.T, depth), want)
+    assert seen >= 10
 
 
 # ------------------------------------------------- projective cross-check
