@@ -188,7 +188,7 @@ def _cmd_export_mesh(cfg: RunConfig) -> str:
     def grid_at(i):  # interior grid value i, for an int or an index array alike
         return (i + 1) / (cfg.resolution + 1)
 
-    values = np.concatenate([F for _, F in measure.lattice_surface(
+    values = np.concatenate([F.ravel() for _, F in measure.lattice_surface(
         cfg.surface_spec(), cfg.resolution, grid_at, cfg.budget)])
     grid = [grid_at(i) for i in range(cfg.resolution)]
     if cfg.fmt == "csv":

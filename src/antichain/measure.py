@@ -3,7 +3,8 @@
 Everything here reduces to counting occupied half-open dyadic cells:
 
 * ``occupied_cell_count`` -- N(k), the occupied cells of one depth-k sweep
-  (``lattice_surface``: f once per axis value, F once per point; sorted dedup);
+  (``lattice_surface``: F broadcast over row-major slabs, at n >= 3 of the half
+  lattice x_1 <= x_2; sorted dedup carrying one band of codes from slab to slab);
   ``cover_sum`` turns a count into the cover sum alpha(s) * N * diam^s,
 * ``box_dimension``   -- log2 N(k) against k regression (box-counting slope);
   its counts and fitted trend feed ``cover_sum`` without a second sweep,
@@ -20,9 +21,9 @@ few percent of the rows), so the marks and areas are those of evaluating
 every lifted row in full.
 
 Counts are exact integers; length/area accumulations keep float error far
-below the 1e-12 budget (per-chunk pairwise sums combined with exact fsum).
-Both sweeps walk one grid in chunks of at most ``_CHUNK_ROWS`` rows; jitter comes
-from a generator keyed by seed and cell block, so results do not depend on the chunks.
+below the 1e-12 budget (per-chunk pairwise sums combined with exact fsum).  Both sweeps
+hold at most ``_CHUNK_ROWS`` rows at a time; jitter comes from a generator keyed by
+seed and cell block, so results do not depend on the chunks.
 """
 
 from __future__ import annotations
@@ -94,12 +95,10 @@ def cover_sum(s: float, n: int, k: int, count: float) -> float:
     return alpha(s) * count * delta**s
 
 
-def _grid_walk(side: int, dim: int, per_point: int, block: int, budget: int,
-               dtype: type = np.int64) -> Iterator[tuple[int, np.ndarray]]:
-    """Integer coordinates of the side^dim grid in flat-id order, each point
-    repeated on ``per_point`` consecutive rows, as (first row, (dim, rows) ``dtype``)
-    blocks of ``block`` rows.  The budget charge of one evaluation per row and
-    the 64-bit row-id guard run at the call, not lazily."""
+def _grid_walk(side: int, dim: int, per_point: int, block: int, budget: int) -> Iterator[tuple]:
+    """Float coordinates of the side^dim grid in flat-id order, each point on ``per_point``
+    consecutive rows, as (first row, (dim, rows)) blocks of ``block`` rows.  The budget
+    charge of one evaluation per row and the 64-bit row-id guard run at the call."""
     rows = side**dim * per_point
     check_budget(rows, budget)
     if rows > 2**62:
@@ -109,7 +108,7 @@ def _grid_walk(side: int, dim: int, per_point: int, block: int, budget: int,
         stop = min(start + block, rows)
         first = start // per_point  # the points of the block, each divided once
         ids = np.arange(first, (stop - 1) // per_point + 1, dtype=np.int64)
-        out = np.empty((dim, len(ids)), dtype=dtype)
+        out = np.empty((dim, len(ids)))
         for j in range(dim - 1, -1, -1):
             rest = ids // side
             np.subtract(ids, rest * side, out=out[j])  # faster than np.remainder
@@ -125,17 +124,38 @@ def _grid_walk(side: int, dim: int, per_point: int, block: int, budget: int,
     return ((start, coords(start)) for start in range(0, rows, block))
 
 
+def _slabs(side: int, dim: int, half: bool, head: tuple = ()) -> Iterator[tuple]:
+    """Row-major boxes of the side^dim lattice, (start, stop) per axis: as many whole rows
+    as fit ``_CHUNK_ROWS`` points, else one row (``head``) split alike along the next axis."""
+    start = head[0][0] if half and len(head) == 1 else 0
+    while start < side:  # ``tail``, the axes after this one: if half, axis 2 from ``start`` on
+        tail = [(start if half and not head else 0, side), *[(0, side)] * dim][:dim - len(head) - 1]
+        per = math.prod(stop - lo for lo, stop in tail)  # points per index
+        stop = min(start + max(_CHUNK_ROWS // per, 1), side)
+        yield from (_slabs(side, dim, half, (*head, (start, stop))) if per > _CHUNK_ROWS
+                    else [(*head, (start, stop), *tail)])
+        start = stop
+
+
 def lattice_surface(spec: SurfaceSpec, side: int, axis: Callable[[np.ndarray], np.ndarray],
-                    budget: int = DEFAULT_EVAL_BUDGET) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """((n-1, N) indices, F) over the lattice of axis values ``axis(np.arange(side))``,
-    row-major, in blocks of at most ``_CHUNK_ROWS`` points: f once per axis value, F once
-    per point; the budget charge of one evaluation per point runs before the axis is built.
-    At n = 2 the axis is the lattice, so f is evaluated block by block."""
-    blocks = _grid_walk(side, spec.domain_dim, 1, _CHUNK_ROWS, budget)
-    if spec.domain_dim == 1:
-        return ((ids, surface_from_f(evaluate_many(spec.f, axis(ids))[0].T)) for _, ids in blocks)
-    fa = evaluate_many(spec.f, axis(np.arange(side)))[0]
-    return ((ids, surface_from_f(fa.take(ids).T)) for _, ids in blocks)
+                    budget: int = DEFAULT_EVAL_BUDGET, half: bool = False) -> Iterator[tuple]:
+    """(index vector per axis, F) on each box of ``_slabs`` over the lattice of axis values
+    ``axis(np.arange(side))``, vector j along axis j of F's shape: f once per axis value
+    (box by box at n = 2), F on the f values broadcast over the box, after the budget
+    charge of one evaluation per point.  ``half`` (n >= 3) gives every F value: ``p_many``
+    sorts its columns, so F is bitwise symmetric under swapping x_1 and x_2."""
+    d = spec.domain_dim
+    check_budget(side**d, budget)
+    fa = evaluate_many(spec.f, axis(np.arange(side)))[0] if d > 1 else None
+
+    def box(ranges: tuple) -> tuple[list[np.ndarray], np.ndarray]:
+        idx = [np.arange(*r).reshape(-1, *(1,) * (d - 1 - j)) for j, r in enumerate(ranges)]
+        fv = np.empty((d, *(stop - start for start, stop in ranges)))
+        for j, i in enumerate(idx):  # at n = 2 the axis values are the box's points
+            fv[j] = fa.take(i) if d > 1 else evaluate_many(spec.f, axis(i))[0]
+        return idx, surface_from_f(fv.reshape(d, -1).T).reshape(fv.shape[1:])
+
+    return (box(ranges) for ranges in _slabs(side, d, half))
 
 
 def _check_code_bits(depth: int, dim: int) -> None:
@@ -165,23 +185,19 @@ def _cell_codes(axes: Sequence[np.ndarray], depth: int) -> np.ndarray:
     return codes
 
 
-def occupied_cell_count(
-    spec: SurfaceSpec,
-    domain_depth: int,
-    samples_per_cell: int,
-    budget: int = DEFAULT_EVAL_BUDGET,
-) -> int:
+def occupied_cell_count(spec: SurfaceSpec, domain_depth: int, samples_per_cell: int,
+                        budget: int = DEFAULT_EVAL_BUDGET) -> int:
     """Number of ambient grid cells hit by sampled graph points.
 
-    Each domain cell at ``domain_depth`` is sampled at the offsets j/m,
-    corners included.  The lattice they form is a product grid: f is
-    evaluated once per axis value and F once per point, which the budget
-    charges as one surface evaluation, and the image cells of the lifted
-    points are marked at the same depth.  The 2m lattice contains the m
-    lattice, so counts cannot drop when m doubles.
+    Each domain cell at ``domain_depth`` is sampled at the offsets j/m, corners
+    included.  The lattice they form is a product grid: f is evaluated once per axis
+    value and F at most once per point, which the budget charges as one evaluation, and
+    the image cells of the lifted points are marked at the same depth.  The 2m lattice
+    contains the m lattice, so counts cannot drop when m doubles.
     """
     side = _checked_cover_side(spec, domain_depth, samples_per_cell)
-    m = samples_per_cell
+    d, k, m = spec.domain_dim, domain_depth, samples_per_cell
+    dtype = np.int32 if k * spec.n < 32 else np.int64  # int32 codes sort faster
 
     def axis(i: np.ndarray) -> np.ndarray:  # point i: cell i // m, offset (i % m) / m
         values = i % m / m
@@ -192,22 +208,26 @@ def occupied_cell_count(
     def cells(ids: np.ndarray) -> np.ndarray:
         # axis value i lies in cell i // m, the last (1, clipped) in the last cell: the
         # float q + r/m stays below q + 1 while m q < 2^52, as in any lattice in memory
-        out = np.minimum(ids // m, (1 << domain_depth) - 1)
-        # int32 codes where they fit (as the projection's marks): they sort faster
-        return out.astype(np.int32) if domain_depth * spec.n < 32 else out
+        return np.minimum(ids // m, (1 << k) - 1).astype(dtype, copy=False)
 
-    seen = [_distinct(_cell_codes([*cells(ids), digit_words(F, domain_depth)], domain_depth))
-            for ids, F in lattice_surface(spec, side, axis, budget)]
-    # one chunk's codes are already distinct and sorted
-    return int((seen[0] if len(seen) == 1 else _distinct(np.concatenate(seen))).size)
+    def weight(codes: np.ndarray) -> int:  # a cell off the diagonal counts its mirror too
+        a1, a2 = codes >> k * d, (codes >> k * (d - 1)) & ((1 << k) - 1)
+        return np.count_nonzero(a2 >= a1) + np.count_nonzero(a2 > a1)
 
-
-def _distinct(codes: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1-d array, ascending; sorts ``codes`` in place."""
-    codes.sort()
-    keep = np.ones(codes.size, dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
-    return codes[keep]
+    count, band = 0, np.empty(0, dtype)
+    for idx, F in lattice_surface(spec, side, axis, budget, half=d > 1):
+        codes = digit_words(F, k).astype(dtype, copy=False)  # F's cell below the axes'
+        for j, ids in enumerate(idx):
+            codes |= cells(ids) << k * (d - j)
+        codes = np.concatenate([band, codes.ravel()])
+        codes.sort()
+        codes = codes[np.concatenate([[True], codes[1:] != codes[:-1]])]  # the distinct ones
+        # later boxes start at or past this box's last axis-1 cell: codes below it are final
+        cut = codes.searchsorted(cells(idx[0].max()) << k * d)
+        count += cut if d == 1 else weight(codes[:cut])
+        band = codes[cut:].copy()
+        del idx, F, codes  # freed before the next box is evaluated
+    return int(count + (band.size if d == 1 else weight(band)))
 
 
 def box_dimension(
@@ -298,7 +318,7 @@ def projection_measures(
     # power-of-two chunks of rows tile the jitter blocks of JITTER_BLOCK cells
     chunk = 1 << (min(_CHUNK_ROWS, JITTER_BLOCK).bit_length() - 1)
     block_rows = JITTER_BLOCK * per_cell
-    blocks = _grid_walk(1 << domain_depth, d, per_cell, chunk, budget, np.float64)
+    blocks = _grid_walk(1 << domain_depth, d, per_cell, chunk, budget)
     row = np.r_[n, :n].astype(np.int32)  # by label: piece i's row i - 1; label 0's discard row n
     occupancy = np.zeros((n + 1, 1 << bits), dtype=bool)
 

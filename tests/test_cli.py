@@ -575,12 +575,16 @@ def test_mesh_evaluates_each_grid_value_once(capsys, monkeypatch):
     default = {fmt: run_cli(capsys, *argv, fmt) for fmt in ("csv", "json")}
     assert f_sizes == [6, 6]  # one f call per export
     assert F_rows == [36, 36]
-    # blocks of 7 points split the 36 rows six ways; the bytes stay the same
+    # boxes of at most 7 points hold one 6-point row each; the bytes stay the same
     monkeypatch.setattr(measure, "_CHUNK_ROWS", 7)
     for fmt, (code, out, _) in default.items():
         assert code == 0
         assert run_cli(capsys, *argv, fmt)[:2] == (0, out), fmt
-    assert F_rows[2:] == [7, 7, 7, 7, 7, 1] * 2
+    assert F_rows[2:] == [6] * 12
+    # boxes of 4 points split each row in two
+    monkeypatch.setattr(measure, "_CHUNK_ROWS", 4)
+    assert run_cli(capsys, *argv, "csv")[:2] == (0, default["csv"][1])
+    assert F_rows[14:] == [4, 2] * 6
 
 
 def test_mesh_over_budget(capsys, monkeypatch):

@@ -31,6 +31,7 @@ from antichain.measure import (
     _block_jitter,
     _cell_codes,
     _grid_walk,
+    _slabs,
     classify_regions,
     cover_sum,
 )
@@ -172,21 +173,48 @@ def test_mark_codes_nest_across_depths():
     (13, 1, 5, 7),
 ])
 def test_grid_walk_matches_unravel_index(side, dim, per_point, block):
-    # blocks of ``block`` rows that do not divide the row count, each point
-    # repeated on ``per_point`` rows, walked in flat-id order
+    # the projection's walk: blocks of ``block`` rows that do not divide the row
+    # count, each point repeated on ``per_point`` rows, in flat-id order, as floats
     rows = side**dim * per_point
     assert rows % block
     walked = list(_grid_walk(side, dim, per_point, block, budget=rows))
     assert [first for first, _ in walked] == list(range(0, rows, block))
     got = np.concatenate([coords for _, coords in walked], axis=1)
     expected = np.stack(np.unravel_index(np.arange(rows) // per_point, (side,) * dim))
-    assert got.dtype == np.int64
+    assert got.dtype == np.float64
     assert np.array_equal(got, expected)
-    # the projection's walk: the same coordinates as floats
-    floats = np.concatenate([coords for _, coords in _grid_walk(side, dim, per_point, block,
-                                                                 rows, np.float64)], axis=1)
-    assert floats.dtype == np.float64
-    assert np.array_equal(floats, expected)
+
+
+@pytest.mark.parametrize("side, dim, chunk_rows", [
+    (17, 1, 50),
+    (17, 2, 50),  # whole rows, 17 - r0 points each on the half lattice
+    (17, 3, 50),  # a row of 289 points: one axis-1 index, axis 2 split
+    (5, 4, 20),  # 25 points an axis-2 index: axis 3 split too
+    (9, 3, 1000),
+])
+def test_slabs_tile_the_lattice(side, dim, chunk_rows, monkeypatch):
+    # the full walk is the row-major lattice in boxes of at most chunk_rows points;
+    # the half walk holds every point with x_1 <= x_2 once, and its other points
+    # (the overhang) lie in a box's axis-1 rows at or past the box's first row
+    monkeypatch.setattr(measure_module, "_CHUNK_ROWS", chunk_rows)
+    shape = (side,) * dim
+
+    def flat_ids(boxes):
+        grids = (np.meshgrid(*[np.arange(*r) for r in box], indexing="ij") for box in boxes)
+        return [np.ravel_multi_index(grid, shape).ravel() for grid in grids]
+
+    full = list(_slabs(side, dim, False))
+    assert max(math.prod(b - a for a, b in box) for box in full) <= chunk_rows
+    assert np.array_equal(np.concatenate(flat_ids(full)), np.arange(side**dim))
+    if dim == 1:
+        return
+    half = list(_slabs(side, dim, True))
+    assert max(math.prod(b - a for a, b in box) for box in half) <= chunk_rows
+    ids = np.concatenate(flat_ids(half))
+    assert np.unique(ids).size == ids.size
+    i, j = np.unravel_index(ids, shape)[:2]
+    assert np.count_nonzero(i <= j) == side**dim * (side + 1) // (2 * side)
+    assert all(box[1][0] >= box[0][0] for box in half)
 
 
 # --------------------------------------------------------------- occupancy
@@ -249,7 +277,7 @@ def test_cover_codes_either_side_of_int32(surface_n2, k):
 def test_cover_evaluates_each_lattice_point_once(surface_n3, monkeypatch):
     # the depth-3 lattice with 2 samples per cell has 17 points per axis:
     # f runs on the 17 axis values, not on 2 * 289 coordinates, and F on the
-    # 289 lattice points, not on 64 * 9; the budget charges the 289
+    # 289 lattice points, not on 64 * 9, in one box; the budget charges the 289
     f_sizes, F_rows = [], []
 
     def counting_f(spec, xs):
@@ -264,10 +292,19 @@ def test_cover_evaluates_each_lattice_point_once(surface_n3, monkeypatch):
     monkeypatch.setattr(measure_module, "surface_from_f", counting_F)
     count = occupied_cell_count(surface_n3, 3, 2, budget=289)
     assert f_sizes == [17]
-    assert sum(F_rows) == 289
+    assert F_rows == [289]
     assert count == occupied_cell_count(surface_n3, 3, 2)
+    # 50-point boxes on the half lattice: as many rows of axis 2's indices from the
+    # box's first row r0 on as fit, 17 - r0 a row: rows 0-1 (34 points), 2-4 (45),
+    # 5-8 (48), 9-14 (48) and 15-16 (4), 179 points where the whole lattice has 289
+    monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 50)
+    f_sizes.clear(), F_rows.clear()
+    assert occupied_cell_count(surface_n3, 3, 2, budget=289) == count
+    assert f_sizes == [17]
+    assert F_rows == [34, 45, 48, 48, 4]
     with pytest.raises(BudgetError, match="^289 evaluations exceed budget 288$"):
         occupied_cell_count(surface_n3, 3, 2, budget=288)
+    assert len(f_sizes) == 1  # refused before f runs
 
 
 def lattice_cell_count(spec: SurfaceSpec, k: int, m: int) -> int:
@@ -286,6 +323,7 @@ def lattice_cell_count(spec: SurfaceSpec, k: int, m: int) -> int:
     (2, "salem", 0.25, 8, 3),
     (3, "salem", 0.25, 4, 2),
     (4, "salem", 0.25, 2, 3),
+    (4, "salem", 0.25, 3, 2),  # 17^2 = 289 points an axis-1 row: 50-point boxes split it
     (2, "salem", 0.7, 9, 2),
     (3, "salem", 0.4, 4, 2),
     (2, "salem", 0.5, 8, 3),  # the identity
@@ -299,9 +337,11 @@ def test_cover_matches_lattice_oracle(n, kind, lam, k, m, chunk_rows, monkeypatc
 
 
 def test_cover_traced_peak_is_bounded(surface_n3):
-    # n = 3, k = 9, m = 2: 1025^2 lattice points in 32 chunks.  7.9 MiB; 10.1
-    # MiB when each chunk evaluated f at its coordinates and np.unique made the
-    # dedup's copies; the first call fills the kernels' cached tables
+    # n = 3, k = 9, m = 2: 1025^2 lattice points, about half of them evaluated on
+    # the half lattice in 18 boxes.  1.5 MiB; 4.06 MiB when every chunk's distinct
+    # codes were kept for a second sort over the concatenation, 10.1 MiB when each
+    # chunk evaluated f at its coordinates and np.unique made the dedup's copies;
+    # the first call fills the kernels' cached tables
     occupied_cell_count(surface_n3, 2, 1)
     tracemalloc.start()
     try:
@@ -309,16 +349,16 @@ def test_cover_traced_peak_is_bounded(surface_n3):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * 2**20
+    assert peak < 3 * 2**20
 
 
 def test_cover_axis_traced_peak_is_bounded(surface_n2):
     # n = 2, k = 18, m = 3: the 786433-point axis is the whole lattice, so f and
-    # the cells are taken chunk by chunk, and only the distinct codes grow: the
-    # peak, 7.3 MiB, stays below a chunk's working set (ten 8-byte values a
-    # row) plus 24 bytes a counted cell (each chunk's codes, their concatenation
-    # and the distinct ones).  19.1 MiB when f's values and bounds and a cell
-    # table were built over the whole axis at once
+    # the cells are taken box by box, and only the band of codes in the last axis-1
+    # cell is carried to the next box: the peak, 2.3 MiB, stays below a box's working
+    # set (twelve 8-byte values a point), whatever the count.  7.3 MiB when every
+    # box's distinct codes were kept for a second sort, 19.1 MiB when f's values and
+    # bounds and a cell table were built over the whole axis at once
     occupied_cell_count(surface_n2, 2, 1)
     tracemalloc.start()
     try:
@@ -326,7 +366,7 @@ def test_cover_axis_traced_peak_is_bounded(surface_n2):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80 * measure_module._CHUNK_ROWS + 24 * count, (peak, count)
+    assert peak < 96 * measure_module._CHUNK_ROWS, (peak, count)
 
 
 # ----------------------------------------------------------- cover values

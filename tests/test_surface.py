@@ -133,6 +133,24 @@ def test_p_permutation_symmetry_all_perms():
             assert p_eval(Point(perm)) == reference
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_surface_from_f_swaps_first_two_columns_bitwise(n):
+    # the cover's half lattice rests on this: F is the same double, not just
+    # close, when x_1 and x_2 trade places; random f values, tied pairs, and
+    # values near and at 0 and 1
+    rng = seeded_rng(40 + n)
+    edges = np.array([0.0, 2.0**-1074, 1e-300, 2.0**-60, 1e-9, 0.5,
+                      1.0 - 1e-9, 1.0 - 2.0**-52, 1.0 - 2.0**-53, 1.0])
+    fv = rng.random((4000, n - 1))
+    fv[:1000, 1] = fv[:1000, 0]  # ties
+    fv[1000:2000] = rng.choice(edges, (1000, n - 1))
+    fv[2000:3000, :2] = rng.choice(edges, (1000, 2))
+    swapped = fv.copy()
+    swapped[:, [0, 1]] = fv[:, [1, 0]]
+    assert not np.array_equal(swapped, fv)
+    assert surface_from_f(fv).tobytes() == surface_from_f(swapped).tobytes()
+
+
 def test_p_monotone_bulk():
     # 1e5 pairs spread over dims 1..5; strictly larger in every coordinate
     rng = seeded_rng(22)
