@@ -355,7 +355,7 @@ def test_cover_traced_peak_is_bounded(surface_n3):
 def test_cover_axis_traced_peak_is_bounded(surface_n2):
     # n = 2, k = 18, m = 3: the 786433-point axis is the whole lattice, so f and
     # the cells are taken box by box, and only the band of codes in the last axis-1
-    # cell is carried to the next box: the peak, 2.3 MiB, stays below a box's working
+    # cell is carried to the next box: the peak, 2.5 MiB, stays below a box's working
     # set (twelve 8-byte values a point), whatever the count.  7.3 MiB when every
     # box's distinct codes were kept for a second sort, 19.1 MiB when f's values and
     # bounds and a cell table were built over the whole axis at once
