@@ -3,11 +3,11 @@
 Everything here reduces to counting occupied half-open dyadic cells:
 
 * ``occupied_cell_count`` -- N(k), the occupied cells of one depth-k sweep
-  (``lattice_surface``: F broadcast over row-major slabs, at n >= 3 of the half
-  lattice x_1 <= x_2; sorted dedup carrying one band of codes from slab to slab);
+  (``lattice_surface``: F broadcast over row-major boxes of whole domain cells, at
+  n >= 3 of the half lattice x_1 <= x_2; each box's distinct codes counted at once);
   ``cover_sum`` turns a count into the cover sum alpha(s) * N * diam^s,
-* ``box_dimension``   -- log2 N(k) against k regression (box-counting slope);
-  its counts and fitted trend feed ``cover_sum`` without a second sweep,
+* ``box_dimension``   -- log2 N(k) against k regression (box-counting slope; at n >= 3
+  f once for the window); its counts and trend feed ``cover_sum`` without a second sweep,
 * ``graph_length_n2`` -- inscribed polyline length of the planar graph,
 * ``projection_measures`` -- ``{axis: area}`` of the n coordinate projections
   of the slope probe's graph pieces from one sweep, F taking the place of
@@ -124,29 +124,37 @@ def _grid_walk(side: int, dim: int, per_point: int, block: int, budget: int) -> 
     return ((start, coords(start)) for start in range(0, rows, block))
 
 
-def _slabs(side: int, dim: int, half: bool, head: tuple = ()) -> Iterator[tuple]:
-    """Row-major boxes of the side^dim lattice, (start, stop) per axis: as many whole rows
-    as fit ``_CHUNK_ROWS`` points, else one row (``head``) split alike along the next axis."""
-    start = head[0][0] if half and len(head) == 1 else 0
-    while start < side:  # ``tail``, the axes after this one: if half, axis 2 from ``start`` on
-        tail = [(start if half and not head else 0, side), *[(0, side)] * dim][:dim - len(head) - 1]
-        per = math.prod(stop - lo for lo, stop in tail)  # points per index
-        stop = min(start + max(_CHUNK_ROWS // per, 1), side)
-        yield from (_slabs(side, dim, half, (*head, (start, stop))) if per > _CHUNK_ROWS
-                    else [(*head, (start, stop), *tail)])
+def _slabs(side: int, dim: int, cell: int = 0, head: tuple = ()) -> Iterator[tuple]:
+    """Row-major boxes of the side^dim lattice, (start, stop) per axis: as many whole rows as
+    fit ``_CHUNK_ROWS`` points, else one row (``head``) split alike along the next axis.  The
+    cover's walk (``cell`` = m) cuts only between domain cells, of m indices and m + 1 in the
+    last (one may overfill a box), and starts axis 2 at each box's first row: x_1 <= x_2."""
+    unit = max(cell, 1)
+    last = side - unit - (cell > 0)  # the last cell's first index
+    start = head[0][0] if cell and len(head) == 1 else 0
+    while start < side:  # ``tail``, the axes after this one; the cover's axis 2 from ``start`` on
+        tail = [(start if cell and not head else 0, side), *[(0, side)] * dim][:dim - len(head) - 1]
+        per = math.prod(stop - lo for lo, stop in (*head, *tail))  # points per index
+        stop = start + max(_CHUNK_ROWS // per // unit, 1) * unit
+        if stop > last:  # the whole last cell, or a cut before it where that would overfill
+            stop = side if start == last or (side - start) * per <= _CHUNK_ROWS else last
+        box = (*head, (start, stop))
+        yield from (_slabs(side, dim, cell, box) if tail and (stop - start) * per > _CHUNK_ROWS
+                    else [(*box, *tail)])
         start = stop
 
 
 def lattice_surface(spec: SurfaceSpec, side: int, axis: Callable[[np.ndarray], np.ndarray],
-                    budget: int = DEFAULT_EVAL_BUDGET, half: bool = False) -> Iterator[tuple]:
-    """(index vector per axis, F) on each box of ``_slabs`` over the lattice of axis values
-    ``axis(np.arange(side))``, vector j along axis j of F's shape: f once per axis value
-    (box by box at n = 2), F on the f values broadcast over the box, after the budget
-    charge of one evaluation per point.  ``half`` (n >= 3) gives every F value: ``p_many``
-    sorts its columns, so F is bitwise symmetric under swapping x_1 and x_2."""
+                    budget: int = DEFAULT_EVAL_BUDGET, cell: int = 0,
+                    fa: np.ndarray | None = None) -> Iterator[tuple]:
+    """(index vector per axis, F) on each box of ``_slabs(side, d, cell)`` over the lattice of
+    axis values ``axis(np.arange(side))``, vector j along axis j of F's shape: f once per axis
+    value (``fa`` if given; box by box at n = 2), F on the f values broadcast over the box,
+    after the budget charge of one evaluation per point.  The cover's half lattice gives every
+    F value: ``p_many`` sorts its columns, so F is bitwise symmetric under swapping x_1, x_2."""
     d = spec.domain_dim
     check_budget(side**d, budget)
-    fa = evaluate_many(spec.f, axis(np.arange(side)))[0] if d > 1 else None
+    fa = evaluate_many(spec.f, axis(np.arange(side)))[0] if d > 1 and fa is None else fa
 
     def box(ranges: tuple) -> tuple[list[np.ndarray], np.ndarray]:
         idx = [np.arange(*r).reshape(-1, *(1,) * (d - 1 - j)) for j, r in enumerate(ranges)]
@@ -155,7 +163,7 @@ def lattice_surface(spec: SurfaceSpec, side: int, axis: Callable[[np.ndarray], n
             fv[j] = fa.take(i) if d > 1 else evaluate_many(spec.f, axis(i))[0]
         return idx, surface_from_f(fv.reshape(d, -1).T).reshape(fv.shape[1:])
 
-    return (box(ranges) for ranges in _slabs(side, d, half))
+    return (box(ranges) for ranges in _slabs(side, d, cell))
 
 
 def _check_code_bits(depth: int, dim: int) -> None:
@@ -163,16 +171,6 @@ def _check_code_bits(depth: int, dim: int) -> None:
     checked before any ``1 << depth`` is built."""
     if depth * dim > 62:
         raise BudgetError(f"grid depth {depth} in dimension {dim} overflows 64-bit cell codes")
-
-
-def _checked_cover_side(spec: SurfaceSpec, depth: int, samples_per_cell: int) -> int:
-    """Points per axis of the cover's lattice, after the cover's argument
-    checks; a sweep evaluates side**domain_dim."""
-    if min(check_int("domain_depth", depth, None),
-           check_int("samples_per_cell", samples_per_cell, None)) < 1:
-        raise DomainError("domain_depth and samples_per_cell must be >= 1")
-    _check_code_bits(depth, spec.n)
-    return (samples_per_cell << depth) + 1
 
 
 def _cell_codes(axes: Sequence[np.ndarray], depth: int) -> np.ndarray:
@@ -190,44 +188,59 @@ def occupied_cell_count(spec: SurfaceSpec, domain_depth: int, samples_per_cell: 
     """Number of ambient grid cells hit by sampled graph points.
 
     Each domain cell at ``domain_depth`` is sampled at the offsets j/m, corners
-    included.  The lattice they form is a product grid: f is evaluated once per axis
-    value and F at most once per point, which the budget charges as one evaluation, and
-    the image cells of the lifted points are marked at the same depth.  The 2m lattice
-    contains the m lattice, so counts cannot drop when m doubles.
+    included.  The lattice they form is a product grid, swept in boxes of whole domain
+    cells: f is evaluated once per axis value and F at most once per point, which the
+    budget charges as one evaluation, and the image cells of the lifted points are marked
+    at the same depth.  The 2m lattice contains the m lattice: counts cannot drop as m doubles.
     """
-    side = _checked_cover_side(spec, domain_depth, samples_per_cell)
-    d, k, m = spec.domain_dim, domain_depth, samples_per_cell
-    dtype = np.int32 if k * spec.n < 32 else np.int64  # int32 codes sort faster
+    return _cover_counts(spec, [domain_depth], samples_per_cell, budget)[0]
 
-    def axis(i: np.ndarray) -> np.ndarray:  # point i: cell i // m, offset (i % m) / m
+
+def _cover_counts(spec: SurfaceSpec, depths: Sequence[int], m: int, budget: int) -> list[int]:
+    """``occupied_cell_count`` at each depth, after one budget charge for all the lattices.
+    At n >= 3 f runs once on all their axes (``evaluate_many`` is elementwise); at n = 2,
+    where the axis is the lattice, box by box.  A box holds whole domain cells, so the
+    distinct codes of each box are final and are counted at once."""
+    d = spec.domain_dim
+    for k in depths:  # checked before any lattice size is summed
+        if min(check_int("domain_depth", k, None), check_int("samples_per_cell", m, None)) < 1:
+            raise DomainError("domain_depth and samples_per_cell must be >= 1")
+        _check_code_bits(k, spec.n)
+    sides = [(m << k) + 1 for k in depths]
+    check_budget(sum(side**d for side in sides), budget)
+
+    def axis(i: np.ndarray, k: int) -> np.ndarray:  # index i: cell i // m, offset (i % m) / m
         values = i % m / m
         values += i // m
-        values /= float(1 << domain_depth)
+        values /= float(1 << k)
         return np.clip(values, _EDGE, 1.0 - _EDGE, out=values)
 
-    def cells(ids: np.ndarray) -> np.ndarray:
-        # axis value i lies in cell i // m, the last (1, clipped) in the last cell: the
-        # float q + r/m stays below q + 1 while m q < 2^52, as in any lattice in memory
-        return np.minimum(ids // m, (1 << k) - 1).astype(dtype, copy=False)
+    if d > 1:
+        axes = [axis(np.arange(side), k) for k, side in zip(depths, sides)]
+        fs = np.split(evaluate_many(spec.f, np.concatenate(axes))[0], np.cumsum(sides)[:-1])
 
-    def weight(codes: np.ndarray) -> int:  # a cell off the diagonal counts its mirror too
-        a1, a2 = codes >> k * d, (codes >> k * (d - 1)) & ((1 << k) - 1)
-        return np.count_nonzero(a2 >= a1) + np.count_nonzero(a2 > a1)
+    def distinct(codes: np.ndarray) -> int:
+        codes = np.sort(codes, axis=None)
+        return int(np.count_nonzero(codes[1:] != codes[:-1])) + (codes.size > 0)
 
-    count, band = 0, np.empty(0, dtype)
-    for idx, F in lattice_surface(spec, side, axis, budget, half=d > 1):
-        codes = digit_words(F, k).astype(dtype, copy=False)  # F's cell below the axes'
-        for j, ids in enumerate(idx):
-            codes |= cells(ids) << k * (d - j)
-        codes = np.concatenate([band, codes.ravel()])
-        codes.sort()
-        codes = codes[np.concatenate([[True], codes[1:] != codes[:-1]])]  # the distinct ones
-        # later boxes start at or past this box's last axis-1 cell: codes below it are final
-        cut = codes.searchsorted(cells(idx[0].max()) << k * d)
-        count += cut if d == 1 else weight(codes[:cut])
-        band = codes[cut:].copy()
-        del idx, F, codes  # freed before the next box is evaluated
-    return int(count + (band.size if d == 1 else weight(band)))
+    counts = [0] * len(sides)
+    for t, (k, side) in enumerate(zip(depths, sides)):
+        dtype = np.int32 if k * spec.n < 32 else np.int64  # int32 codes sort faster
+        for idx, F in lattice_surface(spec, side, lambda i, k=k: axis(i, k), budget,
+                                      m, fs[t] if d > 1 else None):
+            # F's cell, ``digit_words`` cast straight to the code type, below the axes' cells
+            codes = np.multiply(F, float(1 << k), out=F).astype(dtype)
+            for j, ids in enumerate(idx):
+                # axis value i lies in cell i // m, the last (1, clipped) in the last cell: the
+                # float q + r/m stays below q + 1 while m q < 2^52, as in any lattice in memory
+                codes |= np.minimum(ids // m, (1 << k) - 1).astype(dtype) << k * (d - j)
+            # axis-2 indices below the box's axis-1 stop give each code and its mirror; past
+            # them the codes count twice, their mirrors being in no box
+            below = np.count_nonzero(idx[1] <= idx[0].max()) if d > 1 else len(codes)
+            square, right = np.split(codes, [below], axis=min(d - 1, 1))
+            counts[t] += distinct(square) + 2 * distinct(right)
+            del idx, F, codes, square, right  # freed before the next box is evaluated
+    return counts
 
 
 def box_dimension(
@@ -242,10 +255,7 @@ def box_dimension(
     if check_int("k_max", k_max, None) - check_int("k_min", k_min, None) + 1 < 3:
         raise InsufficientDataError("need at least 3 grid depths for a regression")
     depths = range(k_min, k_max + 1)
-    # the checks stop a deep window before its lattice sizes are summed
-    sides = [_checked_cover_side(spec, k, samples_per_cell) for k in depths]
-    check_budget(sum(side**spec.domain_dim for side in sides), budget)
-    counts = [occupied_cell_count(spec, k, samples_per_cell, budget=budget) for k in depths]
+    counts = _cover_counts(spec, depths, samples_per_cell, budget)
     ks = np.asarray(depths, dtype=np.float64)
     logs = np.log2(np.asarray(counts, dtype=np.float64))
     slope, intercept = np.polyfit(ks, logs, 1)

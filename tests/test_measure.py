@@ -187,15 +187,20 @@ def test_grid_walk_matches_unravel_index(side, dim, per_point, block):
 
 @pytest.mark.parametrize("side, dim, chunk_rows", [
     (17, 1, 50),
+    (17, 1, 5),  # a few cells a box
     (17, 2, 50),  # whole rows, 17 - r0 points each on the half lattice
-    (17, 3, 50),  # a row of 289 points: one axis-1 index, axis 2 split
+    (17, 2, 7),  # at m >= 2 one cell overfills a box: one cell a box
+    (17, 3, 50),  # a row of 289 points: one axis-1 index (or cell), axis 2 split
+    (13, 3, 50),  # m = 3 and 6 among the cell sizes
     (5, 4, 20),  # 25 points an axis-2 index: axis 3 split too
     (9, 3, 1000),
 ])
 def test_slabs_tile_the_lattice(side, dim, chunk_rows, monkeypatch):
-    # the full walk is the row-major lattice in boxes of at most chunk_rows points;
-    # the half walk holds every point with x_1 <= x_2 once, and its other points
-    # (the overhang) lie in a box's axis-1 rows at or past the box's first row
+    # the full walk is the row-major lattice in boxes of at most chunk_rows points.
+    # The cover's walk, for every cell size m that divides side - 1, cuts only between
+    # cells, m indices each and m + 1 in the last; it holds every point with
+    # x_1 <= x_2 once, and its other points (the overhang) lie in a box's axis-1 rows
+    # at or past the box's first row
     monkeypatch.setattr(measure_module, "_CHUNK_ROWS", chunk_rows)
     shape = (side,) * dim
 
@@ -203,18 +208,25 @@ def test_slabs_tile_the_lattice(side, dim, chunk_rows, monkeypatch):
         grids = (np.meshgrid(*[np.arange(*r) for r in box], indexing="ij") for box in boxes)
         return [np.ravel_multi_index(grid, shape).ravel() for grid in grids]
 
-    full = list(_slabs(side, dim, False))
-    assert max(math.prod(b - a for a, b in box) for box in full) <= chunk_rows
+    def size(box):
+        return math.prod(b - a for a, b in box)
+
+    full = list(_slabs(side, dim))
+    assert max(map(size, full)) <= chunk_rows
     assert np.array_equal(np.concatenate(flat_ids(full)), np.arange(side**dim))
-    if dim == 1:
-        return
-    half = list(_slabs(side, dim, True))
-    assert max(math.prod(b - a for a, b in box) for box in half) <= chunk_rows
-    ids = np.concatenate(flat_ids(half))
-    assert np.unique(ids).size == ids.size
-    i, j = np.unravel_index(ids, shape)[:2]
-    assert np.count_nonzero(i <= j) == side**dim * (side + 1) // (2 * side)
-    assert all(box[1][0] >= box[0][0] for box in half)
+    for m in (m for m in range(1, side) if (side - 1) % m == 0):
+        cover = list(_slabs(side, dim, m))
+        assert max(map(size, cover)) <= max(chunk_rows, (m + 1)**dim), m
+        edges = {edge for box in cover for r in box for edge in r}
+        assert all(edge == side or (edge % m == 0 and edge < side - 1) for edge in edges), m
+        ids = np.concatenate(flat_ids(cover))
+        assert np.unique(ids).size == ids.size
+        if dim == 1:
+            assert ids.size == side
+            continue
+        i, j = np.unravel_index(ids, shape)[:2]
+        assert np.count_nonzero(i <= j) == side**dim * (side + 1) // (2 * side)
+        assert all(box[1][0] >= box[0][0] for box in cover)
 
 
 # --------------------------------------------------------------- occupancy
@@ -294,17 +306,55 @@ def test_cover_evaluates_each_lattice_point_once(surface_n3, monkeypatch):
     assert f_sizes == [17]
     assert F_rows == [289]
     assert count == occupied_cell_count(surface_n3, 3, 2)
-    # 50-point boxes on the half lattice: as many rows of axis 2's indices from the
-    # box's first row r0 on as fit, 17 - r0 a row: rows 0-1 (34 points), 2-4 (45),
-    # 5-8 (48), 9-14 (48) and 15-16 (4), 179 points where the whole lattice has 289
+    # 50-point boxes on the half lattice: as many whole two-row cells of axis 2's
+    # indices from the box's first row r0 on as fit, 17 - r0 a row, the last cell
+    # holding rows 14-16: rows 0-1 (34 points), 2-3 (30), 4-5 (26), 6-9 (44) and
+    # 10-16 (49, no cut before the last cell), 183 points where the lattice has 289
     monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 50)
     f_sizes.clear(), F_rows.clear()
     assert occupied_cell_count(surface_n3, 3, 2, budget=289) == count
     assert f_sizes == [17]
-    assert F_rows == [34, 45, 48, 48, 4]
+    assert F_rows == [34, 30, 26, 44, 49]
     with pytest.raises(BudgetError, match="^289 evaluations exceed budget 288$"):
         occupied_cell_count(surface_n3, 3, 2, budget=288)
     assert len(f_sizes) == 1  # refused before f runs
+
+
+@pytest.mark.parametrize("n, k_min, k_max, m", [(3, 2, 5, 2), (3, 1, 4, 3), (4, 1, 3, 2)])
+def test_box_dimension_evaluates_f_once_per_window(n, k_min, k_max, m, salem_default,
+                                                   monkeypatch):
+    # at n >= 3 one evaluate_many call takes the axis values of every depth (the
+    # kernel is elementwise, so each f is the same double), and the counts are those
+    # of the sweeps one depth at a time
+    spec = SurfaceSpec(n=n, f=salem_default)
+    depths = range(k_min, k_max + 1)
+    counts = tuple(occupied_cell_count(spec, k, m) for k in depths)
+    f_sizes = []
+
+    def counting_f(spec, xs):
+        f_sizes.append(np.size(xs))
+        return evaluate_many(spec, xs)
+
+    monkeypatch.setattr(measure_module, "evaluate_many", counting_f)
+    assert box_dimension(spec, k_min, k_max, m).counts == counts
+    assert f_sizes == [sum((m << k) + 1 for k in depths)]
+
+
+def test_box_dimension_n2_evaluates_f_box_by_box(surface_n2, monkeypatch):
+    # at n = 2 the axis is the whole lattice: f runs once a box, on whole cells of
+    # at most _CHUNK_ROWS points (two cells of 3; the last box ends on the last cell
+    # of 4), so no call holds a whole axis
+    counts = box_dimension(surface_n2, 2, 4, 3).counts
+    f_sizes = []
+
+    def counting_f(spec, xs):
+        f_sizes.append(np.size(xs))
+        return evaluate_many(spec, xs)
+
+    monkeypatch.setattr(measure_module, "evaluate_many", counting_f)
+    monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 7)
+    assert box_dimension(surface_n2, 2, 4, 3).counts == counts
+    assert f_sizes == [6, 7] + [6] * 3 + [7] + [6] * 7 + [7]
 
 
 def lattice_cell_count(spec: SurfaceSpec, k: int, m: int) -> int:
@@ -318,18 +368,22 @@ def lattice_cell_count(spec: SurfaceSpec, k: int, m: int) -> int:
     return len({tuple(math.floor(v * 2**k) for v in row) for row in ambient.tolist()})
 
 
-@pytest.mark.parametrize("chunk_rows", [None, 50])
+@pytest.mark.parametrize("chunk_rows", [None, 50, 7])
 @pytest.mark.parametrize("n, kind, lam, k, m", [
     (2, "salem", 0.25, 8, 3),
     (3, "salem", 0.25, 4, 2),
+    (3, "salem", 0.25, 4, 3),  # odd m: 7-point boxes split each cell of 9 to 16 points off
+    (3, "salem", 0.7, 3, 5),  # one cell, 25 to 36 points, overfills a 7- or 50-point box
     (4, "salem", 0.25, 2, 3),
+    (4, "salem", 0.4, 3, 3),
     (4, "salem", 0.25, 3, 2),  # 17^2 = 289 points an axis-1 row: 50-point boxes split it
     (2, "salem", 0.7, 9, 2),
     (3, "salem", 0.4, 4, 2),
     (2, "salem", 0.5, 8, 3),  # the identity
 ])
 def test_cover_matches_lattice_oracle(n, kind, lam, k, m, chunk_rows, monkeypatch):
-    # 50 rows per chunk cuts the lattice mid-row and dedups across many chunks
+    # 50 or 7 points a box split the lattice's rows, cells and the last cell (m + 1
+    # indices on each axis), and the count adds up the distinct codes of many boxes
     spec = SurfaceSpec(n=n, f=SingularFunctionSpec(kind=kind, lam=lam))
     if chunk_rows is not None:
         monkeypatch.setattr(measure_module, "_CHUNK_ROWS", chunk_rows)
@@ -354,9 +408,9 @@ def test_cover_traced_peak_is_bounded(surface_n3):
 
 def test_cover_axis_traced_peak_is_bounded(surface_n2):
     # n = 2, k = 18, m = 3: the 786433-point axis is the whole lattice, so f and
-    # the cells are taken box by box, and only the band of codes in the last axis-1
-    # cell is carried to the next box: the peak, 2.5 MiB, stays below a box's working
-    # set (twelve 8-byte values a point), whatever the count.  7.3 MiB when every
+    # the cells are taken box by box, and each box holds whole cells, so nothing is
+    # carried to the next box: the peak, 2.5 MiB, stays below a box's working set
+    # (twelve 8-byte values a point), whatever the count.  7.3 MiB when every
     # box's distinct codes were kept for a second sort, 19.1 MiB when f's values and
     # bounds and a cell table were built over the whole axis at once
     occupied_cell_count(surface_n2, 2, 1)
