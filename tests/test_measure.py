@@ -320,41 +320,32 @@ def test_cover_evaluates_each_lattice_point_once(surface_n3, monkeypatch):
     assert len(f_sizes) == 1  # refused before f runs
 
 
-@pytest.mark.parametrize("n, k_min, k_max, m", [(3, 2, 5, 2), (3, 1, 4, 3), (4, 1, 3, 2)])
-def test_box_dimension_evaluates_f_once_per_window(n, k_min, k_max, m, salem_default,
-                                                   monkeypatch):
+@pytest.mark.parametrize("n, k_min, k_max, m, chunk_rows, f_sizes", [
+    (3, 2, 5, 2, None, [9 + 17 + 33 + 65]),
+    (3, 1, 4, 3, None, [7 + 13 + 25 + 49]),
+    (4, 1, 3, 2, None, [5 + 9 + 17]),
+    # n = 2, where the axis is the whole lattice: once a box, on whole cells (two
+    # cells of 3 values, the last box ending on the last cell of 4)
+    (2, 2, 4, 3, 7, [6, 7] + [6] * 3 + [7] + [6] * 7 + [7]),
+])
+def test_box_dimension_evaluates_f_once_per_window(n, k_min, k_max, m, chunk_rows, f_sizes,
+                                                   salem_default, monkeypatch):
     # at n >= 3 one evaluate_many call takes the axis values of every depth (the
     # kernel is elementwise, so each f is the same double), and the counts are those
     # of the sweeps one depth at a time
     spec = SurfaceSpec(n=n, f=salem_default)
-    depths = range(k_min, k_max + 1)
-    counts = tuple(occupied_cell_count(spec, k, m) for k in depths)
-    f_sizes = []
+    counts = tuple(occupied_cell_count(spec, k, m) for k in range(k_min, k_max + 1))
+    sizes = []
 
     def counting_f(spec, xs):
-        f_sizes.append(np.size(xs))
+        sizes.append(np.size(xs))
         return evaluate_many(spec, xs)
 
     monkeypatch.setattr(measure_module, "evaluate_many", counting_f)
+    if chunk_rows is not None:
+        monkeypatch.setattr(measure_module, "_CHUNK_ROWS", chunk_rows)
     assert box_dimension(spec, k_min, k_max, m).counts == counts
-    assert f_sizes == [sum((m << k) + 1 for k in depths)]
-
-
-def test_box_dimension_n2_evaluates_f_box_by_box(surface_n2, monkeypatch):
-    # at n = 2 the axis is the whole lattice: f runs once a box, on whole cells of
-    # at most _CHUNK_ROWS points (two cells of 3; the last box ends on the last cell
-    # of 4), so no call holds a whole axis
-    counts = box_dimension(surface_n2, 2, 4, 3).counts
-    f_sizes = []
-
-    def counting_f(spec, xs):
-        f_sizes.append(np.size(xs))
-        return evaluate_many(spec, xs)
-
-    monkeypatch.setattr(measure_module, "evaluate_many", counting_f)
-    monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 7)
-    assert box_dimension(surface_n2, 2, 4, 3).counts == counts
-    assert f_sizes == [6, 7] + [6] * 3 + [7] + [6] * 7 + [7]
+    assert sizes == f_sizes
 
 
 def lattice_cell_count(spec: SurfaceSpec, k: int, m: int) -> int:
