@@ -15,8 +15,8 @@ stderr.  Exit codes: 0 success, 1 detected property violation,
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
-import itertools
 import json
 import math
 import os
@@ -192,13 +192,19 @@ def _cmd_export_mesh(cfg: RunConfig) -> str:
         cfg.surface_spec(), cfg.resolution, grid_at, cfg.budget)])
     grid = [grid_at(i) for i in range(cfg.resolution)]
     if cfg.fmt == "csv":
-        # each grid value is formatted once; product() walks the lattice's
-        # row-major order, and one % fills in the F column
-        cells = [_FLOAT_FORMAT % x for x in grid]
-        template = "".join(f"{','.join(prefix)},{_FLOAT_FORMAT}\n"
-                           for prefix in itertools.product(cells, repeat=cfg.n - 1))
-        header = "".join(f"x{i}," for i in range(1, cfg.n)) + "F\n"
-        return header + template % tuple(values.tolist())
+        # each value is formatted once per unordered grid pair, F being bitwise symmetric at
+        # n = 3 (``p_many`` sorts its columns): row i formats F[i, i:] and takes F[i, :i] above
+        cells, r = [_FLOAT_FORMAT % x for x in grid], cfg.resolution
+        if cfg.n == 2:
+            template = "".join(f"{c},{_FLOAT_FORMAT}\n" for c in cells)
+            return "x1,F\n" + template % tuple(values.tolist())
+        F, rows, strs = values.reshape(r, r), ["x1,x2,F\n"], []  # strs[j]: F[j, i:] at row i
+        blanks = ["", *(f"{c},%s\n" for c in cells)]  # joined by "x1," into x1's row template
+        for i, c in enumerate(cells):
+            own = (",".join([_FLOAT_FORMAT] * (r - i)) % tuple(F[i, i:].tolist())).split(",")
+            strs.append(collections.deque(own))  # F[j, i] leaves strs[j] at row i
+            rows.append(f"{c},".join(blanks) % (*map(collections.deque.popleft, strs), *own[1:]))
+        return "".join(rows)
     # json floats use shortest round-trip repr, which reproduces binary64 exactly
     return json.dumps({"n": cfg.n, "grid": grid, "values": values.tolist()}, indent=2,
                       allow_nan=False) + "\n"
@@ -366,15 +372,17 @@ def main(argv: list[str] | None = None) -> int:
     except (AntichainError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # written in slices of 2^20 characters, so the encoder copies one slice at a time
+    slices = (text[start:start + (1 << 20)] for start in range(0, len(text), 1 << 20))
     if cfg.output:
         try:
             with open(cfg.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(slices)
         except OSError as exc:
             print(f"error: cannot write {cfg.output}: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(slices)
     print(f"wall_time_s={time.perf_counter() - started:.3f}", file=sys.stderr)
     return code
 

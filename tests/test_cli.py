@@ -526,19 +526,23 @@ def test_mesh_17_digit_round_trip(capsys):
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_mesh_bytes_match_per_point_loop(capsys, n, fmt):
-    # the vectorised export is elementwise and its CSV is filled from a
-    # template, so it must reproduce a per-point F_eval loop, formatted value
-    # by value, byte for byte; resolution 32 is the benchmark's
+def test_mesh_bytes_match_per_point_loop(capsys, monkeypatch, n, fmt):
+    # the vectorised export is elementwise, and at n = 3 its CSV formats each F
+    # value once per unordered grid pair and reuses the string at the mirrored
+    # point, so it must reproduce a per-point F_eval loop, formatted value by
+    # value, byte for byte; resolution 32 is the benchmark's.  At n = 3 the CSV
+    # is checked at both ends of lam and at an odd resolution too, also with
+    # boxes of 7 points, which split the lattice's rows between boxes
     import itertools
 
-    from antichain import F_eval, Point, SingularFunctionSpec, SurfaceSpec
+    from antichain import F_eval, Point, SingularFunctionSpec, SurfaceSpec, measure
 
-    for resolution, lam in ((1, 0.25), (5, 0.25), (32, 0.25), (5, 0.1)):
-        code, out, _ = run_cli(
-            capsys, "export-mesh", "--n", str(n), "--resolution", str(resolution),
-            "--format", fmt, *(["--lambda", str(lam)] if lam != 0.25 else []),
-        )
+    default = measure._CHUNK_ROWS
+    cases = [(1, 0.25, [default]), (5, 0.25, [default]), (32, 0.25, [default]),
+             (5, 0.1, [default])]
+    if n == 3 and fmt == "csv":
+        cases += [(resolution, lam, [default, 7]) for resolution in (2, 33) for lam in (0.01, 0.99)]
+    for resolution, lam, chunks in cases:
         spec = SurfaceSpec(n=n, f=SingularFunctionSpec(lam=lam))
         grid = [(i + 1) / (resolution + 1) for i in range(resolution)]
         rows = [[*x, F_eval(spec, Point(x))[0]] for x in itertools.product(grid, repeat=n - 1)]
@@ -549,8 +553,14 @@ def test_mesh_bytes_match_per_point_loop(capsys, n, fmt):
         else:
             payload = {"n": n, "grid": grid, "values": [row[-1] for row in rows]}
             expected = json.dumps(payload, indent=2) + "\n"
-        assert code == 0, (resolution, lam)
-        assert out == expected, (resolution, lam)
+        for chunk in chunks:
+            monkeypatch.setattr(measure, "_CHUNK_ROWS", chunk)
+            code, out, _ = run_cli(
+                capsys, "export-mesh", "--n", str(n), "--resolution", str(resolution),
+                "--format", fmt, *(["--lambda", str(lam)] if lam != 0.25 else []),
+            )
+            assert code == 0, (resolution, lam, chunk)
+            assert out == expected, (resolution, lam, chunk)
 
 
 def test_mesh_evaluates_each_grid_value_once(capsys, monkeypatch):
@@ -585,6 +595,27 @@ def test_mesh_evaluates_each_grid_value_once(capsys, monkeypatch):
     monkeypatch.setattr(measure, "_CHUNK_ROWS", 4)
     assert run_cli(capsys, *argv, "csv")[:2] == (0, default["csv"][1])
     assert F_rows[14:] == [4, 2] * 6
+
+
+def test_mesh_csv_traced_peak_is_bounded():
+    # the n = 3 CSV is built one row at a time, and each F string is kept only
+    # until the row of its mirrored point has used it: at resolution 300 the
+    # export's traced peak reads 135 bytes per grid point.  A template for the
+    # whole lattice filled from a tuple of every float read 174, rows that keep
+    # every earlier row's strings 167, and one list of every string of the half
+    # lattice, read back by position, 183
+    import tracemalloc
+
+    cfg = RunConfig(command="export-mesh", n=3, resolution=300, fmt="csv")
+    tracemalloc.start()
+    try:
+        code, text = cli.run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(text.splitlines()) == 1 + 300**2
+    assert peak < 160 * 300**2, peak / 300**2
 
 
 def test_mesh_over_budget(capsys, monkeypatch):
