@@ -379,6 +379,18 @@ def test_output_file(tmp_path, capsys):
     assert report["command"] == "length"
 
 
+def test_large_report_written_whole(tmp_path, capsys):
+    # main writes a report in slices of 2^20 characters; a mesh report of three
+    # slices, the last one short, reaches stdout and --output whole
+    argv = ["export-mesh", "--n", "3", "--resolution", "200", "--format", "csv"]
+    _, text = cli.run(RunConfig(command="export-mesh", n=3, resolution=200, fmt="csv"))
+    assert 2 << 20 < len(text) < 3 << 20
+    assert run_cli(capsys, *argv)[:2] == (0, text)
+    target = tmp_path / "mesh.csv"
+    assert run_cli(capsys, *argv, "--output", str(target))[:2] == (0, "")
+    assert target.read_text(encoding="utf-8") == text
+
+
 def test_output_file_unwritable(capsys):
     code, _, err = run_cli(
         capsys, "length", "--k", "6", "--output", "/nonexistent-dir/report.json"
