@@ -22,6 +22,7 @@ from .measure import (
     box_dimension,
     graph_length_n2,
     occupied_cell_count,
+    projection_lower_bound,
     projection_measures,
 )
 from .singular import (
@@ -59,6 +60,7 @@ __all__ = [
     "box_dimension",
     "graph_length_n2",
     "occupied_cell_count",
+    "projection_lower_bound",
     "projection_measures",
     "SALEM",
     "SingularFunctionSpec",

@@ -11,14 +11,20 @@ Everything here reduces to counting occupied half-open dyadic cells:
 * ``graph_length_n2`` -- inscribed polyline length of the planar graph,
 * ``projection_measures`` -- ``{axis: area}`` of the n coordinate projections
   of the slope probe's graph pieces from one sweep, F taking the place of
-  coordinate i on piece i < n; the ``math.fsum`` of the areas is the sampled total.
+  coordinate i on piece i < n; the ``math.fsum`` of the areas is the sampled total,
+* ``projection_lower_bound`` -- at n = 2, a certified lower bound on the graph's
+  length from the pieces over a ones-count class of dyadic cells, in exact sums.
 
 The projection sweep takes each coordinate's digit word once, for the slope
 probe (a ones count) and the image cell.  A lifted row's image cell of F comes
-from ``surface._F_cells``: read off F's bounds on its depth-12 f box where
-they, widened by 2^-40, lie in one cell, else from F at the spec's depth (a
-few percent of the rows), so the marks and areas are those of evaluating
-every lifted row in full.
+in three tiers, each sound, so the marks and areas are those of evaluating
+every lifted row in full: off ``surface._F_cell_table``, a cached table of F's
+cell on each box of depth-t domain cells (t = min(16 // (n-1), 12, spec depth,
+probe width); 77% of the boxes at n = 3, image depth 6), gathered by the digit
+words shifted down to t; for the rows whose box is open, held across chunks and
+sent to ``surface._F_cells`` once ``_CHUNK_ROWS // 4`` are held, off F's bounds
+on their own depth-12 f boxes; and for the few rows those leave open, F at the
+spec's depth.
 
 Counts are exact integers; length/area accumulations keep float error far
 below the 1e-12 budget (per-chunk pairwise sums combined with exact fsum).  Both sweeps
@@ -36,8 +42,10 @@ import numpy as np
 
 from .errors import (DEFAULT_EVAL_BUDGET, BudgetError, DomainError, InsufficientDataError,
                      PrecisionError, check_budget, check_int)
-from .singular import SingularSetProbe, digit_words, evaluate_many, salem_slopes
-from .surface import SurfaceSpec, _domain_points, _F_cells, surface_from_f
+from .singular import (SingularSetProbe, _cylinder_numerators, digit_words, evaluate_many,
+                       salem_slopes)
+from .surface import (_F_TABLE_BITS, SurfaceSpec, _domain_points, _F_cell_table, _F_cells,
+                      _table_depth, surface_from_f)
 
 #: cells per jitter block; a fixed constant that is part of the sampling
 #: definition (jitter for a cell depends only on seed, block, in-block row)
@@ -329,8 +337,25 @@ def projection_measures(
     chunk = 1 << (min(_CHUNK_ROWS, JITTER_BLOCK).bit_length() - 1)
     block_rows = JITTER_BLOCK * per_cell
     blocks = _grid_walk(1 << domain_depth, d, per_cell, chunk, budget)
-    row = np.r_[n, :n].astype(np.int32)  # by label: piece i's row i - 1; label 0's discard row n
+    # occupancy row by inside mask: piece i's row i - 1, where F takes x_i's place; label 0's
+    # discard row n
+    row = np.r_[n, :n].astype(np.int32).take(_label_table(n))
     occupancy = np.zeros((n + 1, 1 << bits), dtype=bool)
+    t = min(_F_TABLE_BITS // d, _table_depth(spec.f), width)
+    table = _F_cell_table(spec.f, d, t, image_depth)
+    held = []  # (cols, rows) of lifted samples whose box is open, for one _F_cells call
+
+    def mark(rows: np.ndarray, words: np.ndarray) -> None:
+        codes = _cell_codes([rows, *words], image_depth)
+        occupancy.reshape(-1)[codes.astype(np.intp)] = True  # faster than indexing's own cast
+
+    def send() -> None:
+        cols, rows = (np.concatenate(parts, axis=-1) for parts in zip(*held))
+        held.clear()
+        words = digit_words(cols, image_depth).astype(np.int32)
+        words.reshape(-1)[np.arange(rows.size) + rows * rows.size] = (
+            _F_cells(spec, cols, image_depth).astype(np.int32))
+        mark(rows, words)
 
     for first, cols in blocks:  # (d, rows), each coordinate contiguous
         if first % block_rows == 0:
@@ -339,41 +364,80 @@ def projection_measures(
         cols *= 1.0 / (1 << domain_depth)  # scaling by a power of two is exact
         np.clip(cols, _EDGE, 1.0 - _EDGE, out=cols)  # a draw can be 0.0 or round to 1.0
         words = digit_words(cols, width)
-        labels = _piece_labels(spec, probe, words, width)
-        lift = np.flatnonzero((labels > 0) & (labels < n))
+        rows = row.take(_inside_masks(spec, probe, words, width))
+        lift = np.flatnonzero(rows < d)  # pieces 1..n-1
+        boxes = words.take(lift, axis=1)
+        boxes >>= width - t
+        cells = table.take(_cell_codes(boxes, t))
         words >>= width - image_depth  # now each coordinate's image cell; the guard
         words = words.astype(np.int32)  # keeps every image code below 2^28
-        # F in place of x_i permutes piece i's image coordinates: image cells map one to one
-        words[labels.take(lift) - 1, lift] = _F_cells(spec, cols.take(lift, axis=1), image_depth)
-        codes = _cell_codes([row.take(labels), *words], image_depth)
-        occupancy.reshape(-1)[codes.astype(np.intp)] = True  # faster than indexing's own cast
-        del cols, words, labels, lift, codes  # freed before the next chunk is drawn
+        todo = lift.take(np.flatnonzero(cells < 0))
+        if sum(part[1].size for part in held) + todo.size > _CHUNK_ROWS:
+            send()
+        held.append((cols.take(todo, axis=1), rows.take(todo)))
+        # F in place of x_i permutes piece i's image coordinates: image cells map one to one.
+        # One flat write of int32s, faster than a 2-d index and a cast.  An open box's -1
+        # turns its row's code negative: a mark from the end, in the discard row
+        words.reshape(-1)[lift + rows.take(lift) * words.shape[1]] = cells.astype(np.int32)
+        mark(rows, words)
+        del cols, words, rows, lift, boxes, cells, todo  # freed before a batch or the next chunk
+        if sum(part[1].size for part in held) >= _CHUNK_ROWS // 4:
+            send()
+    if held:
+        send()
     cell_area = (2.0**-image_depth) ** d
     return {axis: float(occupancy[axis - 1].sum()) * cell_area for axis in range(1, n + 1)}
 
 
-def _piece_labels(spec: SurfaceSpec, probe: SingularSetProbe, words: np.ndarray,
-                  width: int) -> np.ndarray:
-    """``classify_regions`` at the points of the (d, N) digit words ``words`` at a
-    depth ``width`` >= the probe's (the probe reads their ones counts).  The bit
-    mask of the inside coordinates indexes a table of labels, n at the full mask, i at
-    the full mask less bit i - 1, else 0 (masked writes would mispredict branches)."""
-    d = spec.domain_dim
+def projection_lower_bound(spec: SurfaceSpec, probe_depth: int, threshold: int) -> float:
+    """Certified lower bound on the length (H^1) of the planar graph: with S the depth-k
+    (``probe_depth``) dyadic cells holding at most ``threshold`` ones, the disjoint pieces
+    over S and over the rest project 1-Lipschitz onto S and onto F's values there, so
+    H^1 >= Leb(S) + 1 - mu(S), mu(S) the rise of f over S.  Exact binomial sums over the
+    ones counts (``singular._cylinder_numerators``), rounded down; k may exceed 63.  At
+    lam < 1/2 the cells the slope probe accepts are those of at most some ones count."""
+    if spec.n != 2:
+        raise DomainError(f"the projection lower bound is defined for n = 2, got n = {spec.n}")
+    k = check_int("probe_depth", probe_depth, 1)
+    counts = [math.comb(k, o) for o in range(min(check_int("threshold", threshold, 0), k) + 1)]
+    nums, q_k = _cylinder_numerators(spec.f.lam, k)
+    den = q_k << k  # the total, 1 + sum(counts) / 2^k - sum(counts * nums) / q^k, is num / den
+    num = den + sum(counts) * q_k - (sum(c * m for c, m in zip(counts, nums)) << k)
+    bound = num / den  # correctly rounded; one step down if that rounded up
+    top, bottom = bound.as_integer_ratio()
+    return bound if top * den <= num * bottom else math.nextafter(bound, 0.0)
+
+
+def _label_table(n: int) -> np.ndarray:
+    """Piece label by the bit mask of the inside coordinates (``_inside_masks``): n at the
+    full mask, i at the full mask less bit i - 1, else 0 (masked writes would mispredict
+    branches)."""
+    d = n - 1
     if d > _LABEL_BITS:
         raise BudgetError(f"piece-label table of 2^{d} codes exceeds the 2^{_LABEL_BITS} guard")
     full = (1 << d) - 1
     label = np.zeros(1 << d, dtype=np.uint8)  # n <= _LABEL_BITS + 1
-    label[full] = spec.n
+    label[full] = n
     label[full ^ (1 << np.arange(d))] = np.arange(1, d + 1)
-    inside = (salem_slopes(spec.f.lam, probe.depth) < probe.eps).astype(np.int32)
+    return label
+
+
+def _inside_masks(spec: SurfaceSpec, probe: SingularSetProbe, words: np.ndarray,
+                  width: int) -> np.ndarray:
+    """Bit mask of the coordinates in the probed set at the points of the (d, N) digit
+    words ``words`` at a depth ``width`` >= the probe's (the probe reads their ones
+    counts): bit j is set when coordinate j's slope is below eps."""
+    d = spec.domain_dim
+    # the slope is monotone in the ones count (by the factor (1 - lam) / lam per one, and
+    # rounding is monotone), so the counts the probe accepts run from accepted[0] to [-1]
+    accepted = np.flatnonzero(salem_slopes(spec.f.lam, probe.depth) < probe.eps)
+    masks = np.zeros(words.shape[1], dtype=np.min_scalar_type((1 << d) - 1))
     shift = width - probe.depth
-    # take, not fancy indexing: indexing with bitwise_count's uint8 counts casts first
-    masks = ((inside << j).take(np.bitwise_count(w >> shift if shift else w))
-             for j, w in enumerate(words))
-    code = next(masks)
-    for mask in masks:
-        code |= mask
-    return label.take(code)
+    for j, w in enumerate(words if accepted.size else ()):
+        count = np.bitwise_count(w >> shift if shift else w)
+        count -= np.uint8(accepted[0])  # counts below the interval wrap past its span
+        masks |= np.left_shift(count <= accepted[-1] - accepted[0], j, dtype=masks.dtype)
+    return masks
 
 
 def classify_regions(spec: SurfaceSpec, probe: SingularSetProbe, points: np.ndarray) -> np.ndarray:
@@ -381,10 +445,11 @@ def classify_regions(spec: SurfaceSpec, probe: SingularSetProbe, points: np.ndar
 
     A point belongs to piece i < n when exactly coordinate i falls outside
     the probed set, to piece n when no coordinate does, and to no piece
-    otherwise; the pieces partition their union by construction (``_piece_labels``)."""
+    otherwise; the pieces partition their union by construction (``_label_table``)."""
     points = _domain_points(spec, points)
     if probe.depth > spec.f.depth:
         raise PrecisionError(f"probe depth {probe.depth} exceeds spec depth {spec.f.depth}")
     if points.size and not (points.min() > 0.0 and points.max() < 1.0):
         raise DomainError("coordinates must lie in (0,1)")
-    return _piece_labels(spec, probe, digit_words(points.T, probe.depth), probe.depth)
+    words = digit_words(points.T, probe.depth)
+    return _label_table(spec.n).take(_inside_masks(spec, probe, words, probe.depth))

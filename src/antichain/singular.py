@@ -105,11 +105,19 @@ def digit_words(xs: np.ndarray, k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
+def _cylinder_numerators(lam: float, k: int) -> tuple[tuple[int, ...], int]:
+    """Entry o of the first: p**(k-o) * (q-p)**o over the second, q**k, with
+    (p, q) = ``lam.as_integer_ratio()`` -- exactly the rise of the salem function
+    over any depth-k dyadic cell whose digits hold o ones, for any k."""
+    p, q = lam.as_integer_ratio()
+    return tuple(p ** (k - o) * (q - p) ** o for o in range(k + 1)), q**k
+
+
+@functools.lru_cache(maxsize=256)
 def _cylinder_lengths(lam: float, k: int) -> np.ndarray:
-    """Entry o: lam**(k-o) * (1-lam)**o, correctly rounded -- the rise of the
-    salem function over any depth-k dyadic cell whose digits hold o ones."""
-    p, q = lam.as_integer_ratio()  # int / int division rounds correctly
-    table = np.array([p ** (k - o) * (q - p) ** o / q**k for o in range(k + 1)])
+    """Entry o: lam**(k-o) * (1-lam)**o, correctly rounded (``_cylinder_numerators``)."""
+    nums, den = _cylinder_numerators(lam, k)
+    table = np.array([num / den for num in nums])  # int / int division rounds correctly
     table.setflags(write=False)
     return table
 

@@ -29,8 +29,13 @@ at the spec's greater depth.  It is gathered by each coordinate's digit word
 from per-cell tables built once per spec at the cell midpoints (at a cell's
 left end, where the elementwise box is narrower, the table's box holds it),
 by one kernel, ``_shallow_sides``, which reads F's bounds off its corners.
-The projection's image cells of F (``_F_cells``) take both bounds: they hold
-the exact F, and F as ``surface_values`` computes it to within p's rounding.
+The projection's image cells of F take both bounds: they hold the exact F,
+and F as ``surface_values`` computes it to within p's rounding, so where they,
+widened by 2^-40, share a cell, so does F (``_shallow_cells``).  That decides
+F's cell in three tiers: on whole boxes of depth-t domain cells, d t <= 16, in
+a table built once per (f, d, t, image depth) from the same corner tables at
+depth t (``_F_cell_table``); row by row on each point's own box at depth T
+(``_F_cells``); and for the rows both leave open, from F at the spec's depth.
 
 Pair verdicts are taken in two passes.  The first reads the points' digit
 words and computes only what an ``ordered_ok`` verdict needs: lo of each
@@ -71,9 +76,14 @@ _TABLE_DEPTH = 12
 #: relative widening of the shallow f box corners
 _WIDEN = 2.0**-44
 
-#: margin about F's shallow bounds in ``_F_cells``' cell decision; far above
+#: margin about F's shallow bounds in ``_shallow_cells``' cell decision; far above
 #: the slack, under 2^-46, by which F as computed at full depth may lie outside them
 _MARK_MARGIN = 2.0**-40
+
+#: the boxes of ``_F_cell_table``: at most 2^16 entries, d t <= 16 (64 KB at int8),
+#: built in slabs of 2^12 so that a slab's gathers and ``p_many`` stay small
+_F_TABLE_BITS = 16
+_F_TABLE_SLAB = 2**12
 
 
 @dataclass(frozen=True)
@@ -243,19 +253,46 @@ def _shallow_sides(f: SingularFunctionSpec, words: np.ndarray, k: int) -> tuple[
     return _F_sides(corners.T, k)
 
 
-def _F_cells(spec: SurfaceSpec, cols: np.ndarray, depth: int) -> np.ndarray:
-    """Depth-``depth`` cells of F, as digit words, at the points of the open cube
-    held by coordinate in the (n-1, N) array ``cols``: those of F as ``surface_values``
-    computes it.  Where F's shallow bounds, widened by ``_MARK_MARGIN``, share a
-    digit word, so does F (floor is monotone; lo, F >= 0 and the margin is under a
-    cell, so truncation serves as floor); only the other rows get ``surface_values``."""
+def _shallow_cells(f: SingularFunctionSpec, words: np.ndarray, depth: int) -> np.ndarray:
+    """Depth-``depth`` cells of F, as digit words, on the boxes of the (d, N) depth-T
+    digit words ``words`` (``_shallow_sides``), or -1 where they are open: F as
+    ``surface_values`` computes it anywhere in a box lies in the box's cell when F's
+    bounds there, widened by ``_MARK_MARGIN``, share a digit word (floor is monotone;
+    lo, F >= 0 and the margin is under a cell, so truncation serves as floor)."""
     # p is nondecreasing and computed to within _F_sides' slack, so the computed F
     # lies within twice the slack of [lo, hi]; at the 0/0 corner M = 1, P = 0 it is
     # 2^-1074.  Two calls keep one p_many's temporaries live at a time.
-    words = digit_words(cols, _table_depth(spec.f))
-    lo = _shallow_sides(spec.f, words, words.shape[1])[0]
-    codes = digit_words(_shallow_sides(spec.f, words, 0)[1] + _MARK_MARGIN, depth)
-    todo = np.flatnonzero(digit_words(lo - _MARK_MARGIN, depth) != codes)
+    lo = _shallow_sides(f, words, words.shape[1])[0]
+    codes = digit_words(_shallow_sides(f, words, 0)[1] + _MARK_MARGIN, depth)
+    codes[digit_words(lo - _MARK_MARGIN, depth) != codes] = -1
+    return codes
+
+
+@functools.lru_cache(maxsize=16)
+def _F_cell_table(f: SingularFunctionSpec, d: int, t: int, depth: int) -> np.ndarray:
+    """``_shallow_cells`` of every box of d depth-t domain cells, t <= ``_table_depth``:
+    entry w holds the box whose cell on axis j is digit j of w in base 2^t, first axis
+    first, as ``_cell_codes`` packs them, in the narrowest signed type that holds -1 and
+    the cells.  At t = T it reads ``_cell_boxes(f)``; built in slabs of ``_F_TABLE_SLAB``
+    entries."""
+    table = np.full(1 << d * t, -1, dtype=np.min_scalar_type(-(1 << depth)))
+    if t:  # at t = 0 the one box is the whole cube, where F takes every value in (0, 1)
+        f_t = f if t == _table_depth(f) else replace(f, depth=t)
+        for start in range(0, table.size, _F_TABLE_SLAB):
+            ids = np.arange(start, min(start + _F_TABLE_SLAB, table.size))
+            words = np.stack([(ids >> t * (d - 1 - j)) & ((1 << t) - 1) for j in range(d)])
+            table[start:start + ids.size] = _shallow_cells(f_t, words, depth)
+    table.setflags(write=False)
+    return table
+
+
+def _F_cells(spec: SurfaceSpec, cols: np.ndarray, depth: int) -> np.ndarray:
+    """Depth-``depth`` cells of F, as digit words, at the points of the open cube
+    held by coordinate in the (n-1, N) array ``cols``: those of F as ``surface_values``
+    computes it.  They are read off each point's depth-T box (``_shallow_cells``);
+    only the rows whose box is open get ``surface_values``."""
+    codes = _shallow_cells(spec.f, digit_words(cols, _table_depth(spec.f)), depth)
+    todo = np.flatnonzero(codes < 0)
     codes[todo] = digit_words(surface_values(spec, cols.take(todo, axis=1).T), depth)
     return codes
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from antichain import (
     box_dimension,
     graph_length_n2,
     occupied_cell_count,
+    projection_lower_bound,
     projection_measures,
 )
 from antichain.errors import check_budget
@@ -41,6 +43,7 @@ from antichain.singular import (
     evaluate_many,
     in_singular_set,
     in_singular_set_many,
+    salem_slopes,
 )
 from antichain.surface import surface_from_f, surface_values
 
@@ -594,10 +597,10 @@ def test_sweep_labels_read_deeper_digit_words(kind):
     labels = classify_regions(spec, probe, pts)
     assert set(np.unique(labels)) == {0, 1, 2, 3, 4}
     cols = np.ascontiguousarray(pts.T)
+    table = measure_module._label_table(spec.n)
     for width in (20, 21, 40, 63):
-        np.testing.assert_array_equal(
-            measure_module._piece_labels(spec, probe, digit_words(cols, width), width),
-            labels)
+        masks = measure_module._inside_masks(spec, probe, digit_words(cols, width), width)
+        np.testing.assert_array_equal(table.take(masks), labels)
 
 
 def test_classify_regions_refuses_wide_domains(salem_default):
@@ -606,6 +609,49 @@ def test_classify_regions_refuses_wide_domains(salem_default):
     probe = SingularSetProbe(depth=20, eps=0.5)
     with pytest.raises(BudgetError, match=r"piece-label table of 2\^24 codes"):
         classify_regions(SurfaceSpec(n=25, f=salem_default), probe, np.full((3, 24), 0.5))
+
+
+def _bound_fraction(lam: float, k: int, threshold: int) -> Fraction:
+    """Leb(S) + 1 - mu(S) over the depth-k cells with at most ``threshold`` ones, summed
+    cell class by cell class in exact rationals."""
+    a = Fraction(lam)
+    return 1 + sum(math.comb(k, o) * (Fraction(1, 2**k) - a ** (k - o) * (1 - a) ** o)
+                   for o in range(min(threshold, k) + 1))
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.25, 0.5, 0.75, 0.99])
+@pytest.mark.parametrize("k", [1, 7, 40, 64, 100])
+def test_projection_lower_bound_is_the_fraction_sum_rounded_down(lam, k):
+    spec = SurfaceSpec(n=2, f=SingularFunctionSpec(lam=lam))
+    for threshold in sorted({0, 1, k // 3, k // 2, k - 1, k, k + 5}):
+        exact = _bound_fraction(lam, k, threshold)
+        bound = projection_lower_bound(spec, k, threshold)
+        assert bound <= exact < math.nextafter(bound, 2.0), (threshold, bound)
+    # S is every cell: the graph projects onto the whole first axis alone
+    assert projection_lower_bound(spec, k, k) == 1.0
+
+
+def test_projection_lower_bound_at_the_cli_probe_and_deeper(surface_n2):
+    # the CLI's probe (depth 40, eps 0.01) accepts the cells with at most 21 ones;
+    # deeper, with the best threshold, the bound climbs towards the EMPR bound 2
+    accepted = np.flatnonzero(salem_slopes(0.25, 40) < 0.01)
+    assert accepted.tolist() == list(range(22))
+    assert round(projection_lower_bound(surface_n2, 40, 21), 4) == 1.6804
+    for k, threshold, total in ((40, 25, 1.905218), (52, 32, 1.942754), (100, 63, 1.991499),
+                                (200, 126, 1.999805)):
+        assert round(projection_lower_bound(surface_n2, k, threshold), 6) == total
+    # a second certified route: the inscribed polyline is no longer than the curve
+    bound, length = projection_lower_bound(surface_n2, 400, 252), length_binomial(400, 0.25)
+    assert bound < 2.0 and length < 2.0
+    assert abs(bound - length) < 1e-6
+
+
+def test_projection_lower_bound_validation(surface_n2, surface_n3):
+    with pytest.raises(DomainError, match="n = 2"):
+        projection_lower_bound(surface_n3, 40, 21)
+    for probe_depth, threshold in ((0, 1), (2.0, 1), (40, -1), (40, 1.5), (40, True)):
+        with pytest.raises(ConfigurationError):
+            projection_lower_bound(surface_n2, probe_depth, threshold)
 
 
 def test_projection_degenerate_probe(identity_n2):
@@ -843,25 +889,33 @@ def test_projection_matches_per_axis_reference(lam):
         assert projection_measures(spec, probe, kd, ki, m, seed=4) == expected
 
 
-def test_projection_evaluates_only_undecided_lifted_rows(surface_n3, monkeypatch):
-    # 16384 rows in chunks of 512: one full-depth F evaluation per chunk, on
-    # the rows of pieces 1..n-1 whose depth-12 enclosure leaves the image
-    # cell open, a small subset of them
+def test_projection_past_16_domain_dimensions_sends_every_lifted_row():
+    # at n = 18 the F-cell table's boxes are depth-0 cells: its one box, the whole
+    # cube, is open, so every lifted row goes to _F_cells
+    spec = SurfaceSpec(n=18, f=SingularFunctionSpec())
     probe = SingularSetProbe(depth=40, eps=0.01)
-    lifted, calls = [], []
-    chunks = iter(np.split(sweep_points(2, 6, 2, seed=3), 16384 // 512))
+    assert surface_module._F_cell_table(spec.f, 17, 0, 1).tolist() == [-1]
+    expected, _ = per_axis_reference(spec, probe, 1, 1, 1, seed=4)
+    assert projection_measures(spec, probe, 1, 1, 1, seed=4) == expected
+
+
+def test_projection_evaluates_only_undecided_lifted_rows(surface_n3, monkeypatch):
+    # 16384 rows in chunks of 512: F's cell comes off the depth-8 box table where the
+    # box's bounds share a cell; _F_cells gets only the other lifted rows, held across
+    # chunks and sent in batches of at most _CHUNK_ROWS rows, and evaluates a small
+    # subset of them at full depth
+    probe = SingularSetProbe(depth=40, eps=0.01)
+    pts = sweep_points(2, 6, 2, seed=3)
+    labels = classify_regions(surface_n3, probe, pts)  # apart from the sweep's own
+    lifted = {tuple(row) for row in pts[(labels > 0) & (labels < 3)].tolist()}
+    sent, evaluated = [], []
 
     def spy_cells(spec, cols, depth):
-        # the lifted rows, from labels computed apart from the sweep's own
-        chunk = next(chunks)
-        labels = classify_regions(spec, probe, chunk)
-        want = chunk[(labels > 0) & (labels < spec.n)]
-        assert np.array_equal(cols.T, want)
-        lifted.append(want)
+        sent.append(cols.T.copy())
         return F_cells(spec, cols, depth)
 
     def spy_values(spec, pts):
-        calls.append(pts.copy())
+        evaluated.append(pts.copy())
         return surface_values(spec, pts)
 
     F_cells = measure_module._F_cells
@@ -869,22 +923,48 @@ def test_projection_evaluates_only_undecided_lifted_rows(surface_n3, monkeypatch
     monkeypatch.setattr(surface_module, "surface_values", spy_values)
     monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 1000)
     projection_measures(surface_n3, probe, 6, 5, 2, seed=3)
-    assert len(lifted) == 16384 // 512
-    assert len(calls) == len(lifted)
-    for got, want in zip(calls, lifted):
-        assert {tuple(row) for row in got.tolist()} <= {tuple(row) for row in want.tolist()}
-    evaluated, lifts = sum(map(len, calls)), sum(map(len, lifted))
-    assert 0 < evaluated < lifts / 10, (evaluated, lifts)
+    assert 0 < len(sent) < 16384 // 512  # fewer calls than chunks
+    for rows in sent + evaluated:
+        assert len(rows) <= 1000
+        assert {tuple(row) for row in rows.tolist()} <= lifted
+    held, full = sum(map(len, sent)), sum(map(len, evaluated))
+    assert 0 < full < held < len(lifted)
+    assert full < len(lifted) / 10, (full, len(lifted))
 
 
-#: sweeps whose depth-12 enclosures often straddle an image-cell edge, so
-#: many lifted rows are evaluated at full depth: (n, f, probe, kd, ki, m)
+def test_projection_sends_held_rows_before_a_batch_would_pass_the_chunk(surface_n2, monkeypatch):
+    # every row is lifted (no cell has a slope under 1e-3), in chunks of 512 rows: a few
+    # rows of the first chunk fall in open boxes of the depth-8 table, and every box of
+    # the second is marked open, so the held rows are sent before the second chunk's 512
+    # join them, and the areas do not move
+    probe = SingularSetProbe(depth=8, eps=1e-3)
+    want = projection_measures(surface_n2, probe, 10, 3, 1, seed=5)
+    table = surface_module._F_cell_table(surface_n2.f, 1, 8, 3).copy()
+    table[128:] = -1  # x from 1/2 on
+    sent = []
+
+    def spy_cells(spec, cols, depth):
+        sent.append(cols.shape[1])
+        return F_cells(spec, cols, depth)
+
+    F_cells = measure_module._F_cells
+    monkeypatch.setattr(measure_module, "_F_cell_table", lambda f, d, t, depth: table)
+    monkeypatch.setattr(measure_module, "_F_cells", spy_cells)
+    monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 512)
+    assert projection_measures(surface_n2, probe, 10, 3, 1, seed=5) == want
+    assert len(sent) == 2 and 0 < sent[0] < 512 // 4 and sent[1] == 512, sent
+
+
+#: sweeps whose boxes and depth-12 enclosures often straddle an image-cell edge, so
+#: many lifted rows reach ``_F_cells`` and full depth: (n, f, probe, kd, ki, m)
 _STRADDLE_CASES = {
     "n2-image14": (2, SingularFunctionSpec(), SingularSetProbe(), 10, 14, 2),
     "lam0.01": (2, SingularFunctionSpec(lam=0.01), SingularSetProbe(8, 1e-3), 10, 14, 2),
     "lam0.99": (2, SingularFunctionSpec(lam=0.99), SingularSetProbe(8, 1e-3), 10, 14, 2),
     "lam0.4": (2, SingularFunctionSpec(lam=0.4), SingularSetProbe(), 10, 14, 2),
     "depth10": (3, SingularFunctionSpec(depth=10), SingularSetProbe(8, 0.5), 6, 7, 2),
+    "n4-image8": (4, SingularFunctionSpec(), SingularSetProbe(), 4, 8, 2),
+    "n5-image6": (5, SingularFunctionSpec(), SingularSetProbe(), 3, 6, 2),
 }
 
 

@@ -21,6 +21,8 @@ from antichain import (
 )
 from antichain.singular import (
     KINDS,
+    _cylinder_lengths,
+    _cylinder_numerators,
     digit_words,
     dyadic_slopes_many,
     in_singular_set_many,
@@ -360,6 +362,25 @@ def test_salem_slopes_are_the_probe_doubles(lam, k):
     xs = np.array([((1 << o) - 1 + 0.5) / 2**k for o in range(k + 1)])
     np.testing.assert_array_equal(dyadic_slopes_many(spec, xs, k), table)
     assert salem_slopes(lam, k) is table  # built once per (lam, k)
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.25, 0.4, 0.99])
+@pytest.mark.parametrize("k", [1, 8, 52, 200])
+def test_cylinder_lengths_round_the_exact_rises(lam, k):
+    # entry o of the integer numerators over q^k is exactly lam^(k-o) (1-lam)^o,
+    # and the kernel's table is each of them correctly rounded
+    nums, den = _cylinder_numerators(lam, k)
+    a = Fraction(lam)
+    assert [Fraction(num, den) for num in nums] == [a ** (k - o) * (1 - a) ** o
+                                                    for o in range(k + 1)]
+    assert _cylinder_lengths(lam, k).tolist() == [float(Fraction(num, den)) for num in nums]
+
+
+@given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6), st.integers(1, 63))
+def test_salem_slopes_are_monotone_in_the_ones_count(lam, k):
+    # the probe's accepted ones counts form an interval (measure._inside_masks)
+    steps = np.diff(salem_slopes(lam, k))
+    assert np.all(steps >= 0.0) or np.all(steps <= 0.0)
 
 
 # --------------------------------------------------------------- slopes

@@ -986,6 +986,75 @@ def test_F_cells_match_full_depth_cells_across_image_edges(lam, n):
     assert seen >= 10
 
 
+#: the projection's sample clip, [_EDGE, 1 - _EDGE]
+_EDGE = 2.0**-50
+
+
+def _box_points(t: int, d: int, pick) -> np.ndarray:
+    """One point, by coordinate as a (d, 2^(dt)) array, of every box of d depth-t cells in
+    ``_F_cell_table`` order: on axis j ``pick(j, w)`` of the box's cell w there, clipped
+    into [_EDGE, 1 - _EDGE] as the projection's samples are."""
+    ids = np.arange(1 << d * t)
+    cells = [(ids >> t * (d - 1 - j)) & ((1 << t) - 1) for j in range(d)]
+    return np.clip([pick(j, w) for j, w in enumerate(cells)], _EDGE, 1.0 - _EDGE)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("lam", [0.01, 0.25, 0.5, 0.99])
+def test_F_cell_table_holds_F_on_its_boxes(lam, n):
+    # at every corner of every decided box (a cell's left end or its top double, at the
+    # sweep's clip _EDGE and 1 - _EDGE on the outer cells) and at a random point in it,
+    # F as surface_values computes it at the spec's depth lies in the entry's cell
+    spec = SurfaceSpec(n, SingularFunctionSpec(lam=lam))
+    d = n - 1
+    t = min(16 // d, surface_module._TABLE_DEPTH)  # the sweep's, at depth 52 and probe depth 40
+    tables = {}
+    for depth in (3, 6, 10, 14):
+        table = tables[depth] = surface_module._F_cell_table(spec.f, d, t, depth)
+        assert table.shape == (1 << d * t,) and not table.flags.writeable
+        assert table.dtype == (np.int8 if depth < 8 else np.int16)
+        assert np.all((-1 <= table) & (table < 1 << depth))
+    assert np.any(tables[3] >= 0)
+    rng = seeded_rng(n)
+    picks = [lambda j, w, c=c: np.nextafter((w + 1) / 2**t, 0.0) if c >> j & 1 else w / 2**t
+             for c in range(1 << d)] + [lambda j, w: (w + rng.random(w.size)) / 2**t]
+    for pick in picks:
+        values = surface_values(spec, _box_points(t, d, pick).T)
+        for depth, table in tables.items():
+            decided = table >= 0
+            np.testing.assert_array_equal(digit_words(values[decided], depth), table[decided])
+
+
+@pytest.mark.parametrize("depth", [3, 6, 10])
+def test_F_cell_table_leaves_a_box_open_when_a_bound_is_within_the_margin(depth):
+    # lam just under 1/2 puts f(1/2) = lam just under the image edge 1/2: on the depth-12
+    # cell left of 1/2, F's lower bound lies 2^-43.4 above the edge and its upper bound
+    # 2^-12 above it.  The bounds share a cell, but widened by _MARK_MARGIN they do not
+    f = SingularFunctionSpec(lam=0.5 - 2.0**-43)
+    w = np.array([[2**11 - 1]])
+    lo, hi = surface_module._shallow_sides(f, w, 1)[0], surface_module._shallow_sides(f, w, 0)[1]
+    assert 2.0**-50 < lo[0] - 0.5 < surface_module._MARK_MARGIN
+    assert digit_words(lo, depth) == digit_words(hi, depth) == 1 << depth - 1
+    table = surface_module._F_cell_table(f, 1, 12, depth)
+    assert table[w[0, 0]] == -1
+    assert table[w[0, 0] - 1] == 1 << depth - 1  # the box left of it is decided
+
+
+@pytest.mark.parametrize("n, t, depth", [(2, 12, 52), (3, 8, 52), (3, 6, 6)])
+def test_F_cell_table_reads_the_corner_tables_of_its_depth(monkeypatch, n, t, depth):
+    # at t = T, min(spec depth, 12), the table reads _cell_boxes(f), the projection's own
+    # first-mark tables; below T those of f at depth t.  Each (f, d, t, depth) is built once
+    f = SingularFunctionSpec(lam=0.3, depth=depth)
+    surface_module._F_cell_table.cache_clear()
+    read = []
+    cell_boxes = surface_module._cell_boxes
+    monkeypatch.setattr(surface_module, "_cell_boxes", lambda g: read.append(g) or cell_boxes(g))
+    table = surface_module._F_cell_table(f, n - 1, t, 5)
+    want = f if t == min(depth, 12) else dataclasses.replace(f, depth=t)
+    assert read and all(g == want for g in read)
+    assert surface_module._F_cell_table(f, n - 1, t, 5) is table
+
+
 # ------------------------------------------------- projective cross-check
 
 
