@@ -16,15 +16,19 @@ Everything here reduces to counting occupied half-open dyadic cells:
   length from the pieces over a ones-count class of dyadic cells, in exact sums.
 
 The projection sweep takes each coordinate's digit word once, for the slope
-probe (a ones count) and the image cell.  A lifted row's image cell of F comes
-in three tiers, each sound, so the marks and areas are those of evaluating
-every lifted row in full: off ``surface._F_cell_table``, a cached table of F's
-cell on each box of depth-t domain cells (t = min(16 // (n-1), 12, spec depth,
-probe width); 77% of the boxes at n = 3, image depth 6), gathered by the digit
-words shifted down to t; for the rows whose box is open, held across chunks and
-sent to ``surface._F_cells`` once ``_CHUNK_ROWS // 4`` are held, off F's bounds
-on their own depth-12 f boxes; and for the few rows those leave open, F at the
-spec's depth.
+probe (a ones count) and the marks.  F's image cell comes in three tiers, each
+sound, so the marks and areas are those of evaluating every lifted row in full:
+off ``surface._F_cell_table``, a cached table of F's cell on each box of depth-t
+domain cells (t = min(16 // (n-1), 12, spec depth, probe width); 77% of the
+boxes at n = 3, image depth 6); for the rows whose box is open, held across
+chunks and sent to ``surface._F_cells`` once ``_CHUNK_ROWS // 4`` are held, off
+F's bounds on their own depth-12 f boxes; and for the few rows those leave open,
+F at the spec's depth.  Where the image depth is at most t, a row's box fixes
+every image cell, so one gather of ``_mark_table``, a cached table of flat
+occupancy codes by occupancy row and box built on the F-cell table, marks the
+row.  At deeper image depths the F-cell table is gathered for the lifted rows
+alone and its cells written into their digit words, shifted down to the image
+depth, row by row.
 
 Counts are exact integers; length/area accumulations keep float error far
 below the 1e-12 budget (per-chunk pairwise sums combined with exact fsum).  Both sweeps
@@ -34,6 +38,7 @@ seed and cell block, so results do not depend on the chunks.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
@@ -42,10 +47,10 @@ import numpy as np
 
 from .errors import (DEFAULT_EVAL_BUDGET, BudgetError, DomainError, InsufficientDataError,
                      PrecisionError, check_budget, check_int)
-from .singular import (SingularSetProbe, _cylinder_numerators, digit_words, evaluate_many,
-                       salem_slopes)
-from .surface import (_F_TABLE_BITS, SurfaceSpec, _domain_points, _F_cell_table, _F_cells,
-                      _table_depth, surface_from_f)
+from .singular import (SingularFunctionSpec, SingularSetProbe, _cylinder_numerators,
+                       digit_words, evaluate_many, salem_slopes)
+from .surface import (_F_TABLE_BITS, _F_TABLE_SLAB, SurfaceSpec, _domain_points, _F_cell_table,
+                      _F_cells, _table_depth, surface_from_f)
 
 #: cells per jitter block; a fixed constant that is part of the sampling
 #: definition (jitter for a cell depends only on seed, block, in-block row)
@@ -342,11 +347,13 @@ def projection_measures(
     row = np.r_[n, :n].astype(np.int32).take(_label_table(n))
     occupancy = np.zeros((n + 1, 1 << bits), dtype=bool)
     t = min(_F_TABLE_BITS // d, _table_depth(spec.f), width)
-    table = _F_cell_table(spec.f, d, t, image_depth)
+    if image_depth <= t:  # a row's depth-t box fixes each of its image cells
+        marks = _mark_table(spec.f, n, t, image_depth)
+    else:
+        table = _F_cell_table(spec.f, d, t, image_depth)
     held = []  # (cols, rows) of lifted samples whose box is open, for one _F_cells call
 
-    def mark(rows: np.ndarray, words: np.ndarray) -> None:
-        codes = _cell_codes([rows, *words], image_depth)
+    def mark(codes: np.ndarray) -> None:
         occupancy.reshape(-1)[codes.astype(np.intp)] = True  # faster than indexing's own cast
 
     def send() -> None:
@@ -355,7 +362,7 @@ def projection_measures(
         words = digit_words(cols, image_depth).astype(np.int32)
         words.reshape(-1)[np.arange(rows.size) + rows * rows.size] = (
             _F_cells(spec, cols, image_depth).astype(np.int32))
-        mark(rows, words)
+        mark(_cell_codes([rows, *words], image_depth))
 
     for first, cols in blocks:  # (d, rows), each coordinate contiguous
         if first % block_rows == 0:
@@ -365,28 +372,63 @@ def projection_measures(
         np.clip(cols, _EDGE, 1.0 - _EDGE, out=cols)  # a draw can be 0.0 or round to 1.0
         words = digit_words(cols, width)
         rows = row.take(_inside_masks(spec, probe, words, width))
-        lift = np.flatnonzero(rows < d)  # pieces 1..n-1
-        boxes = words.take(lift, axis=1)
-        boxes >>= width - t
-        cells = table.take(_cell_codes(boxes, t))
-        words >>= width - image_depth  # now each coordinate's image cell; the guard
-        words = words.astype(np.int32)  # keeps every image code below 2^28
-        todo = lift.take(np.flatnonzero(cells < 0))
+        if image_depth <= t:  # one gather by occupancy row and box; -1 where the box is open
+            words >>= width - t
+            codes = marks.take(_cell_codes([rows, *words], t))
+            todo = np.flatnonzero(codes < 0)
+        else:
+            lift = np.flatnonzero(rows < d)  # pieces 1..n-1
+            boxes = words.take(lift, axis=1)
+            boxes >>= width - t
+            cells = table.take(_cell_codes(boxes, t))
+            words >>= width - image_depth  # now each coordinate's image cell; the guard
+            words = words.astype(np.int32)  # keeps every image code below 2^28
+            todo = lift.take(np.flatnonzero(cells < 0))
+            # F in place of x_i permutes piece i's image coordinates: image cells map one to
+            # one.  One flat write of int32s, faster than a 2-d index and a cast.  An open
+            # box's -1 turns its row's code negative, as the mark table's -1 does
+            words.reshape(-1)[lift + rows.take(lift) * words.shape[1]] = cells.astype(np.int32)
+            codes = _cell_codes([rows, *words], image_depth)
+            del lift, boxes, cells
         if sum(part[1].size for part in held) + todo.size > _CHUNK_ROWS:
             send()
         held.append((cols.take(todo, axis=1), rows.take(todo)))
-        # F in place of x_i permutes piece i's image coordinates: image cells map one to one.
-        # One flat write of int32s, faster than a 2-d index and a cast.  An open box's -1
-        # turns its row's code negative: a mark from the end, in the discard row
-        words.reshape(-1)[lift + rows.take(lift) * words.shape[1]] = cells.astype(np.int32)
-        mark(rows, words)
-        del cols, words, rows, lift, boxes, cells, todo  # freed before a batch or the next chunk
+        mark(codes)  # a negative code marks from the end, in the discard row
+        del cols, words, rows, codes, todo  # freed before a batch or the next chunk
         if sum(part[1].size for part in held) >= _CHUNK_ROWS // 4:
             send()
     if held:
         send()
     cell_area = (2.0**-image_depth) ** d
     return {axis: float(occupancy[axis - 1].sum()) * cell_area for axis in range(1, n + 1)}
+
+
+@functools.lru_cache(maxsize=16)
+def _mark_table(f: SingularFunctionSpec, n: int, t: int, image_depth: int) -> np.ndarray:
+    """Flat occupancy code of each sample by its occupancy row r and its box of d = n - 1
+    depth-t domain cells (``_F_cell_table`` order), image_depth <= t, as an (n + 1, 2^(d t))
+    table in the narrowest signed type: the ``_cell_codes`` of r and the box's image cells,
+    each the box's cell shifted down to the image depth, with F's cell off ``_F_cell_table``
+    in coordinate r's place on the piece rows r < d, and -1 where that box is open.  Built
+    in slabs of ``_F_TABLE_SLAB`` boxes."""
+    d = n - 1
+    cells = _F_cell_table(f, d, t, image_depth)
+    table = np.empty((n + 1, cells.size), dtype=np.min_scalar_type(-((n + 1) << d * image_depth)))
+    for start in range(0, cells.size, _F_TABLE_SLAB):
+        box = np.arange(start, min(start + _F_TABLE_SLAB, cells.size))
+        image = [(box >> t * (d - 1 - j) + t - image_depth) & ((1 << image_depth) - 1)
+                 for j in range(d)]
+        F = cells[start:start + box.size]
+        for r in range(n + 1):
+            axes = [np.full(box.size, r), *image]
+            if r < d:
+                axes[1 + r] = F
+            codes = _cell_codes(axes, image_depth)
+            if r < d:
+                codes[F < 0] = -1
+            table[r, start:start + box.size] = codes
+    table.setflags(write=False)
+    return table
 
 
 def projection_lower_bound(spec: SurfaceSpec, probe_depth: int, threshold: int) -> float:

@@ -1,5 +1,5 @@
-"""Mutation check of the projection's F-cell code (DeMillo, Lipton and Sayward,
-"Hints on test data selection", IEEE Computer, 1978).
+"""Mutation check of the projection's F-cell and mark-table code (DeMillo, Lipton and
+Sayward, "Hints on test data selection", IEEE Computer, 1978).
 
 Each mutant is one exact text replacement in one source file, with the tests that
 must fail once it is applied.  Usage, from the repository root::
@@ -33,9 +33,12 @@ _SURFACE = "src/antichain/surface.py"
 _MEASURE = "src/antichain/measure.py"
 _TS = "tests/test_surface.py::"
 _TM = "tests/test_measure.py::"
-_STRADDLE = [f"{_TM}test_projection_matches_per_axis_reference_where_cells_straddle[{case}]"
-             for case in ("n2-image14", "depth10", "n4-image8", "n5-image6")]
+_STRADDLE_CASE = f"{_TM}test_projection_matches_per_axis_reference_where_cells_straddle[{{}}]"
+# image depths past the table depth, marked row by row, and up to it, off the mark table
+_STRADDLE = [_STRADDLE_CASE.format(case) for case in ("n2-image14", "n4-image8", "n5-image6")]
+_STRADDLE_TABLE = [_STRADDLE_CASE.format(case) for case in ("depth10", "n3-image8")]
 _PER_AXIS = [f"{_TM}test_projection_matches_per_axis_reference[0.25]"]
+_MARK_TABLE = f"{_TM}test_mark_table_holds_each_rows_code_on_each_box"
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ MUTANTS = [
            (f"{_TS}test_F_cell_table_leaves_a_box_open_when_a_bound_is_within_the_margin",)),
     # an open box's -1 taken for a cell: its rows are never sent to _F_cells
     Mutant("sentinel-skipped", _MEASURE, "todo = lift.take(np.flatnonzero(cells < 0))",
-           "todo = lift.take(np.flatnonzero(cells < -1))", (*_STRADDLE, *_PER_AXIS)),
+           "todo = lift.take(np.flatnonzero(cells < -1))", tuple(_STRADDLE)),
     # the box's cells read in the other axis order
     Mutant("index-axes-swapped", _SURFACE, "(ids >> t * (d - 1 - j))", "(ids >> t * j)",
            (f"{_TS}test_F_cell_table_holds_F_on_its_boxes[0.25-3]", *_STRADDLE),
@@ -70,13 +73,25 @@ MUTANTS = [
            (f"{_TM}test_projection_sends_held_rows_before_a_batch_would_pass_the_chunk",)),
     # the last piece's samples left with x_n-1's cell in place of F's
     Mutant("lift", _MEASURE, "lift = np.flatnonzero(rows < d)  #",
-           "lift = np.flatnonzero(rows < d - 1)  #", (*_PER_AXIS, *_STRADDLE)),
+           "lift = np.flatnonzero(rows < d - 1)  #", tuple(_STRADDLE)),
     Mutant("F-cell-word-row-0", _MEASURE,
            "words.reshape(-1)[lift + rows.take(lift) * words.shape[1]] = ",
-           "words.reshape(-1)[lift] = ", (*_PER_AXIS, *_STRADDLE)),
+           "words.reshape(-1)[lift] = ", tuple(_STRADDLE)),
     Mutant("sent-F-cell-word-row-0", _MEASURE,
            "words.reshape(-1)[np.arange(rows.size) + rows * rows.size] = (",
            "words.reshape(-1)[np.arange(rows.size)] = (", (*_STRADDLE, *_PER_AXIS)),
+    # the mark table: an open box's entry left as the code its -1 makes, not -1 itself
+    Mutant("mark-table-open-box-code", _MEASURE, "                codes[F < 0] = -1\n", "",
+           (_MARK_TABLE,)),
+    # F's cell put in coordinate 0 on every piece row
+    Mutant("mark-table-F-in-coordinate-0", _MEASURE, "axes[1 + r] = F", "axes[1] = F",
+           (f"{_MARK_TABLE}[3]", *_PER_AXIS, *_STRADDLE_TABLE)),
+    # the rows of no piece (label 0) marked in occupancy row 0, piece 1's, not the discard row
+    Mutant("discard-row-0", _MEASURE, "row = np.r_[n, :n]", "row = np.r_[0, :n]",
+           (*_PER_AXIS, *_STRADDLE_TABLE)),
+    # the mark table's -1 taken for a code: open boxes' rows are never sent to _F_cells
+    Mutant("mark-table-sentinel-skipped", _MEASURE, "todo = np.flatnonzero(codes < 0)",
+           "todo = np.flatnonzero(codes < -1)", (*_PER_AXIS, *_STRADDLE_TABLE)),
 ]
 
 

@@ -936,7 +936,8 @@ def test_projection_sends_held_rows_before_a_batch_would_pass_the_chunk(surface_
     # every row is lifted (no cell has a slope under 1e-3), in chunks of 512 rows: a few
     # rows of the first chunk fall in open boxes of the depth-8 table, and every box of
     # the second is marked open, so the held rows are sent before the second chunk's 512
-    # join them, and the areas do not move
+    # join them, and the areas do not move.  The sweep reads the open boxes off the mark
+    # table, built here uncached from the patched F-cell table
     probe = SingularSetProbe(depth=8, eps=1e-3)
     want = projection_measures(surface_n2, probe, 10, 3, 1, seed=5)
     table = surface_module._F_cell_table(surface_n2.f, 1, 8, 3).copy()
@@ -949,20 +950,55 @@ def test_projection_sends_held_rows_before_a_batch_would_pass_the_chunk(surface_
 
     F_cells = measure_module._F_cells
     monkeypatch.setattr(measure_module, "_F_cell_table", lambda f, d, t, depth: table)
+    monkeypatch.setattr(measure_module, "_mark_table", measure_module._mark_table.__wrapped__)
     monkeypatch.setattr(measure_module, "_F_cells", spy_cells)
     monkeypatch.setattr(measure_module, "_CHUNK_ROWS", 512)
     assert projection_measures(surface_n2, probe, 10, 3, 1, seed=5) == want
     assert len(sent) == 2 and 0 < sent[0] < 512 // 4 and sent[1] == 512, sent
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mark_table_holds_each_rows_code_on_each_box(n):
+    # t = min(16 // d, 12), the sweep's at the default spec and probe; every image depth
+    # the table serves.  Entry [r, box] is r's code with each coordinate's image cell, its
+    # box cell shifted down, and F's cell in coordinate r's place on the piece rows r < d
+    f, d = SingularFunctionSpec(), n - 1
+    t = min(16 // d, 12)
+    box = np.arange(1 << d * t)
+    box_cells = [(box >> t * (d - 1 - j)) % (1 << t) for j in range(d)]
+    for depth in range(1, t + 1):
+        table = measure_module._mark_table(f, n, t, depth)
+        F = surface_module._F_cell_table(f, d, t, depth).astype(np.int64)
+        assert table.shape == (n + 1, box.size) and not table.flags.writeable
+        # the narrowest signed type that holds -1 and the discard row's last code
+        top = ((n + 1) << d * depth) - 1
+        assert np.iinfo(table.dtype).min < 0 and np.iinfo(table.dtype).max >= top
+        assert table.dtype == np.int8 or np.iinfo(f"int{4 * table.dtype.itemsize}").max < top
+        assert 0 < np.count_nonzero(F < 0) < F.size
+        for r in range(n + 1):
+            cells = [c >> t - depth for c in box_cells]
+            if r < d:
+                cells[r] = F
+            want = r * 2 ** (d * depth) + sum(c * 2 ** (depth * (d - 1 - j))
+                                               for j, c in enumerate(cells))
+            if r < d:
+                want[F < 0] = -1
+            assert np.array_equal(table[r], want), (n, depth, r)
+        assert table[d:].min() >= 0  # piece n's row and the discard row take no F
+
+
 #: sweeps whose boxes and depth-12 enclosures often straddle an image-cell edge, so
-#: many lifted rows reach ``_F_cells`` and full depth: (n, f, probe, kd, ki, m)
+#: many lifted rows reach ``_F_cells`` and full depth: (n, f, probe, kd, ki, m).  At image
+#: depths up to the table depth t = min(16 // (n-1), 12, spec depth, probe width) the
+#: sweep marks off the mark table (n3-image8: t = 8, the deepest such); n2-image14,
+#: n4-image8 and n5-image6 lie past t and take F's cells row by row
 _STRADDLE_CASES = {
     "n2-image14": (2, SingularFunctionSpec(), SingularSetProbe(), 10, 14, 2),
     "lam0.01": (2, SingularFunctionSpec(lam=0.01), SingularSetProbe(8, 1e-3), 10, 14, 2),
     "lam0.99": (2, SingularFunctionSpec(lam=0.99), SingularSetProbe(8, 1e-3), 10, 14, 2),
     "lam0.4": (2, SingularFunctionSpec(lam=0.4), SingularSetProbe(), 10, 14, 2),
     "depth10": (3, SingularFunctionSpec(depth=10), SingularSetProbe(8, 0.5), 6, 7, 2),
+    "n3-image8": (3, SingularFunctionSpec(), SingularSetProbe(), 6, 8, 2),
     "n4-image8": (4, SingularFunctionSpec(), SingularSetProbe(), 4, 8, 2),
     "n5-image6": (5, SingularFunctionSpec(), SingularSetProbe(), 3, 6, 2),
 }
