@@ -802,7 +802,10 @@ def test_projection_deterministic(surface_n2):
 @pytest.mark.parametrize("side", ["draw", "mark"])
 def test_projection_error_reaches_the_caller(surface_n2, monkeypatch, side):
     # a draw failing on the second jitter block, or a mark failing on the third
-    # chunk, reaches the caller, and the sweep starts no thread
+    # chunk, reaches the caller, and the sweep starts no thread.  A first, small sweep
+    # fills the cached mark table, whose build also packs codes with _cell_codes
+    probe = SingularSetProbe(depth=40, eps=0.01)
+    projection_measures(surface_n2, probe, 2, 8, 1)
     marks = []
 
     def failing_jitter(seed, block):
@@ -822,7 +825,7 @@ def test_projection_error_reaches_the_caller(surface_n2, monkeypatch, side):
         monkeypatch.setattr(measure_module, "_cell_codes", failing_codes)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"{side} failed"):
-        projection_measures(surface_n2, SingularSetProbe(depth=40, eps=0.01), 18, 8, 1)
+        projection_measures(surface_n2, probe, 18, 8, 1)
     assert threading.active_count() == before
 
 
