@@ -23,12 +23,10 @@ domain cells (t = min(16 // (n-1), 12, spec depth, probe width); 77% of the
 boxes at n = 3, image depth 6); for the rows whose box is open, held across
 chunks and sent to ``surface._F_cells`` once ``_CHUNK_ROWS // 4`` are held, off
 F's bounds on their own depth-12 f boxes; and for the few rows those leave open,
-F at the spec's depth.  Where the image depth is at most t, a row's box fixes
-every image cell, so one gather of ``_mark_table``, a cached table of flat
-occupancy codes by occupancy row and box built on the F-cell table, marks the
-row.  At deeper image depths the F-cell table is gathered for the lifted rows
-alone and its cells written into their digit words, shifted down to the image
-depth, row by row.
+F at the spec's depth.  One gather of ``_mark_table``, a cached table of flat
+occupancy codes by occupancy row and box built on the F-cell table, marks each
+row; past depth t the image digits below the box's cells, F's coordinate's
+excepted, are or-ed into the code.
 
 Counts are exact integers; length/area accumulations keep float error far
 below the 1e-12 budget (per-chunk pairwise sums combined with exact fsum).  Both sweeps
@@ -347,10 +345,12 @@ def projection_measures(
     row = np.r_[n, :n].astype(np.int32).take(_label_table(n))
     occupancy = np.zeros((n + 1, 1 << bits), dtype=bool)
     t = min(_F_TABLE_BITS // d, _table_depth(spec.f), width)
-    if image_depth <= t:  # a row's depth-t box fixes each of its image cells
-        marks = _mark_table(spec.f, n, t, image_depth)
-    else:
-        table = _F_cell_table(spec.f, d, t, image_depth)
+    marks = _mark_table(spec.f, n, t, image_depth)
+    low = max(image_depth - t, 0)  # image digits per coordinate below a row's depth-t box
+    # per occupancy row, the image-code bits a row's own digits fill: all but F's field on
+    # the piece rows r < d, whose F cell the table holds whole
+    keep = np.full(n + 1, -1, dtype=np.int32)
+    keep[:d] = ~((1 << image_depth) - 1 << image_depth * np.arange(d - 1, -1, -1))
     held = []  # (cols, rows) of lifted samples whose box is open, for one _F_cells call
 
     def mark(codes: np.ndarray) -> None:
@@ -372,24 +372,15 @@ def projection_measures(
         np.clip(cols, _EDGE, 1.0 - _EDGE, out=cols)  # a draw can be 0.0 or round to 1.0
         words = digit_words(cols, width)
         rows = row.take(_inside_masks(spec, probe, words, width))
-        if image_depth <= t:  # one gather by occupancy row and box; -1 where the box is open
-            words >>= width - t
-            codes = marks.take(_cell_codes([rows, *words], t))
-            todo = np.flatnonzero(codes < 0)
-        else:
-            lift = np.flatnonzero(rows < d)  # pieces 1..n-1
-            boxes = words.take(lift, axis=1)
-            boxes >>= width - t
-            cells = table.take(_cell_codes(boxes, t))
-            words >>= width - image_depth  # now each coordinate's image cell; the guard
-            words = words.astype(np.int32)  # keeps every image code below 2^28
-            todo = lift.take(np.flatnonzero(cells < 0))
-            # F in place of x_i permutes piece i's image coordinates: image cells map one to
-            # one.  One flat write of int32s, faster than a 2-d index and a cast.  An open
-            # box's -1 turns its row's code negative, as the mark table's -1 does
-            words.reshape(-1)[lift + rows.take(lift) * words.shape[1]] = cells.astype(np.int32)
-            codes = _cell_codes([rows, *words], image_depth)
-            del lift, boxes, cells
+        words >>= width - t - low  # each coordinate's cell at the deeper of the two depths
+        if low:  # the guard keeps every image code below 2^28
+            image = _cell_codes(words.astype(np.int32), image_depth)
+            image &= keep.take(rows)
+            words >>= low
+        codes = marks.take(_cell_codes([rows, *words], t))  # -1 where the box is open
+        if low:  # an open box's -1 stays -1
+            codes |= image
+        todo = np.flatnonzero(codes < 0)
         if sum(part[1].size for part in held) + todo.size > _CHUNK_ROWS:
             send()
         held.append((cols.take(todo, axis=1), rows.take(todo)))
@@ -406,17 +397,17 @@ def projection_measures(
 @functools.lru_cache(maxsize=16)
 def _mark_table(f: SingularFunctionSpec, n: int, t: int, image_depth: int) -> np.ndarray:
     """Flat occupancy code of each sample by its occupancy row r and its box of d = n - 1
-    depth-t domain cells (``_F_cell_table`` order), image_depth <= t, as an (n + 1, 2^(d t))
-    table in the narrowest signed type: the ``_cell_codes`` of r and the box's image cells,
-    each the box's cell shifted down to the image depth, with F's cell off ``_F_cell_table``
-    in coordinate r's place on the piece rows r < d, and -1 where that box is open.  Built
-    in slabs of ``_F_TABLE_SLAB`` boxes."""
+    depth-t domain cells (``_F_cell_table`` order), as an (n + 1, 2^(d t)) table in the
+    narrowest signed type: the ``_cell_codes`` of r and the box's image cells, each the box's
+    cell shifted to the image depth (up past t, its low digits zero), with F's cell off
+    ``_F_cell_table`` in coordinate r's place on the piece rows r < d, and -1 where that box
+    is open.  Built in slabs of ``_F_TABLE_SLAB`` boxes."""
     d = n - 1
     cells = _F_cell_table(f, d, t, image_depth)
     table = np.empty((n + 1, cells.size), dtype=np.min_scalar_type(-((n + 1) << d * image_depth)))
     for start in range(0, cells.size, _F_TABLE_SLAB):
         box = np.arange(start, min(start + _F_TABLE_SLAB, cells.size))
-        image = [(box >> t * (d - 1 - j) + t - image_depth) & ((1 << image_depth) - 1)
+        image = [((box >> t * (d - 1 - j)) & ((1 << t) - 1)) << image_depth >> t
                  for j in range(d)]
         F = cells[start:start + box.size]
         for r in range(n + 1):

@@ -5,7 +5,7 @@ Each mutant is one exact text replacement in one source file, with the tests tha
 must fail once it is applied.  Usage, from the repository root::
 
     python tests/mutants.py                      # every mutant
-    python tests/mutants.py table-margin lift    # some of them, by name
+    python tests/mutants.py table-margin discard-row-0    # some of them, by name
 
 The working tree's ``src``, ``tests`` and ``pyproject.toml`` are copied into a
 temporary directory.  All the named tests run there first on the unmutated copy
@@ -34,8 +34,10 @@ _MEASURE = "src/antichain/measure.py"
 _TS = "tests/test_surface.py::"
 _TM = "tests/test_measure.py::"
 _STRADDLE_CASE = f"{_TM}test_projection_matches_per_axis_reference_where_cells_straddle[{{}}]"
-# image depths past the table depth, marked row by row, and up to it, off the mark table
-_STRADDLE = [_STRADDLE_CASE.format(case) for case in ("n2-image14", "n4-image8", "n5-image6")]
+# image depths past the table depth, whose low image digits are or-ed into the mark
+# table's entry, and up to it, where the entry is the whole mark
+_STRADDLE = [_STRADDLE_CASE.format(case)
+             for case in ("n2-image14", "n3-image9", "n4-image8", "n5-image6")]
 _STRADDLE_TABLE = [_STRADDLE_CASE.format(case) for case in ("depth10", "n3-image8")]
 _PER_AXIS = [f"{_TM}test_projection_matches_per_axis_reference[0.25]"]
 _MARK_TABLE = f"{_TM}test_mark_table_holds_each_rows_code_on_each_box"
@@ -57,9 +59,6 @@ MUTANTS = [
            (f"{_TS}test_F_cell_table_leaves_a_box_open_when_a_bound_is_within_the_margin",)),
     Mutant("table-margin-2^-50", _SURFACE, "_MARK_MARGIN = 2.0**-40", "_MARK_MARGIN = 2.0**-50",
            (f"{_TS}test_F_cell_table_leaves_a_box_open_when_a_bound_is_within_the_margin",)),
-    # an open box's -1 taken for a cell: its rows are never sent to _F_cells
-    Mutant("sentinel-skipped", _MEASURE, "todo = lift.take(np.flatnonzero(cells < 0))",
-           "todo = lift.take(np.flatnonzero(cells < -1))", tuple(_STRADDLE)),
     # the box's cells read in the other axis order
     Mutant("index-axes-swapped", _SURFACE, "(ids >> t * (d - 1 - j))", "(ids >> t * j)",
            (f"{_TS}test_F_cell_table_holds_F_on_its_boxes[0.25-3]", *_STRADDLE),
@@ -71,12 +70,6 @@ MUTANTS = [
     Mutant("batch-cap-dropped", _MEASURE,
            "part in held) + todo.size > _CHUNK_ROWS:", "part in held) + todo.size > 2**62:",
            (f"{_TM}test_projection_sends_held_rows_before_a_batch_would_pass_the_chunk",)),
-    # the last piece's samples left with x_n-1's cell in place of F's
-    Mutant("lift", _MEASURE, "lift = np.flatnonzero(rows < d)  #",
-           "lift = np.flatnonzero(rows < d - 1)  #", tuple(_STRADDLE)),
-    Mutant("F-cell-word-row-0", _MEASURE,
-           "words.reshape(-1)[lift + rows.take(lift) * words.shape[1]] = ",
-           "words.reshape(-1)[lift] = ", tuple(_STRADDLE)),
     Mutant("sent-F-cell-word-row-0", _MEASURE,
            "words.reshape(-1)[np.arange(rows.size) + rows * rows.size] = (",
            "words.reshape(-1)[np.arange(rows.size)] = (", (*_STRADDLE, *_PER_AXIS)),
@@ -92,6 +85,12 @@ MUTANTS = [
     # the mark table's -1 taken for a code: open boxes' rows are never sent to _F_cells
     Mutant("mark-table-sentinel-skipped", _MEASURE, "todo = np.flatnonzero(codes < 0)",
            "todo = np.flatnonzero(codes < -1)", (*_PER_AXIS, *_STRADDLE_TABLE)),
+    # past the table depth, a piece row's own low digits of x_i or-ed into F's cell
+    Mutant("image-keep-dropped", _MEASURE, "            image &= keep.take(rows)\n", "",
+           tuple(_STRADDLE)),
+    # the field each piece row clears taken in the reverse axis order
+    Mutant("keep-axes-reversed", _MEASURE, "image_depth * np.arange(d - 1, -1, -1))",
+           "image_depth * np.arange(d))", tuple(_STRADDLE)),
 ]
 
 

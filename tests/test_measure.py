@@ -962,14 +962,15 @@ def test_projection_sends_held_rows_before_a_batch_would_pass_the_chunk(surface_
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_mark_table_holds_each_rows_code_on_each_box(n):
-    # t = min(16 // d, 12), the sweep's at the default spec and probe; every image depth
-    # the table serves.  Entry [r, box] is r's code with each coordinate's image cell, its
-    # box cell shifted down, and F's cell in coordinate r's place on the piece rows r < d
+    # t = min(16 // d, 12), the sweep's at the default spec and probe; image depths 1..t,
+    # where a box fixes every image cell, and t + 1, t + 2 past it.  Entry [r, box] is r's
+    # code with each coordinate's image cell, its box cell shifted to the image depth (down,
+    # or up with zero low digits), and F's cell in coordinate r's place on the piece rows r < d
     f, d = SingularFunctionSpec(), n - 1
     t = min(16 // d, 12)
     box = np.arange(1 << d * t)
     box_cells = [(box >> t * (d - 1 - j)) % (1 << t) for j in range(d)]
-    for depth in range(1, t + 1):
+    for depth in range(1, t + 3):
         table = measure_module._mark_table(f, n, t, depth)
         F = surface_module._F_cell_table(f, d, t, depth).astype(np.int64)
         assert table.shape == (n + 1, box.size) and not table.flags.writeable
@@ -979,7 +980,7 @@ def test_mark_table_holds_each_rows_code_on_each_box(n):
         assert table.dtype == np.int8 or np.iinfo(f"int{4 * table.dtype.itemsize}").max < top
         assert 0 < np.count_nonzero(F < 0) < F.size
         for r in range(n + 1):
-            cells = [c >> t - depth for c in box_cells]
+            cells = [c * 2**depth // 2**t for c in box_cells]
             if r < d:
                 cells[r] = F
             want = r * 2 ** (d * depth) + sum(c * 2 ** (depth * (d - 1 - j))
@@ -992,9 +993,10 @@ def test_mark_table_holds_each_rows_code_on_each_box(n):
 
 #: sweeps whose boxes and depth-12 enclosures often straddle an image-cell edge, so
 #: many lifted rows reach ``_F_cells`` and full depth: (n, f, probe, kd, ki, m).  At image
-#: depths up to the table depth t = min(16 // (n-1), 12, spec depth, probe width) the
-#: sweep marks off the mark table (n3-image8: t = 8, the deepest such); n2-image14,
-#: n4-image8 and n5-image6 lie past t and take F's cells row by row
+#: depths up to the table depth t = min(16 // (n-1), 12, spec depth, probe width) a row's
+#: mark is one entry of the mark table (n3-image8: t = 8, the deepest such); n2-image14,
+#: n3-image9, n4-image8 and n5-image6 lie past t, where the image digits below the box's
+#: are or-ed into that entry
 _STRADDLE_CASES = {
     "n2-image14": (2, SingularFunctionSpec(), SingularSetProbe(), 10, 14, 2),
     "lam0.01": (2, SingularFunctionSpec(lam=0.01), SingularSetProbe(8, 1e-3), 10, 14, 2),
@@ -1002,6 +1004,7 @@ _STRADDLE_CASES = {
     "lam0.4": (2, SingularFunctionSpec(lam=0.4), SingularSetProbe(), 10, 14, 2),
     "depth10": (3, SingularFunctionSpec(depth=10), SingularSetProbe(8, 0.5), 6, 7, 2),
     "n3-image8": (3, SingularFunctionSpec(), SingularSetProbe(), 6, 8, 2),
+    "n3-image9": (3, SingularFunctionSpec(), SingularSetProbe(), 6, 9, 2),
     "n4-image8": (4, SingularFunctionSpec(), SingularSetProbe(), 4, 8, 2),
     "n5-image6": (5, SingularFunctionSpec(), SingularSetProbe(), 3, 6, 2),
 }
