@@ -16,7 +16,8 @@ rounding below it and its truncation bound plus that rounding above it, so
 ``surface_enclosure`` evaluates
 ``1 - p`` at the upper and at the lower corner of that box, widened by p's
 own rounding, and gets lo <= F <= hi.  Its two steps, the f box
-(``_f_box``) and 1 - p at its corners (``_F_sides``), are the only bound code.
+(``_f_box``) and 1 - p at its corners (``_F_sides``, with no sort: a bound needs
+p only to within its slack), are the only bound code.
 ``surface_values`` returns values alone for the estimators.  A comparable
 pair is ``ordered_ok`` when the lower point's lo exceeds the upper point's
 hi, a violation when the lower point's hi falls below the upper point's
@@ -81,7 +82,7 @@ _WIDEN = 2.0**-44
 _MARK_MARGIN = 2.0**-40
 
 #: the boxes of ``_F_cell_table``: at most 2^16 entries, d t <= 16 (64 KB at int8),
-#: built in slabs of 2^12 so that a slab's gathers and ``p_many`` stay small
+#: built in slabs of 2^12 so that a slab's gathers and ``_F_sides`` stay small
 _F_TABLE_BITS = 16
 _F_TABLE_SLAB = 2**12
 
@@ -184,24 +185,29 @@ def _f_box(f: SingularFunctionSpec, fv: np.ndarray, fe: np.ndarray) -> tuple[np.
 
 
 def _F_sides(corners: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of F from rows of f box corners: lo from the first k rows, each
-    an upper corner, and hi from the rest, each a lower corner."""
-    # p is nondecreasing in every coordinate: 1 - p(f_hi) <= F <= 1 - p(f_lo).
-    # p's rounding (u = 2^-53, p <= 1): the m - 2 products of P, 1 - M, the
-    # sum and the quotient give at most (2m - 2) u (3u if m = 2, 0 if m = 1)
-    # <= m 2^-52; p_many's clip and the subtraction from the exact 1 -+ slack
-    # add u each.  (m + 4) 2^-52 leaves room for second-order terms and
-    # underflow in P; fmax turns the 0/0 at the corner M = 1, P = 0 into lo = 0.
-    slack = (corners.shape[1] + 4) * 2.0**-52
+    """Bounds of F from an (m, N) array of f box corners by coordinate: lo from
+    columns [0, k), each an upper corner, and hi from the rest, each a lower corner."""
+    # p is nondecreasing in every coordinate: 1 - p(f_hi) <= F <= 1 - p(f_lo).  M is the
+    # running maximum, and P takes the lesser of M and each next column, so it ends as the
+    # product of all but one largest value.  p's rounding (u = 2^-53, p <= 1): the m - 2
+    # products of P (in any order), 1 - M, the sum and the quotient give at most (2m - 2) u
+    # (3u if m = 2, 0 if m = 1) <= m 2^-52; the subtraction from the exact 1 -+ slack adds
+    # u.  (m + 4) 2^-52 leaves room for second-order terms and underflow in P; fmax turns
+    # the 0/0 at the corner M = 1, P = 0 into lo = 0.
+    M, P = corners[0], None
+    for c in corners[1:]:
+        P = np.minimum(M, c) if P is None else np.multiply(P, np.minimum(M, c), out=P)
+        M = np.maximum(M, c)
+    slack = (len(corners) + 4) * 2.0**-52
     with np.errstate(invalid="ignore"):
-        p = p_many(corners)
+        p = M if P is None else P / ((1.0 - M) + P)
     return np.fmax((1.0 - slack) - p[:k], 0.0), np.fmin((1.0 + slack) - p[k:], 1.0)
 
 
 def _enclose(f: SingularFunctionSpec, fv: np.ndarray, fe: np.ndarray) -> tuple[np.ndarray, ...]:
     """Enclosure (lo, hi) of the exact F from f values and their truncation bounds."""
     f_lo, f_hi = _f_box(f, fv, fe)
-    return _F_sides(np.concatenate([f_hi, f_lo]), len(fv))
+    return _F_sides(np.concatenate([f_hi, f_lo]).T, len(fv))
 
 
 def surface_values(spec: SurfaceSpec, points: np.ndarray) -> np.ndarray:
@@ -241,8 +247,7 @@ def _shallow_sides(f: SingularFunctionSpec, words: np.ndarray, k: int) -> tuple[
     """Bounds of F from the (d, M) depth-T digit words of M points by
     coordinate: lo at columns [0, k), from the upper corners of their shallow
     f boxes, and hi at [k, M), from the lower corners, gathered from
-    ``_cell_boxes`` into one (d, M) array whose transpose one ``p_many``
-    reads as contiguous columns."""
+    ``_cell_boxes`` into one (d, M) array of ``_F_sides``' columns."""
     # The exact truncated f at a depth above T is f at a point of the depth-T
     # cell, so it lies in the unwidened box.  Its computed value is at most
     # 2 ulps off (``rounding_ulps``), inside the widening of 2^8 ulps.
@@ -250,7 +255,7 @@ def _shallow_sides(f: SingularFunctionSpec, words: np.ndarray, k: int) -> tuple[
     corners = np.empty(words.shape)
     corners[:, :k] = f_hi.take(words[:, :k])
     corners[:, k:] = f_lo.take(words[:, k:])
-    return _F_sides(corners.T, k)
+    return _F_sides(corners, k)
 
 
 def _shallow_cells(f: SingularFunctionSpec, words: np.ndarray, depth: int) -> np.ndarray:
@@ -261,7 +266,7 @@ def _shallow_cells(f: SingularFunctionSpec, words: np.ndarray, depth: int) -> np
     lo, F >= 0 and the margin is under a cell, so truncation serves as floor)."""
     # p is nondecreasing and computed to within _F_sides' slack, so the computed F
     # lies within twice the slack of [lo, hi]; at the 0/0 corner M = 1, P = 0 it is
-    # 2^-1074.  Two calls keep one p_many's temporaries live at a time.
+    # 2^-1074.  Two calls keep one _F_sides' temporaries live at a time.
     lo = _shallow_sides(f, words, words.shape[1])[0]
     codes = digit_words(_shallow_sides(f, words, 0)[1] + _MARK_MARGIN, depth)
     codes[digit_words(lo - _MARK_MARGIN, depth) != codes] = -1

@@ -1,5 +1,5 @@
-"""Mutation check of the projection's F-cell and mark-table code (DeMillo, Lipton and
-Sayward, "Hints on test data selection", IEEE Computer, 1978).
+"""Mutation check of the bound code and of the projection's F-cell and mark-table code
+(DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE Computer, 1978).
 
 Each mutant is one exact text replacement in one source file, with the tests that
 must fail once it is applied.  Usage, from the repository root::
@@ -41,6 +41,7 @@ _STRADDLE = [_STRADDLE_CASE.format(case)
 _STRADDLE_TABLE = [_STRADDLE_CASE.format(case) for case in ("depth10", "n3-image8")]
 _PER_AXIS = [f"{_TM}test_projection_matches_per_axis_reference[0.25]"]
 _MARK_TABLE = f"{_TM}test_mark_table_holds_each_rows_code_on_each_box"
+_BRACKET = f"{_TS}test_F_sides_bracket_the_exact_one_minus_p[{{}}]"
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,17 @@ class Mutant:
 
 
 MUTANTS = [
+    # the bound kernel: P a product of running maxima, which overstates p at m >= 3
+    Mutant("sides-product-of-maxima", _SURFACE, "np.multiply(P, np.minimum(M, c), out=P)",
+           "np.multiply(P, np.maximum(M, c), out=P)",
+           (*map(_BRACKET.format, (3, 6)), f"{_TS}test_enclosure_contains_exact_F[0.25-7-52]")),
+    # no allowance for p's rounding
+    Mutant("sides-slack-dropped", _SURFACE, "slack = (len(corners) + 4) * 2.0**-52",
+           "slack = 0.0", tuple(map(_BRACKET.format, (1, 2, 5)))),
+    # the f box without the spacings that absorb the roundings of its own sums
+    Mutant("f-box-spare-spacings", _SURFACE, "r *= 2 * f.rounding_ulps + 2",
+           "r *= 2 * f.rounding_ulps",
+           (f"{_TS}test_f_box_holds_a_cell_rise_above_the_farthest_value[0.25]",)),
     # the margin decides the boxes whose bounds lie within it of an image edge
     Mutant("table-margin", _SURFACE, "_MARK_MARGIN = 2.0**-40", "_MARK_MARGIN = 0.0",
            (f"{_TS}test_F_cell_table_leaves_a_box_open_when_a_bound_is_within_the_margin",)),
@@ -62,9 +74,10 @@ MUTANTS = [
     # the box's cells read in the other axis order
     Mutant("index-axes-swapped", _SURFACE, "(ids >> t * (d - 1 - j))", "(ids >> t * j)",
            (f"{_TS}test_F_cell_table_holds_F_on_its_boxes[0.25-3]", *_STRADDLE),
-           survives="F is symmetric in its coordinates (p_many sorts its columns, "
-                    "test_p_permutation_symmetry_exact), so every table is unchanged by "
-                    "any permutation of its axes"),
+           survives="F is symmetric in its coordinates, so a box and its axes' permutation "
+                    "have one image: every entry is sound under either axis order (the bounds "
+                    "at d >= 3 may differ by ulps, so an entry may be open in one order only, "
+                    "which changes no mark)"),
     Mutant("last-batch-unsent", _MEASURE, "    if held:\n        send()\n", "",
            (*_STRADDLE, *_PER_AXIS)),
     Mutant("batch-cap-dropped", _MEASURE,

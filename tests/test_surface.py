@@ -269,15 +269,22 @@ def test_surface_values_error_bound_is_conservative(surface_n3):
     assert ((lo - 1e-15 <= v63) & (v63 <= hi + 1e-15)).all()
 
 
-def _F_exact(coords, lam: float) -> Fraction:
-    """Exact F at a point of doubles."""
-    fs = sorted(salem_exact(float(x), lam) for x in coords)
+def _one_minus_p_exact(fs) -> Fraction | None:
+    """Exact 1 - p at a row of exact values; None at the corner M = 1, P = 0."""
+    fs = sorted(fs)
     if len(fs) == 1:
         return 1 - fs[0]
     prod = Fraction(1)
     for v in fs[:-1]:
         prod *= v
+    if fs[-1] == 1 and prod == 0:
+        return None
     return 1 - prod / (1 - fs[-1] + prod)
+
+
+def _F_exact(coords, lam: float) -> Fraction:
+    """Exact F at a point of doubles."""
+    return _one_minus_p_exact([salem_exact(float(x), lam) for x in coords])
 
 
 def _cell_tops(rng, depth: int, shape) -> np.ndarray:
@@ -293,8 +300,43 @@ def _cell_tops(rng, depth: int, shape) -> np.ndarray:
     return np.nextafter((np.floor(rng.choice(u, shape) * scale) + 1.0) / scale, 0.0)
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_F_sides_bracket_the_exact_one_minus_p(m):
+    # lo, from each row as an upper corner, and hi, from it as a lower corner, hold the
+    # exact 1 - p of the row's doubles: random rows, rows crowded towards 0 and 1, rows
+    # of one value, rows with a tie at their largest value, rows drawn from the extremes
+    # 0, 2^-1074, 1/2, 1 - 2^-53 and 1, and at m >= 2 the corner M = 1, P = 0, where the
+    # sides are [0, 1]
+    rng = seeded_rng(120 + m)
+    u = rng.random((300, m))
+    rows = np.concatenate([u, u**8, 1.0 - u**8, u[:, :1].repeat(m, axis=1), u,
+                           rng.choice([0.0, 2.0**-1074, 0.5, 1.0 - 2.0**-53, 1.0], (300, m))])
+    rows[1200:1500, -1] = rows[1200:1500].max(axis=1)  # the largest value twice
+    if m >= 2:
+        rows[-20:, 0], rows[-20:, -1] = 0.0, 1.0
+    lo = surface_module._F_sides(rows.T, len(rows))[0]
+    hi = surface_module._F_sides(rows.T, 0)[1]
+    for row, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
+        exact = _one_minus_p_exact([Fraction(v) for v in row])
+        if exact is None:
+            assert (a, b) == (0.0, 1.0), row
+        else:
+            assert Fraction(a) <= exact <= Fraction(b), row
+    assert (rows.max(axis=1) == 1.0).sum() > 20 and (lo < hi).all()
+    if m <= 2:
+        # the same operations as p_many's, bit for bit, where its clip does not bind:
+        # it moved p = 1 at M = 1 to 1 - 2^-53, raising hi by 2^-53 on a lower corner
+        # no f box has (f_lo < 1)
+        slack = (m + 4) * 2.0**-52
+        with np.errstate(invalid="ignore"):
+            p = p_many(rows)
+        np.testing.assert_array_equal(lo, np.fmax((1.0 - slack) - p, 0.0))
+        below = rows.max(axis=1) < 1.0
+        np.testing.assert_array_equal(hi[below], np.fmin((1.0 + slack) - p, 1.0)[below])
+
+
 @pytest.mark.parametrize("depth", [8, 52])
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
 @pytest.mark.parametrize("lam", [0.01, 0.25, 0.4, 0.75, 0.99])
 def test_enclosure_contains_exact_F(lam, n, depth):
     # (0.125, 1 - 2^-27) has bound 0 at depth 52, yet f(1 - 2^-27) is
@@ -384,6 +426,26 @@ def test_f_box_holds_the_stated_rounding_allowance(kind, lam):
     truths = [t for t in exact for _ in range(2)]
     for t, v, lo, hi in zip(truths, values, f_lo.tolist(), f_hi.tolist()):
         assert Fraction(lo) <= t <= Fraction(hi), (t, v)
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.4])
+def test_f_box_holds_a_cell_rise_above_the_farthest_value(lam):
+    # the exact f may lie a cell rise fe above the exact truncated sum t, with the
+    # value anywhere within rounding_ulps ulp(t) of t.  Below a power of two t (lam =
+    # 1/4) the doubles are twice as dense: the farthest value below t lies 2
+    # rounding_ulps of its own spacings off, and a rise under half an ulp(t) is lost
+    # when added to it, so only the spare spacings keep t + fe in the box
+    f = SingularFunctionSpec(lam=lam)
+    exact = [salem_exact(x, lam) for x in _bound_free_dyadics(f).tolist()]
+    rises = [_ulp(t) * r for t in exact for r in (Fraction(1, 2**60), Fraction(1, 4))]
+    values = [_extreme_doubles(t, f.rounding_ulps * _ulp(t))[0] for t in exact]
+    fv = np.repeat(values, 2)
+    fe = np.array([float(r) for r in rises])
+    f_lo, f_hi = surface_module._f_box(f, fv, fe)
+    for t, rise, lo, hi in zip(np.repeat(exact, 2), rises, f_lo.tolist(), f_hi.tolist()):
+        assert Fraction(lo) <= t and t + rise <= Fraction(hi), (t, rise)
+    if lam == 0.25:
+        assert Fraction(1, 64) in exact  # f(2^-3) = 4^-3, a power of two
 
 
 def test_shallow_enclosure_holds_values_63_ulps_off():
@@ -636,7 +698,7 @@ def _widened_ok(spec, rows):
     depth, 12), of the widened elementwise f box at 2k rows."""
     f = dataclasses.replace(spec.f, depth=min(spec.f.depth, surface_module._TABLE_DEPTH))
     f_lo, f_hi = _widened(*surface_module._f_box(f, *evaluate_many(f, rows)))
-    sides = surface_module._F_sides(np.concatenate([f_hi, f_lo]), len(rows))
+    sides = surface_module._F_sides(np.concatenate([f_hi, f_lo]).T, len(rows))
     return surface_module._pair_verdicts(*sides)[0]
 
 
@@ -788,7 +850,7 @@ def _first_pass_rows(rng, n: int, k: int) -> np.ndarray:
     return np.clip(np.concatenate(lows + ups), 2.0**-1074, 1.0 - 2.0**-53)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
 @pytest.mark.parametrize("kind, lam, depth",
                          [(SALEM, lam, depth) for lam in (0.01, 0.25, 0.75, 0.99)
                           for depth in (1, 6, 8, 12, 13, 52)]
@@ -890,8 +952,8 @@ def test_salem_corners_gather_the_f_box(lam, depth):
     xs[2::4] = np.nextafter(w[2::4] / (1 << t), 0.0)
     shallow = dataclasses.replace(f, depth=t)
     box_lo, box_hi = _widened(*surface_module._f_box(shallow, *evaluate_many(shallow, xs)))
-    want_lo = surface_module._F_sides(box_hi, len(xs))[0]
-    want_hi = surface_module._F_sides(box_lo, 0)[1]
+    want_lo = surface_module._F_sides(box_hi.T, len(xs))[0]
+    want_hi = surface_module._F_sides(box_lo.T, 0)[1]
     inside = np.ones(len(xs), dtype=bool)
     inside[::4] = False
     k = len(xs) // 2
