@@ -322,7 +322,7 @@ def test_F_sides_bracket_the_exact_one_minus_p(m):
             assert (a, b) == (0.0, 1.0), row
         else:
             assert Fraction(a) <= exact <= Fraction(b), row
-    assert (rows.max(axis=1) == 1.0).sum() > 20 and (lo < hi).all()
+    assert (rows.max(axis=1) == 1.0).sum() > 20
     if m <= 2:
         # the same operations as p_many's, bit for bit, where its clip does not bind:
         # it moved p = 1 at M = 1 to 1 - 2^-53, raising hi by 2^-53 on a lower corner
